@@ -328,7 +328,7 @@ def _run_replay(args) -> int:
         data = data["reproducer"]
     if not isinstance(data, dict) or "check" not in data:
         raise ValueError("replay file holds no reproducer")
-    report = replay_reproducer(data)
+    report = replay_reproducer(data, max_dp_k=args.max_dp_k)
     emit_report(report, args.format, args.output)
     return report.exit_code()
 

@@ -1026,8 +1026,12 @@ def run_campaign(campaign: Campaign) -> Report:
 # ----- reproducer replay -----
 
 
-def replay_reproducer(data: dict) -> Report:
+def replay_reproducer(data: dict, max_dp_k: int = DEFAULT_STANDARD_DP_K) -> Report:
     """Re-run the exact check a reproducer came from.
+
+    The DP checks honour the same degree guard as a campaign: a
+    reproducer with more than max_dp_k matrices raises
+    DegreeTooLargeError instead of starting the DP.
 
     PASS means the stored inputs satisfy the identity after all; FAIL
     (or COUNTEREXAMPLE_FOUND for the open question) confirms the
@@ -1086,24 +1090,24 @@ def replay_reproducer(data: dict) -> Report:
     elif check in ("capelli_zero", "capelli_nonzero"):
         xs = matrices_from_json(data["xs"])
         ys = matrices_from_json(data["ys"])
-        value = capelli_dp(xs, ys, max_k=max(len(xs), 1))
+        value = capelli_dp(xs, ys, max_k=max_dp_k)
         details.append(detail("value_is_zero", value.is_zero()))
         holds = value.is_zero() if check == "capelli_zero" else not value.is_zero()
     elif check in ("standard_zero", "standard_nonzero"):
         mats = matrices_from_json(data["mats"])
-        value = standard_dp(mats, max_k=max(len(mats), 1))
+        value = standard_dp(mats, max_k=max_dp_k)
         details.append(detail("value_is_zero", value.is_zero()))
         if not value.is_zero():
             details.append(detail("value", value.compact_str()))
         holds = value.is_zero() if check == "standard_zero" else not value.is_zero()
     elif check == "product_zero":
         mats = matrices_from_json(data["mats"])
-        value = standard_product_eval(mats, max_k=max(len(mats), 1))
+        value = standard_product_eval(mats, max_k=max_dp_k)
         details.append(detail("value_is_zero", value.is_zero()))
         holds = value.is_zero()
     elif check == "filtration2":
         mats = matrices_from_json(data["mats"])
-        value = standard_dp(mats, max_k=max(len(mats), 1))
+        value = standard_dp(mats, max_k=max_dp_k)
         holds = value.in_filtration(2)
         details.append(detail("in_filtration_2", holds))
     else:

@@ -13,10 +13,17 @@ Both have a naive k!-term evaluator (the oracle, guarded at small k) and
 a subset dynamic program.  The DP runs over suffixes: h(S) is the signed
 sum over arrangements of S in the last |S| slots, built from
 h(S minus {i}) by placing x_i first among them, which costs
-sign (-1)^|{j in S : j < i}|.  Only the current cardinality layer is
-kept, so memory peaks at C(k, k//2) matrices.  For the Capelli form the
-layer at size s multiplies in the fixed y_{k-s+1} once per previous
-state before the transition.
+sign (-1)^|{j in S : j < i}|.  A state is a raw list of n*n term dicts
+(None for a zero entry), not a GrMatrix, and a layer keeps only its
+live (nonzero) states.  Each layer is built by pushing every live state
+of the previous one into its supersets, consuming the previous layer as
+it goes, and is cleaned once at its end, when states that cancel are
+dropped.  So the work scales with the live states, and memory peaks at
+the live part of a layer, at most C(k, k//2) states; sparse inputs such
+as atom tuples touch far fewer.  For the Capelli form the layer at size
+s premultiplies the fixed y_{k-s+1} into each live state before the
+transition.  Only the final full-subset state is wrapped into a
+GrMatrix.
 
 young_alternating_sum restricts the alternating sum to a Young subgroup
 (a product of symmetric groups on the classes of a set partition).  It
@@ -27,9 +34,9 @@ rely on the vanishing or factorial lemmas must check those separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import factorial
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ContextMismatchError,
@@ -115,50 +122,105 @@ def capelli_naive(
     return total
 
 
-def _masks_by_size(k: int, s: int):
-    for comb in combinations(range(k), s):
-        mask = 0
-        for i in comb:
-            mask |= 1 << i
-        yield mask, comb
+# A raw state is a flat row-major list of n*n term dicts, None for a
+# zero entry; a layer maps subset masks to its live states only.
+State = List[Optional[dict]]
 
 
-def _dp_transition(
-    mats_rows: List[Tuple], layer: dict, k: int, s: int, n: int, m: int, ring
-) -> dict:
-    """One cardinality layer of the suffix DP, with fused accumulation.
+def _nonzero_entries(A: GrMatrix) -> List[Tuple[int, int, dict]]:
+    """(row, column, terms) of every nonzero entry of A."""
+    return [
+        (r, t, e.terms)
+        for r, row in enumerate(A.rows)
+        for t, e in enumerate(row)
+        if e.terms
+    ]
 
-    For each subset S of size s, h(S) = sum over i in S of
-    (-1)^|{j in S : j < i}| mats[i] * layer[S minus {i}].
-    """
+
+def _identity_state(n: int, ring) -> State:
+    return [{0: ring.one} if j % (n + 1) == 0 else None for j in range(n * n)]
+
+
+def _mul_state_into(acc: State, xnz: list, state: State, n: int, neg: bool = False) -> None:
+    """acc += (-1)^neg * x * state, raw; xnz holds x's nonzero entries."""
+    for r, t, ta in xnz:
+        rn = r * n
+        tn = t * n
+        for c in range(n):
+            tb = state[tn + c]
+            if tb is not None:
+                d = acc[rn + c]
+                if d is None:
+                    d = acc[rn + c] = {}
+                mul_into(d, ta, tb, neg)
+
+
+def _clean_layer(layer: dict, ring) -> dict:
+    """Clean every raw entry in place; drop the states that cancel to zero."""
     clean = ring.clean_terms
-    make_elem = GrassmannElem._make
-    make_mat = GrMatrix._make
-    nxt = {}
-    for mask, comb in _masks_by_size(k, s):
-        acc = [[{} for _ in range(n)] for _ in range(n)]
-        for i in comb:
-            prev = layer[mask ^ (1 << i)]
-            neg = ((mask & ((1 << i) - 1)).bit_count() & 1) == 1
-            xrows = mats_rows[i]
-            prows = prev.rows
-            for r in range(n):
-                xr = xrows[r]
-                accr = acc[r]
-                for t in range(n):
-                    ta = xr[t].terms
-                    if not ta:
-                        continue
-                    pr = prows[t]
-                    for c in range(n):
-                        tb = pr[c].terms
-                        if tb:
-                            mul_into(accr[c], ta, tb, neg)
-        nxt[mask] = make_mat(
-            n, m, ring,
-            tuple(tuple(make_elem(m, ring, clean(d)) for d in row) for row in acc),
-        )
-    return nxt
+    dead = []
+    for mask, state in layer.items():
+        live = False
+        for j, d in enumerate(state):
+            if d is not None:
+                d = clean(d)
+                if d:
+                    state[j] = d
+                    live = True
+                else:
+                    state[j] = None
+        if not live:
+            dead.append(mask)
+    for mask in dead:
+        del layer[mask]
+    return layer
+
+
+def _dp_transition(xnz: List[list], layer: dict, k: int, n: int, ring) -> dict:
+    """One cardinality layer of the suffix DP, pushed from live states.
+
+    Consumes layer: each live h(T) is popped and pushed into every
+    superset S = T + {i}, adding (-1)^|{j in T : j < i}| x_i h(T) to
+    h(S).  xnz[i] holds the nonzero entries of x_i.
+    """
+    nxt: dict = {}
+    while layer:
+        mask, prev = layer.popitem()
+        for i in range(k):
+            bit = 1 << i
+            if mask & bit or not xnz[i]:
+                continue
+            acc = nxt.get(mask | bit)
+            if acc is None:
+                acc = nxt[mask | bit] = [None] * (n * n)
+            neg = (mask & (bit - 1)).bit_count() & 1 == 1
+            _mul_state_into(acc, xnz[i], prev, n, neg)
+    return _clean_layer(nxt, ring)
+
+
+def _premultiply(y: GrMatrix, layer: dict, n: int, ring) -> dict:
+    """Replace every state h of layer by y * h."""
+    ynz = _nonzero_entries(y)
+    for mask, state in layer.items():
+        out: State = [None] * (n * n)
+        _mul_state_into(out, ynz, state, n)
+        layer[mask] = out
+    return _clean_layer(layer, ring)
+
+
+def _wrap_state(state: Optional[State], n: int, m: int, ring) -> GrMatrix:
+    """The GrMatrix of a raw state; None is the zero matrix."""
+    if state is None:
+        return GrMatrix.zero(n, m, ring)
+    z = GrassmannElem.zero(m, ring)
+    make = GrassmannElem._make
+    return GrMatrix._make(
+        n, m, ring,
+        tuple(
+            tuple(z if d is None else make(m, ring, d) for d in state[r * n : (r + 1) * n])
+            for r in range(n)
+        ),
+    )
 
 
 def standard_dp(
@@ -171,11 +233,11 @@ def standard_dp(
     _check_matrix_family(mats, "standard_dp")
     first = mats[0]
     n, m, ring = first.n, first.m, first.ring
-    mats_rows = [A.rows for A in mats]
-    layer = {0: GrMatrix.identity(n, m, ring)}
-    for s in range(1, k + 1):
-        layer = _dp_transition(mats_rows, layer, k, s, n, m, ring)
-    return layer[(1 << k) - 1]
+    xnz = [_nonzero_entries(A) for A in mats]
+    layer = {0: _identity_state(n, ring)}
+    for _ in range(k):
+        layer = _dp_transition(xnz, layer, k, n, ring)
+    return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
 
 
 def capelli_dp(
@@ -187,7 +249,9 @@ def capelli_dp(
 
     The suffix owning the x-slots k-s+1..k starts with y_{k-s+1} already
     attached to the previous layer, so each layer premultiplies its
-    fixed y once per stored state instead of once per transition term.
+    fixed y once per live raw state instead of once per transition
+    term; y_0 is premultiplied last.  Only the full-mask state is
+    wrapped into a GrMatrix.
     """
     k = len(xs)
     if len(ys) != k + 1:
@@ -197,13 +261,13 @@ def capelli_dp(
     _check_matrix_family(list(xs) + list(ys), "capelli_dp")
     first = ys[0]
     n, m, ring = first.n, first.m, first.ring
-    xs_rows = [A.rows for A in xs]
-    layer = {0: GrMatrix.identity(n, m, ring)}
+    xnz = [_nonzero_entries(A) for A in xs]
+    layer = {0: _identity_state(n, ring)}
     for s in range(1, k + 1):
-        y = ys[k - s + 1]
-        pre = {mask: y * mat for mask, mat in layer.items()}
-        layer = _dp_transition(xs_rows, pre, k, s, n, m, ring)
-    return ys[0] * layer[(1 << k) - 1]
+        layer = _premultiply(ys[k - s + 1], layer, n, ring)
+        layer = _dp_transition(xnz, layer, k, n, ring)
+    layer = _premultiply(ys[0], layer, n, ring)
+    return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
 
 
 def standard_product_eval(

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from grassmat.cli import main
-from grassmat.gmatrix import matrices_to_json
+from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
-from grassmat.ring import QQ
+from grassmat.ring import QQ, ZZ
 from grassmat.witnesses import standard_witness
 
 
@@ -328,3 +328,35 @@ def test_replay_unwraps_full_report(tmp_path, capsys):
     code, out, _ = run(capsys, ["standard-verify", "--replay", str(p)])
     assert code == EXIT_OK
     assert "PASS" in out
+
+
+def test_replay_honours_max_dp_k(tmp_path, capsys):
+    # A crafted 25-matrix reproducer is refused by the default guard,
+    # and --max-dp-k reaches the replay.
+    p = tmp_path / "big.json"
+    p.write_text(
+        json.dumps(
+            {
+                "target": "StandardCorollary",
+                "check": "standard_zero",
+                "mats": matrices_to_json([GrMatrix.unit(1, 0, ZZ, 1, 1)] * 25),
+            }
+        )
+    )
+    code, out, err = run(capsys, ["standard-verify", "--replay", str(p)])
+    assert code == EXIT_USAGE
+    assert "grassmat: error" in err
+    assert out == ""
+    q = tmp_path / "rep.json"
+    q.write_text(
+        json.dumps(
+            {
+                "target": "StandardCorollary",
+                "check": "standard_nonzero",
+                "mats": matrices_to_json(standard_witness(1, 2, QQ)),
+            }
+        )
+    )
+    code, _, err = run(capsys, ["standard-verify", "--max-dp-k", "2", "--replay", str(q)])
+    assert code == EXIT_USAGE
+    assert "grassmat: error" in err

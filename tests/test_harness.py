@@ -5,6 +5,7 @@ import pytest
 from grassmat.errors import (
     BadCharacteristicError,
     DegenerateLambdasError,
+    DegreeTooLargeError,
     HypothesisViolationError,
 )
 from grassmat.gmatrix import GrMatrix, matrices_to_json
@@ -539,6 +540,34 @@ def test_replay_filtration_and_product():
         }
     )
     assert p.verdict == PASS
+
+
+def test_replay_honours_dp_degree_guard():
+    # Each DP check refuses a reproducer past the degree guard before
+    # doing any work; the default guard is the campaign's.
+    e25 = matrices_to_json([GrMatrix.unit(1, 0, ZZ, 1, 1)] * 25)
+    for target, check in (
+        ("StandardCorollary", "standard_zero"),
+        ("Filtration2", "filtration2"),
+    ):
+        with pytest.raises(DegreeTooLargeError):
+            replay_reproducer({"target": target, "check": check, "mats": e25})
+    e26 = matrices_to_json([GrMatrix.unit(1, 0, ZZ, 1, 1)] * 26)
+    with pytest.raises(DegreeTooLargeError):
+        replay_reproducer(
+            {"target": "CapelliBound", "check": "capelli_zero", "xs": e25, "ys": e26}
+        )
+    e4 = matrices_to_json([GrMatrix.unit(1, 2, ZZ, 1, 1)] * 4)
+    with pytest.raises(DegreeTooLargeError):
+        replay_reproducer(
+            {"target": "StandardProduct", "check": "product_zero", "mats": e4},
+            max_dp_k=1,
+        )
+    mats = matrices_to_json(standard_witness(1, 2, QQ))
+    data = {"target": "StandardCorollary", "check": "standard_nonzero", "mats": mats}
+    with pytest.raises(DegreeTooLargeError):
+        replay_reproducer(data, max_dp_k=len(mats) - 1)
+    assert replay_reproducer(data, max_dp_k=len(mats)).verdict == PASS
 
 
 def test_replay_unknown_check():

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,6 +14,7 @@ from grassmat.errors import (
 )
 from grassmat.gmatrix import GrMatrix
 from grassmat.grassmann import GrassmannElem
+from grassmat.harness import atoms
 from grassmat.identities import (
     YoungSpec,
     capelli_dp,
@@ -173,6 +174,113 @@ def test_capelli_length_guard():
         capelli_dp(xs, ys)
     with pytest.raises(DegreeTooLargeError):
         capelli_dp([unit(1, 1)] * 21, [GrMatrix.identity(2, 2, ZZ)] * 22)
+
+
+# ------------------------------------------------------------ sparse DP paths
+
+DP_RINGS = (ZZ, QQ, PrimeField(2), PrimeField(7))
+
+
+def _assert_canonical(value, n, m, ring):
+    """The DP result lives in the inputs' context and stores no zeros."""
+    assert (value.n, value.m, value.ring) == (n, m, ring)
+    for row in value.rows:
+        for e in row:
+            for c in e.terms.values():
+                assert c != 0
+                if isinstance(ring, PrimeField):
+                    assert 0 <= c < ring.modulus
+
+
+def _dp_matches_naive(xs, ys):
+    """Cross-check both DPs; returns how many of the two values are nonzero."""
+    first = xs[0]
+    n, m, ring = first.n, first.m, first.ring
+    std = standard_dp(xs)
+    assert std == standard_naive(xs)
+    _assert_canonical(std, n, m, ring)
+    cap = capelli_dp(xs, ys)
+    assert cap == capelli_naive(xs, ys)
+    _assert_canonical(cap, n, m, ring)
+    return (not std.is_zero()) + (not cap.is_zero())
+
+
+def test_dp_matches_naive_on_atoms():
+    # Atom tuples leave almost every DP state zero.  The small points are
+    # walked exhaustively, the rest sampled; the y's are degree-0 units or
+    # the identity, so many Capelli values are nonzero.
+    rng = random.Random(12)
+    nonzero = 0
+    for ring in DP_RINGS:
+        for n in (1, 2, 3):
+            for m in range(5):
+                pool = atoms(n, m, ring)
+                ys_pool = [GrMatrix.identity(n, m, ring)] + [
+                    GrMatrix.unit(n, m, ring, r, c)
+                    for r in range(1, n + 1)
+                    for c in range(1, n + 1)
+                ]
+                if (n, m) in ((2, 1), (3, 0)):
+                    tuples = [list(t) for k in (3, 4) for t in combinations(pool, k)]
+                else:
+                    tuples = [[rng.choice(pool) for _ in range(k)] for k in (2, 4, 6)]
+                for xs in tuples:
+                    ys = [rng.choice(ys_pool) for _ in range(len(xs) + 1)]
+                    nonzero += _dp_matches_naive(xs, ys)
+    assert nonzero > 100
+
+
+def test_dp_matches_naive_with_a_zero_matrix():
+    rng = random.Random(13)
+    for ring in DP_RINGS:
+        for n, m, k in ((1, 2, 3), (2, 3, 4), (3, 1, 3)):
+            xs = [_random_matrix(rng, n, m, ring) for _ in range(k)]
+            ys = [_random_matrix(rng, n, m, ring, terms=1) for _ in range(k + 1)]
+            zero = GrMatrix.zero(n, m, ring)
+            for pos in (0, k - 1):
+                _dp_matches_naive(xs[:pos] + [zero] + xs[pos + 1 :], ys)
+            for pos in (0, k // 2, k):
+                zys = ys[:pos] + [zero] + ys[pos + 1 :]
+                value = capelli_dp(xs, zys)
+                assert value == capelli_naive(xs, zys) == zero
+
+
+def test_dp_repeated_arguments_cancel_to_zero():
+    # Equal arguments cancel layer by layer; the result is still a zero
+    # matrix in the inputs' context.
+    rng = random.Random(14)
+    for ring in DP_RINGS:
+        for n, m in ((1, 0), (2, 2), (3, 4)):
+            A = _random_matrix(rng, n, m, ring)
+            B = _random_matrix(rng, n, m, ring)
+            zero = GrMatrix.zero(n, m, ring)
+            ys = [GrMatrix.identity(n, m, ring)] * 5
+            for xs in ([A, A], [A, A, A, A], [A, B, A], [B, A, B, A]):
+                ys_k = ys[: len(xs) + 1]
+                assert standard_dp(xs) == standard_naive(xs) == zero
+                assert capelli_dp(xs, ys_k) == capelli_naive(xs, ys_k) == zero
+
+
+def test_dp_matches_naive_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(
+        ring=st.sampled_from(DP_RINGS),
+        n=st.integers(1, 3),
+        m=st.integers(0, 4),
+        k=st.integers(1, 5),
+        terms=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(ring, n, m, k, terms, seed):
+        rng = random.Random(seed)
+        xs = [_random_matrix(rng, n, m, ring, terms) for _ in range(k)]
+        ys = [_random_matrix(rng, n, m, ring, 1) for _ in range(k + 1)]
+        _dp_matches_naive(xs, ys)
+
+    check()
 
 
 # ------------------------------------------------------------ product eval
