@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .errors import GrassmatError
@@ -36,17 +37,12 @@ from .harness import (
     TARGETS,
     Campaign,
     degrees_for,
+    dp_degree,
     replay_reproducer,
     run_campaign,
 )
 from .identities import DEFAULT_NAIVE_K, DEFAULT_STANDARD_DP_K
-from .report import (
-    EXIT_IO,
-    EXIT_USAGE,
-    NO_COUNTEREXAMPLE_IN_BUDGET,
-    PASS,
-    Report,
-)
+from .report import EXIT_IO, EXIT_USAGE, Report
 from .ring import QQ, parse_ring
 
 _SUBCOMMAND_TARGETS = {
@@ -343,68 +339,25 @@ _GRID_COLUMNS = (
 )
 
 
-def _grid_relevant_degree(target: str, n: int, m: int) -> int:
-    """The subset-sum degree a grid point would evaluate, for guard clipping."""
-    d = degrees_for(n, m)
-    if target in (CAPELLI_BOUND, CAPELLI_SHARPNESS):
-        return d["capelli_x_degree"]
-    if target == STANDARD_COROLLARY:
-        return max(d["standard_degree"], d["standard_product_degree"])
-    if target == STANDARD_PRODUCT:
-        return d["standard_product_degree"]
-    if target in (FILTRATION2, AMITSUR_LEVITZKI):
-        return 2 * n
-    if target == OPEN_QUESTION:
-        return d["open_question_degree"]
-    if target == STANDARD_SHARPNESS:
-        return d["witness_degree"]
-    return 0
-
-
 def _run_grid(args) -> int:
-    ring = parse_ring(args.ring)
-    target = args.target
+    base = _campaign_from_args(args, args.target)
+    ring, target = base.ring, base.target
     rows = []
     worst = 0
     for n in range(1, args.n_max + 1):
         for m in range(0, args.m_max + 1):
             degs = degrees_for(n, m)
-            if _grid_relevant_degree(target, n, m) > args.max_dp_k:
+            if dp_degree(target, n, m) > args.max_dp_k:
                 rows.append({"n": n, "m": m, "degrees": degs, "verdict": "SKIP"})
                 continue
-            campaign = Campaign(
-                target=target,
-                n=n,
-                m=m,
-                ring=ring,
-                trials=args.trials,
-                seed=args.seed,
-                budget=args.budget,
-                sparsity=args.sparsity,
-                structured=args.structured,
-                max_naive_k=args.max_naive_k,
-                max_dp_k=args.max_dp_k,
-            )
+            campaign = replace(base, n=n, m=m)
             try:
                 report = run_campaign(campaign)
             except GrassmatError:
                 if ring.is_field():
                     raise
                 # witness targets need a field; rerun the point over rat
-                campaign = Campaign(
-                    target=target,
-                    n=n,
-                    m=m,
-                    ring=QQ,
-                    trials=args.trials,
-                    seed=args.seed,
-                    budget=args.budget,
-                    sparsity=args.sparsity,
-                    structured=args.structured,
-                    max_naive_k=args.max_naive_k,
-                    max_dp_k=args.max_dp_k,
-                )
-                report = run_campaign(campaign)
+                report = run_campaign(replace(campaign, ring=QQ))
             rows.append({"n": n, "m": m, "degrees": degs, "verdict": report.verdict})
             worst = max(worst, report.exit_code())
     payload = {

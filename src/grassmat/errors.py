@@ -18,10 +18,6 @@ class MixedRingsError(ContextMismatchError):
     """Operands belong to different coefficient rings."""
 
 
-class NotInvertibleError(GrassmatError):
-    """Inverse requested for zero, or over the plain integers."""
-
-
 class IndexOutOfRangeError(GrassmatError):
     """Generator or matrix index outside the declared range."""
 

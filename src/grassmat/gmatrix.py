@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
-from .grassmann import GrassmannElem, mul_into
+from .grassmann import GrassmannElem, _check_rank, mul_into
 from .ring import Ring, parse_ring
 
 
@@ -264,6 +264,9 @@ class GrMatrix:
     def from_json(cls, data: dict) -> "GrMatrix":
         n = int(data["n"])
         m = int(data["m"])
+        _check_rank(m)
+        if n < 1:
+            raise ValueError(f"matrix dimension must be positive, got {n}")
         ring = parse_ring(data["ring"])
         entries = data["entries"]
         if len(entries) != n or any(len(row) != n for row in entries):

@@ -16,7 +16,7 @@ a*b = (-1)^(deg a * deg b) b*a.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from .errors import (
     IndexOutOfRangeError,
@@ -78,33 +78,6 @@ class GrassmannElem:
 
     __slots__ = ("m", "ring", "terms")
 
-    def __init__(self, m: int, ring: Ring, terms: Iterable = ()):
-        """Build from (indices, coeff) pairs; see from_terms for rules."""
-        _check_rank(m)
-        self.m = m
-        self.ring = ring
-        acc: dict = {}
-        for indices, coeff in terms:
-            mask = self._mask_from_indices(m, indices)
-            c = ring.coerce(coeff)
-            acc[mask] = acc.get(mask, ring.zero) + c
-        self.terms = ring.clean_terms(acc)
-
-    @staticmethod
-    def _mask_from_indices(m: int, indices: Sequence[int]) -> int:
-        mask = 0
-        prev = 0
-        for i in indices:
-            if not 1 <= i <= m:
-                raise IndexOutOfRangeError(f"generator index {i} outside 1..{m}")
-            if i <= prev:
-                raise NonIncreasingIndicesError(
-                    f"indices must be strictly increasing, got {tuple(indices)}"
-                )
-            mask |= 1 << (i - 1)
-            prev = i
-        return mask
-
     @classmethod
     def _make(cls, m: int, ring: Ring, clean: dict) -> "GrassmannElem":
         """Internal: wrap an already-canonical term dict."""
@@ -153,7 +126,22 @@ class GrassmannElem:
         Indices must be strictly increasing and within 1..m; repeated
         masks accumulate.  Coefficients pass through ring.coerce.
         """
-        return cls(m, ring, terms)
+        _check_rank(m)
+        acc: dict = {}
+        for indices, coeff in terms:
+            mask = 0
+            prev = 0
+            for i in indices:
+                if not 1 <= i <= m:
+                    raise IndexOutOfRangeError(f"generator index {i} outside 1..{m}")
+                if i <= prev:
+                    raise NonIncreasingIndicesError(
+                        f"indices must be strictly increasing, got {tuple(indices)}"
+                    )
+                mask |= 1 << (i - 1)
+                prev = i
+            acc[mask] = acc.get(mask, ring.zero) + ring.coerce(coeff)
+        return cls._make(m, ring, ring.clean_terms(acc))
 
     # ----- context -----
 
@@ -228,11 +216,6 @@ class GrassmannElem:
         """Sorted degrees present in the support; empty for zero."""
         return tuple(sorted({k.bit_count() for k in self.terms}))
 
-    def homogeneous_degree(self):
-        """The common degree of all terms, or None if mixed or zero."""
-        ds = self.degrees()
-        return ds[0] if len(ds) == 1 else None
-
     def in_filtration(self, r: int) -> bool:
         """True when every term has degree >= r; zero passes for all r."""
         return all(k.bit_count() >= r for k in self.terms)
@@ -292,6 +275,8 @@ class GrassmannElem:
         acc: dict = {}
         for mask, cs in pairs:
             mask = int(mask)
+            if not isinstance(cs, str):
+                raise ValueError(f"coefficient {cs!r} is not a string")
             if not 0 <= mask < (1 << m):
                 raise IndexOutOfRangeError(f"mask {mask} outside rank-{m} algebra")
             c = ring.parse(cs)

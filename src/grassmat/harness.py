@@ -7,6 +7,11 @@ elapsed-time field varies).  FAIL and COUNTEREXAMPLE_FOUND reports carry
 a reproducer with the full inputs in the JSON matrix format, and
 replay_reproducer re-runs exactly that check from the parsed inputs.
 
+CHECKS is the one registry of those checks.  Each entry names the input
+fields of its reproducer (written by _reproducer, read back through
+_READERS), the evaluator and the predicate its value must satisfy.  Every campaign
+trial and every replay goes through it, so the two cannot drift apart.
+
 Every verify campaign embeds a mutation control: the same construction
 with the degree or exponent lowered by one must come out nonzero.  An
 evaluator that silently maps everything to zero cannot pass.
@@ -22,7 +27,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BadCharacteristicError,
@@ -52,11 +57,10 @@ from .report import (
     Report,
     detail,
 )
-from .ring import QQ, RAT, Ring, ZMOD, ZZ, parse_ring
+from .ring import QQ, RAT, Ring, ZMOD, ZZ
 from .witnesses import (
     KIND_CAPELLI,
     KIND_CH,
-    KIND_STANDARD,
     WitnessSpec,
     capelli_sharpness_verify,
     capelli_witness,
@@ -65,7 +69,6 @@ from .witnesses import (
     ch_witness,
     staircase_units,
     standard_sharpness_verify,
-    standard_witness,
 )
 
 THEOREM1 = "Theorem1"
@@ -80,21 +83,6 @@ CAPELLI_SHARPNESS = "CapelliSharpness"
 STANDARD_SHARPNESS = "StandardSharpness"
 OPEN_QUESTION = "OpenQuestion"
 AMITSUR_LEVITZKI = "AmitsurLevitzki"
-
-TARGETS = (
-    THEOREM1,
-    LEMMA2,
-    YOUNG_LEMMA,
-    CAPELLI_BOUND,
-    STANDARD_COROLLARY,
-    STANDARD_PRODUCT,
-    FILTRATION2,
-    CH_SHARPNESS,
-    CAPELLI_SHARPNESS,
-    STANDARD_SHARPNESS,
-    OPEN_QUESTION,
-    AMITSUR_LEVITZKI,
-)
 
 DEFAULT_TRIALS = 50
 DEFAULT_BUDGET = 10000
@@ -113,6 +101,21 @@ def degrees_for(n: int, m: int) -> Dict[str, int]:
     }
 
 
+def dp_degree(target: str, n: int, m: int) -> int:
+    """Largest subset-sum degree a campaign for target evaluates; 0 if none."""
+    d = degrees_for(n, m)
+    return {
+        CAPELLI_BOUND: d["capelli_x_degree"],
+        CAPELLI_SHARPNESS: d["capelli_x_degree"],
+        STANDARD_COROLLARY: max(d["standard_degree"], d["standard_product_degree"]),
+        STANDARD_PRODUCT: d["standard_product_degree"],
+        FILTRATION2: 2 * n,
+        AMITSUR_LEVITZKI: 2 * n,
+        OPEN_QUESTION: d["open_question_degree"],
+        STANDARD_SHARPNESS: d["witness_degree"],
+    }.get(target, 0)
+
+
 @dataclass
 class Campaign:
     """One verification or search run; fully determines its Report."""
@@ -129,7 +132,6 @@ class Campaign:
     random_samples: int = 0
     max_naive_k: int = DEFAULT_NAIVE_K
     max_dp_k: int = DEFAULT_STANDARD_DP_K
-    young_max_order: int = 10**6
     exploratory: bool = False
     prune: bool = True
     lambdas: Optional[Tuple] = None
@@ -267,27 +269,349 @@ def _field_spec(kind: str, n: int, m: int, ring: Ring, **kw) -> WitnessSpec:
     return WitnessSpec(kind=kind, n=n, m=m, ring=QQ, **kw)
 
 
-def _finish(
-    campaign: Campaign,
-    ok: bool,
-    trials: int,
-    details: List[dict],
-    reproducer: Optional[dict],
-    start: float,
-    search: bool = False,
-) -> Report:
-    if search:
-        verdict = NO_COUNTEREXAMPLE_IN_BUDGET if ok else COUNTEREXAMPLE_FOUND
-    else:
-        verdict = PASS if ok else FAIL
-    return Report(
-        campaign=campaign.to_dict(),
-        verdict=verdict,
-        trials=trials,
-        details=details,
-        reproducer=None if ok else reproducer,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
+# ----- the check registry -----
+
+
+def _power(inputs: dict, max_k: int) -> GrMatrix:
+    """f(A)^exponent, f the degree-0 charpoly or prod (x - lambda_i)."""
+    A = inputs["matrix"]
+    lams = inputs.get("lambdas")
+    f = charpoly(A.component(0)) if lams is None else Poly.from_roots(A.ring, lams)
+    return f.at_matrix(A) ** inputs["exponent"]
+
+
+def _lemma2(inputs: dict, max_k: int) -> Tuple[GrMatrix, Dict[str, bool]]:
+    """B = f(A) for f = prod (x - lambda_i), and the Lemma 2 checks on it."""
+    A, lams = inputs["matrix"], inputs["lambdas"]
+    ring, n = A.ring, A.n
+    f = Poly.from_roots(ring, lams)
+    fprime = f.derivative()
+    B = f.at_matrix(A)
+    A1 = A.component(1)
+    B1 = B.component(1)
+    g = [A1.entry(i + 1, i + 1).scale(fprime(lams[i])) for i in range(n)]
+    expected_b1 = GrMatrix.diag(g)
+    B2 = B.component(2)
+    b2_plus, b2_minus = B2.diag_split()
+    # (lambda_r - lambda_s) B2_rs = (f'(lambda_r) A1_rr + f'(lambda_s) A1_ss) A1_rs
+    cleared = all(
+        B2.entry(r, s).scale(ring.sub(lams[r - 1], lams[s - 1]))
+        == (g[r - 1] + g[s - 1]) * A1.entry(r, s)
+        for r in range(1, n + 1)
+        for s in range(1, n + 1)
+        if r != s
     )
+    return B, {
+        "degree0_vanishes": B.component(0).is_zero(),
+        "degree1_diagonal_form": B1 == expected_b1,
+        "degree1_squares_to_zero": (B1 * B1).is_zero(),
+        "degree2_cleared_formula": cleared,
+        "commutes_with_diag_part": B1 * b2_plus == b2_plus * B1,
+        "anticommutes_with_offdiag_part": B1 * b2_minus == -(b2_minus * B1),
+    }
+
+
+def _young_hypothesis_check(elems: Sequence, spec: YoungSpec) -> None:
+    """Pairwise product comparison; a violation means a bad generator."""
+    for i, j in combinations(range(1, spec.k + 1), 2):
+        a, b = elems[i - 1], elems[j - 1]
+        anti = i in spec.anticommuting and j in spec.anticommuting
+        if a * b != (-(b * a) if anti else b * a):
+            declared = "anticommuting" if anti else "commuting"
+            raise HypothesisViolationError(
+                f"positions {i},{j} were declared {declared} but are not"
+            )
+
+
+def _young(inputs: dict, max_k: int) -> GrMatrix:
+    elems = inputs["elems"]
+    spec = YoungSpec(
+        k=len(elems),
+        classes=tuple(tuple(c) for c in inputs["classes"]),
+        anticommuting=frozenset(inputs["anticommuting"]),
+    )
+    _young_hypothesis_check(elems, spec)
+    return young_alternating_sum(elems, spec)
+
+
+def _capelli(inputs: dict, max_k: int, naive: bool = False) -> GrMatrix:
+    evaluate = capelli_naive if naive else capelli_dp
+    return evaluate(inputs["xs"], inputs["ys"], max_k=max_k)
+
+
+def _standard(inputs: dict, max_k: int, naive: bool = False) -> GrMatrix:
+    evaluate = standard_naive if naive else standard_dp
+    return evaluate(inputs["mats"], max_k=max_k)
+
+
+def _product(inputs: dict, max_k: int) -> GrMatrix:
+    return standard_product_eval(inputs["mats"], max_k=max_k)
+
+
+def _zero_judge(value: GrMatrix, inputs: dict):
+    return value.is_zero(), [detail("value_is_zero", value.is_zero())]
+
+
+def _standard_judge(value: GrMatrix, inputs: dict):
+    if value.is_zero():
+        return _zero_judge(value, inputs)
+    return False, [detail("value_is_zero", False), detail("value", value.compact_str())]
+
+
+def _power_judge(value: GrMatrix, inputs: dict):
+    zero = value.is_zero()
+    return zero, [detail("exponent", inputs["exponent"]), detail("power_is_zero", zero)]
+
+
+def _lemma2_judge(value, inputs: dict):
+    checks = value[1]
+    return all(checks.values()), [detail(name, checks[name]) for name in sorted(checks)]
+
+
+def _young_judge(value: GrMatrix, inputs: dict):
+    """Zero, or prod over classes (|class| - 1)! times the plain product."""
+    if inputs["expect"] == "zero":
+        return value.is_zero(), [detail("sum_is_zero", value.is_zero())]
+    elems = inputs["elems"]
+    ring = elems[0].ring
+    fact = ring.one
+    for c in inputs["classes"]:
+        fact = ring.mul(fact, ring.factorial(len(c) - 1))
+    prod = elems[0]
+    for e in elems[1:]:
+        prod = prod * e
+    holds = value == prod.scale_coeff(fact)
+    return holds, [detail("factorial_form_matches", holds)]
+
+
+def _filtration_judge(value: GrMatrix, inputs: dict):
+    holds = value.in_filtration(2)
+    return holds, [detail("in_filtration_2", holds)]
+
+
+class Check(NamedTuple):
+    """One registered check.
+
+    A reproducer carries `fields` (and any of `optional`), read in this
+    order through _READERS and written by _reproducer.
+    evaluate(inputs, max_k) computes the value (the DP checks also take
+    naive=True for the factorial-time oracle); judge(value, inputs) says
+    whether the identity holds (negated for a nonvanishing check) and
+    gives a replay's details.
+    Evaluators look identity functions up by module name at call time,
+    so patching a name here reaches campaigns and replays alike.
+    """
+
+    fields: Tuple[str, ...]
+    evaluate: Callable
+    judge: Callable
+    negate: bool = False
+    optional: Tuple[str, ...] = ()
+
+    def holds(self, value, inputs: dict) -> bool:
+        return self.judge(value, inputs)[0] != self.negate
+
+
+_POWER = ("matrix", "exponent")
+_YOUNG = ("elems", "classes", "anticommuting", "expect")
+
+CHECKS: Dict[str, Check] = {
+    "power_zero": Check(_POWER, _power, _power_judge, optional=("lambdas",)),
+    "power_nonzero": Check(_POWER, _power, _power_judge, True, ("lambdas",)),
+    "lemma2": Check(("matrix", "lambdas"), _lemma2, _lemma2_judge),
+    "young": Check(_YOUNG, _young, _young_judge, optional=("sizes",)),
+    "capelli_zero": Check(("xs", "ys"), _capelli, _zero_judge),
+    "capelli_nonzero": Check(("xs", "ys"), _capelli, _zero_judge, True),
+    "standard_zero": Check(("mats",), _standard, _standard_judge),
+    "standard_nonzero": Check(("mats",), _standard, _standard_judge, True),
+    "product_zero": Check(("mats",), _product, _zero_judge),
+    "filtration2": Check(("mats",), _standard, _filtration_judge),
+}
+
+
+def _read_exponent(raw, inputs: dict) -> int:
+    # Campaigns write at most ceil(m/2) + 1, and f(A)^(m+1) = 0 whenever
+    # f(A) has no degree-0 part, so a larger exponent only costs time.
+    m = inputs["matrix"].m
+    if type(raw) is not int or not 0 <= raw <= m + 1:
+        raise ValueError(f"exponent must be an integer in 0..{m + 1}, got {raw!r}")
+    return raw
+
+
+def _read_lambdas(raw, inputs: dict) -> Tuple:
+    A = inputs["matrix"]
+    if not isinstance(raw, list) or len(raw) != A.n or not all(
+        isinstance(s, str) for s in raw
+    ):
+        raise ValueError(f"lambdas must be a list of {A.n} strings")
+    return tuple(A.ring.parse(s) for s in raw)
+
+
+def _read_matrices(raw, inputs: dict) -> List[GrMatrix]:
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("expected a nonempty list of matrices")
+    return matrices_from_json(raw)
+
+
+def _plain(ok: Callable, what: str) -> Callable:
+    """Reader of a field stored as is, accepted only if ok(raw)."""
+
+    def read(raw, inputs: dict):
+        if not ok(raw):
+            raise ValueError(f"expected {what}, got {raw!r}")
+        return raw
+
+    return read
+
+
+def _int_list(raw) -> bool:
+    return isinstance(raw, list) and all(type(x) is int for x in raw)
+
+
+# input field -> its reader from JSON; a reader sees the fields its
+# check lists before it
+_READERS = {
+    "matrix": lambda raw, inputs: GrMatrix.from_json(raw),
+    "exponent": _read_exponent,
+    "lambdas": _read_lambdas,
+    "mats": _read_matrices,
+    "xs": _read_matrices,
+    "ys": _read_matrices,
+    "elems": _read_matrices,
+    "expect": _plain(lambda raw: raw in ("zero", "factorial"), "'zero' or 'factorial'"),
+    "classes": _plain(
+        lambda raw: isinstance(raw, list) and all(c and _int_list(c) for c in raw),
+        "a list of nonempty integer lists",
+    ),
+    "anticommuting": _plain(_int_list, "a list of integers"),
+    "sizes": _plain(_int_list, "a list of integers"),
+}
+
+
+def _reproducer(target: str, check: str, inputs: dict) -> dict:
+    """The JSON reproducer of one check on one set of inputs."""
+    out = {"target": target, "check": check}
+    for key, value in inputs.items():
+        if isinstance(value, GrMatrix):
+            value = value.to_json()
+        elif key == "lambdas":
+            value = [inputs["matrix"].ring.format(x) for x in value]
+        elif _READERS[key] is _read_matrices:
+            value = matrices_to_json(value)
+        out[key] = value
+    return out
+
+
+def _decode(check: Check, data: dict) -> dict:
+    """A reproducer's inputs; a missing or malformed field is a ValueError."""
+    inputs: dict = {}
+    for key in check.fields + check.optional:
+        if key not in data:
+            if key in check.optional:
+                continue
+            raise ValueError(f"reproducer has no {key!r} field")
+        try:
+            inputs[key] = _READERS[key](data[key], inputs)
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed reproducer field {key!r}: {exc!r}") from None
+    return inputs
+
+
+# ----- running checks -----
+
+
+class _Trials:
+    """One campaign's details, trial count, verdict and first reproducer."""
+
+    def __init__(self, campaign: Campaign):
+        self.campaign = campaign
+        self.start = time.perf_counter()
+        self.details: List[dict] = []
+        self.trials = 0
+        self.failed = False  # a violation, a failed control or cross-check
+        self.reproducer: Optional[dict] = None
+        self.value = None  # the value that violated a check
+        self.naive: Optional[bool] = None  # the last run's oracle cross-check
+
+    def note(self, name: str, value) -> None:
+        self.details.append(detail(name, value))
+
+    def draws(self, make: Callable, count: Optional[int] = None, first: int = 0):
+        """(j, make(rng)) on trial streams first + j, j < count (default: trials)."""
+        c = self.campaign
+        for j in range(c.trials if count is None else count):
+            yield j, make(trial_rng(c.seed, first + j))
+
+    def run(
+        self,
+        check: str,
+        draws: Iterable,
+        label: Optional[str] = None,
+        inspect: Optional[Callable] = None,
+        cross_check: bool = False,
+    ) -> int:
+        """Evaluate a check on each (index, inputs) draw until one violates it.
+
+        cross_check compares the first value with the check's naive
+        oracle into self.naive; inspect(index, inputs, value) sees each
+        value.  A violation notes (label, index), keeps its reproducer and
+        ends the run.  Returns the number of draws on which the check held.
+        """
+        c = self.campaign
+        entry = CHECKS[check]
+        before = self.trials
+        self.naive = None
+        for index, inputs in draws:
+            value = entry.evaluate(inputs, c.max_dp_k)
+            if cross_check and self.trials == before:
+                self.naive = entry.evaluate(inputs, c.max_naive_k, naive=True) == value
+            self.trials += 1
+            if inspect is not None:
+                inspect(index, inputs, value)
+            if not entry.holds(value, inputs):
+                if label is not None:
+                    self.note(label, index)
+                self.failed = True
+                self.reproducer = _reproducer(c.target, check, inputs)
+                self.value = value
+                return self.trials - before - 1
+        return self.trials - before
+
+    def control(self, check: str, inputs: dict, also: Callable = lambda v: True) -> bool:
+        """A mutation control; its reproducer is kept unless one came before."""
+        entry = CHECKS[check]
+        value = entry.evaluate(inputs, self.campaign.max_dp_k)
+        holds = entry.holds(value, inputs) and also(value)
+        if not holds:
+            self.failed = True
+            self.reproducer = self.reproducer or _reproducer(
+                self.campaign.target, check, inputs
+            )
+        return holds
+
+    def finish(self, search: bool = False) -> Report:
+        ok = not self.failed
+        if search:
+            verdict = NO_COUNTEREXAMPLE_IN_BUDGET if ok else COUNTEREXAMPLE_FOUND
+        else:
+            verdict = PASS if ok else FAIL
+        return Report(
+            campaign=self.campaign.to_dict(),
+            verdict=verdict,
+            trials=self.trials,
+            details=self.details,
+            reproducer=None if ok else self.reproducer,
+            elapsed_ms=int((time.perf_counter() - self.start) * 1000),
+        )
+
+
+def _random_mats(campaign: Campaign, rng: random.Random, k: int) -> List[GrMatrix]:
+    c = campaign
+    return [random_grmatrix(rng, c.n, c.m, c.ring, c.sparsity) for _ in range(k)]
+
+
+def _atom_mats(rng: random.Random, pool: List[GrMatrix], k: int) -> List[GrMatrix]:
+    return [pool[rng.randrange(len(pool))] for _ in range(k)]
 
 
 # ----- nilpotency of the characteristic polynomial -----
@@ -295,46 +619,23 @@ def _finish(
 
 def verify_theorem1(campaign: Campaign) -> Report:
     """f(A)^(ceil(m/2)+1) = 0 for random A; control at one exponent lower."""
-    start = time.perf_counter()
     n, m, ring = campaign.n, campaign.m, campaign.ring
+    t = _Trials(campaign)
     e = ceil_half(m) + 1
-    details = [detail("exponent", e)]
-    ok = True
-    reproducer = None
-    trials = 0
-    for t in range(campaign.trials):
-        rng = trial_rng(campaign.seed, t)
-        A = random_grmatrix(rng, n, m, ring, campaign.sparsity)
-        f = charpoly(A.component(0))
-        value = f.at_matrix(A) ** e
-        trials += 1
-        if not value.is_zero():
-            ok = False
-            details.append(detail("first_failure_trial", t))
-            details.append(detail("value", str(value)))
-            reproducer = {
-                "target": campaign.target,
-                "check": "power_zero",
-                "exponent": e,
-                "matrix": A.to_json(),
-            }
-            break
+    t.note("exponent", e)
+    draws = t.draws(lambda rng: {
+        "matrix": random_grmatrix(rng, n, m, ring, campaign.sparsity), "exponent": e
+    })
+    t.run("power_zero", draws, "first_failure_trial")
+    if t.failed:
+        t.note("value", str(t.value))
     spec = _field_spec(KIND_CH, n, m, ring, lambdas=campaign.lambdas)
-    W = ch_witness(spec)
-    fw = Poly.from_roots(spec.ring, spec.resolved_lambdas())
-    control = not (fw.at_matrix(W) ** (e - 1)).is_zero()
-    details.append(detail("control_lower_exponent_nonzero", control))
+    W, lams = ch_witness(spec), spec.resolved_lambdas()
+    control = t.control("power_nonzero", {"matrix": W, "exponent": e - 1, "lambdas": lams})
+    t.note("control_lower_exponent_nonzero", control)
     if spec.ring != ring:
-        details.append(detail("control_ring", spec.ring.name))
-    if not control and reproducer is None:
-        reproducer = {
-            "target": campaign.target,
-            "check": "power_nonzero",
-            "exponent": e - 1,
-            "lambdas": [spec.ring.format(x) for x in spec.resolved_lambdas()],
-            "matrix": W.to_json(),
-        }
-    return _finish(campaign, ok and control, trials, details, reproducer, start)
+        t.note("control_ring", spec.ring.name)
+    return t.finish()
 
 
 # ----- structure of f(A) by degree -----
@@ -349,41 +650,7 @@ def _draw_lambdas(rng: random.Random, n: int, ring: Ring) -> Tuple:
                 f"cannot pick {n} distinct eigenvalues in a field of size {p}"
             )
         return tuple(ring.embed(x) for x in rng.sample(range(p), n))
-    pool = range(-9, 10)
-    return tuple(ring.embed(x) for x in rng.sample(pool, n))
-
-
-def _lemma2_checks(
-    A1: GrMatrix, B: GrMatrix, lams: Tuple, fprime: Poly, ring: Ring
-) -> Dict[str, bool]:
-    n = A1.n
-    B1 = B.component(1)
-    expected_b1 = GrMatrix.diag(
-        [A1.entry(i + 1, i + 1).scale(fprime(lams[i])) for i in range(n)]
-    )
-    B2 = B.component(2)
-    b2_plus, b2_minus = B2.diag_split()
-    cleared = True
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            if r == s:
-                continue
-            diff = ring.sub(lams[r - 1], lams[s - 1])
-            lhs = B2.entry(r, s).scale(diff)
-            rhs = (
-                A1.entry(r, r).scale(fprime(lams[r - 1]))
-                + A1.entry(s, s).scale(fprime(lams[s - 1]))
-            ) * A1.entry(r, s)
-            if lhs != rhs:
-                cleared = False
-    return {
-        "degree0_vanishes": B.component(0).is_zero(),
-        "degree1_diagonal_form": B1 == expected_b1,
-        "degree1_squares_to_zero": (B1 * B1).is_zero(),
-        "degree2_cleared_formula": cleared,
-        "commutes_with_diag_part": B1 * b2_plus == b2_plus * B1,
-        "anticommutes_with_offdiag_part": B1 * b2_minus == -(b2_minus * B1),
-    }
+    return tuple(ring.embed(x) for x in rng.sample(range(-9, 10), n))
 
 
 def verify_lemma2(campaign: Campaign) -> Report:
@@ -394,19 +661,13 @@ def verify_lemma2(campaign: Campaign) -> Report:
     fully random matrices and records the observations without letting
     them touch the verdict.
     """
-    start = time.perf_counter()
     n, m, ring = campaign.n, campaign.m, campaign.ring
     if not ring.is_field():
         raise BadCharacteristicError(
             f"eigenvalue differences must be invertible; {ring.name} is not a field"
         )
-    details: List[dict] = []
-    ok = True
-    reproducer = None
-    trials = 0
-    control_b1_nonzero = False
-    for t in range(campaign.trials):
-        rng = trial_rng(campaign.seed, t)
+
+    def draw(rng):
         if campaign.lambdas is not None:
             lams = tuple(ring.coerce(x) for x in campaign.lambdas)
             if len(set(lams)) != len(lams):
@@ -414,99 +675,69 @@ def verify_lemma2(campaign: Campaign) -> Report:
         else:
             lams = _draw_lambdas(rng, n, ring)
         A1 = random_degree1_grmatrix(rng, n, m, ring, campaign.sparsity)
-        A0 = GrMatrix.diag(
-            [GrassmannElem.scalar(lam, m, ring) for lam in lams]
-        )
-        A = A0 + A1
-        f = Poly.from_roots(ring, lams)
-        B = f.at_matrix(A)
-        checks = _lemma2_checks(A1, B, lams, f.derivative(), ring)
-        if not B.component(1).is_zero():
-            control_b1_nonzero = True
-        trials += 1
-        if not all(checks.values()):
-            ok = False
-            details.append(detail("first_failure_trial", t))
-            details.append(detail("failed_checks", sorted(k for k, v in checks.items() if not v)))
-            reproducer = {
-                "target": campaign.target,
-                "check": "lemma2",
-                "lambdas": [ring.format(x) for x in lams],
-                "matrix": A.to_json(),
-            }
-            break
+        A0 = GrMatrix.diag([GrassmannElem.scalar(lam, m, ring) for lam in lams])
+        return {"matrix": A0 + A1, "lambdas": lams}
+
+    t = _Trials(campaign)
+    b1_nonzero = []
+    t.run("lemma2", t.draws(draw), "first_failure_trial", lambda j, inputs, value: (
+        b1_nonzero.append(not value[0].component(1).is_zero())
+    ))
+    if t.failed:
+        t.note("failed_checks", sorted(k for k, v in t.value[1].items() if not v))
     if m >= 1:
-        details.append(detail("control_degree1_part_nonzero", control_b1_nonzero))
-        ok = ok and control_b1_nonzero
+        t.note("control_degree1_part_nonzero", any(b1_nonzero))
+        t.failed |= not any(b1_nonzero)
     else:
-        details.append(detail("rank_zero_trivial", True))
+        t.note("rank_zero_trivial", True)
     if campaign.exploratory and m >= 2:
         observed = []
-        for t in range(min(campaign.trials, 10)):
-            rng = trial_rng(campaign.seed, 10**6 + t)
+        for j in range(min(campaign.trials, 10)):
+            rng = trial_rng(campaign.seed, 10**6 + j)
             lams = _draw_lambdas(rng, n, ring)
             A0 = GrMatrix.diag([GrassmannElem.scalar(lam, m, ring) for lam in lams])
             A = A0 + random_grmatrix(rng, n, m, ring, campaign.sparsity)
-            A1 = A.component(1)
-            f = Poly.from_roots(ring, lams)
-            checks = _lemma2_checks(A1, f.at_matrix(A), lams, f.derivative(), ring)
+            checks = _lemma2({"matrix": A, "lambdas": lams}, campaign.max_dp_k)[1]
             observed.append({k: v for k, v in sorted(checks.items())})
-        details.append(detail("exploratory_full_matrix_observations", observed))
-    return _finish(campaign, ok, trials, details, reproducer, start)
+        t.note("exploratory_full_matrix_observations", observed)
+    return t.finish()
 
 
 # ----- alternating sums over Young subgroups -----
 
 
-def _young_hypothesis_check(elems: Sequence, spec: YoungSpec) -> None:
-    """Pairwise product comparison; a violation means a bad generator."""
-    anti = spec.anticommuting
-    k = spec.k
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            a, b = elems[i - 1], elems[j - 1]
-            if i in anti and j in anti:
-                if a * b != -(b * a):
-                    raise HypothesisViolationError(
-                        f"positions {i},{j} were declared anticommuting but are not"
-                    )
-            else:
-                if a * b != b * a:
-                    raise HypothesisViolationError(
-                        f"positions {i},{j} were declared commuting but are not"
-                    )
+def _young_inputs(
+    classes, anti, n: int, m: int, ring: Ring, central: Callable, expect: str, **extra
+) -> dict:
+    """Distinct generators times e11 at the anticommuting positions and
+    central(e11) elsewhere, so the hypothesis holds by construction (it
+    is re-verified on evaluation)."""
+    classes, anti = [sorted(c) for c in classes], sorted(anti)
+    e11 = GrMatrix.unit(n, m, ring, 1, 1)
+    elems: List[GrMatrix] = []
+    g = 1
+    for p in range(1, sum(map(len, classes)) + 1):
+        if p in anti:
+            elems.append(e11.scale(GrassmannElem.generator(g, m, ring)))
+            g += 1
+        else:
+            elems.append(central(e11))
+    return dict(expect=expect, classes=classes, anticommuting=anti, elems=elems, **extra)
 
 
 def _young_instance(
     rng: random.Random, k: int, t: int, n: int, m: int, ring: Ring
-) -> Tuple[List[GrMatrix], YoungSpec]:
-    """Shape with |M| = t anticommuting positions, one central per class.
-
-    Anticommuting positions carry distinct generators times e11, central
-    positions carry random nonzero scalars times e11; the hypothesis
-    then holds by construction and is re-verified by the caller.
-    """
+) -> dict:
+    """Shape with |M| = t anticommuting positions, one central per class;
+    central positions carry random nonzero scalars times e11."""
     positions = list(range(1, k + 1))
     anti = sorted(rng.sample(positions, t))
     central = [p for p in positions if p not in anti]
     classes = {c: [c] for c in central}
     for p in anti:
         classes[rng.choice(central)].append(p)
-    spec = YoungSpec(
-        k=k,
-        classes=tuple(tuple(sorted(v)) for v in classes.values()),
-        anticommuting=frozenset(anti),
-    )
-    e11 = GrMatrix.unit(n, m, ring, 1, 1)
-    elems: List[GrMatrix] = []
-    g = 1
-    for p in positions:
-        if p in spec.anticommuting:
-            elems.append(e11.scale(GrassmannElem.generator(g, m, ring)))
-            g += 1
-        else:
-            elems.append(e11.scale_coeff(random_coeff(rng, ring)))
-    return elems, spec
+    scalar = lambda e11: e11.scale_coeff(random_coeff(rng, ring))  # noqa: E731
+    return _young_inputs(classes.values(), anti, n, m, ring, scalar, "zero")
 
 
 def _odd_compositions(k: int):
@@ -522,103 +753,51 @@ def verify_young_lemma(campaign: Campaign) -> Report:
     """(a) odd anticommuting count sums to zero, random shapes, k <= 7;
     (b) odd interval shapes factor as prod (size-1)! times the plain
     product; plus an all-singleton control that must be nonzero."""
-    start = time.perf_counter()
     n, m, ring = campaign.n, campaign.m, campaign.ring
-    details: List[dict] = []
-    ok = True
-    reproducer = None
-    trials = 0
+    t = _Trials(campaign)
 
     shapes_per_k = max(20, -(-campaign.trials // 5))
-    zero_shapes = 0
-    if m >= 1:
+
+    def odd_shapes():
         for k in range(3, 8):
-            odd_sizes = [t for t in range(1, min(k - 1, m) + 1, 2)]
-            if not odd_sizes:
-                continue
+            odd_sizes = list(range(1, min(k - 1, m) + 1, 2))
             for j in range(shapes_per_k):
                 rng = trial_rng(campaign.seed, (k - 3) * shapes_per_k + j)
-                t = rng.choice(odd_sizes)
-                elems, spec = _young_instance(rng, k, t, n, m, ring)
-                _young_hypothesis_check(elems, spec)
-                value = young_alternating_sum(elems, spec, campaign.young_max_order)
-                trials += 1
-                if value.is_zero():
-                    zero_shapes += 1
-                else:
-                    ok = False
-                    details.append(detail("first_failure_shape", [k, j]))
-                    reproducer = {
-                        "target": campaign.target,
-                        "check": "young",
-                        "expect": "zero",
-                        "classes": [list(c) for c in spec.classes],
-                        "anticommuting": sorted(spec.anticommuting),
-                        "elems": matrices_to_json(elems),
-                    }
-                    break
-            if not ok:
-                break
-        details.append(detail("shapes_per_size", shapes_per_k))
-        details.append(detail("odd_shapes_zero", zero_shapes))
-    else:
-        details.append(detail("odd_shapes_skipped_no_generators", True))
+                yield [k, j], _young_instance(rng, k, rng.choice(odd_sizes), n, m, ring)
 
-    factored = 0
-    skipped = 0
-    if ok:
+    if m >= 1:
+        zero_shapes = t.run("young", odd_shapes(), "first_failure_shape")
+        t.note("shapes_per_size", shapes_per_k)
+        t.note("odd_shapes_zero", zero_shapes)
+    else:
+        t.note("odd_shapes_skipped_no_generators", True)
+
+    skipped = []
+
+    def interval_shapes():
         for k in range(1, 8):
             for sizes in _odd_compositions(k):
                 if sum(s - 1 for s in sizes) > m:
-                    skipped += 1
+                    skipped.append(sizes)
                     continue
                 spec = YoungSpec.from_interval_sizes(sizes)
-                e11 = GrMatrix.unit(n, m, ring, 1, 1)
-                elems = []
-                g = 1
-                for p in range(1, k + 1):
-                    if p in spec.anticommuting:
-                        elems.append(e11.scale(GrassmannElem.generator(g, m, ring)))
-                        g += 1
-                    else:
-                        elems.append(e11)
-                _young_hypothesis_check(elems, spec)
-                value = young_alternating_sum(elems, spec, campaign.young_max_order)
-                fact = ring.one
-                for s in sizes:
-                    fact = ring.mul(fact, ring.factorial(s - 1))
-                prod = elems[0]
-                for e in elems[1:]:
-                    prod = prod * e
-                expected = prod.scale_coeff(fact)
-                trials += 1
-                if value == expected:
-                    factored += 1
-                else:
-                    ok = False
-                    details.append(detail("first_failure_sizes", list(sizes)))
-                    reproducer = {
-                        "target": campaign.target,
-                        "check": "young",
-                        "expect": "factorial",
-                        "sizes": list(sizes),
-                        "classes": [list(c) for c in spec.classes],
-                        "anticommuting": sorted(spec.anticommuting),
-                        "elems": matrices_to_json(elems),
-                    }
-                    break
-            if not ok:
-                break
-        details.append(detail("interval_shapes_factored", factored))
+                yield list(sizes), _young_inputs(
+                    spec.classes, spec.anticommuting, n, m, ring, lambda e11: e11,
+                    "factorial", sizes=list(sizes),
+                )
+
+    if not t.failed:
+        factored = t.run("young", interval_shapes(), "first_failure_sizes")
+        t.note("interval_shapes_factored", factored)
         if skipped:
-            details.append(detail("interval_shapes_skipped_for_rank", skipped))
+            t.note("interval_shapes_skipped_for_rank", len(skipped))
 
     singles = YoungSpec.from_interval_sizes((1, 1, 1))
     e11 = GrMatrix.unit(n, m, ring, 1, 1)
-    control_val = young_alternating_sum([e11, e11, e11], singles, campaign.young_max_order)
-    control = control_val == e11
-    details.append(detail("control_singleton_identity_product", control))
-    return _finish(campaign, ok and control, trials, details, reproducer, start)
+    control = young_alternating_sum([e11, e11, e11], singles) == e11
+    t.note("control_singleton_identity_product", control)
+    t.failed |= not control
+    return t.finish()
 
 
 # ----- vanishing of the bridged alternating sum -----
@@ -627,272 +806,131 @@ def verify_young_lemma(campaign: Campaign) -> Report:
 def verify_capelli_bound(campaign: Campaign) -> Report:
     """d_k = 0 at k = n^2 + 2*floor(m/2) + 1 on random and atom inputs;
     the explicit witness one degree lower must stay nonzero."""
-    start = time.perf_counter()
     n, m, ring = campaign.n, campaign.m, campaign.ring
-    k = n * n + 2 * (m // 2) + 1
-    details = [detail("x_degree", k)]
-    ok = True
-    reproducer = None
-    trials = 0
-    naive_checked = False
-    for t in range(campaign.trials):
-        rng = trial_rng(campaign.seed, t)
-        xs = [random_grmatrix(rng, n, m, ring, campaign.sparsity) for _ in range(k)]
-        ys = [random_grmatrix(rng, n, m, ring, campaign.sparsity) for _ in range(k + 1)]
-        value = capelli_dp(xs, ys, max_k=campaign.max_dp_k)
-        trials += 1
-        if t == 0 and k <= campaign.max_naive_k:
-            naive_checked = True
-            if capelli_naive(xs, ys, max_k=campaign.max_naive_k) != value:
-                ok = False
-                details.append(detail("naive_cross_check", False))
-        if not value.is_zero():
-            ok = False
-            details.append(detail("first_failure_trial", t))
-            reproducer = {
-                "target": campaign.target,
-                "check": "capelli_zero",
-                "xs": matrices_to_json(xs),
-                "ys": matrices_to_json(ys),
-            }
-            break
-    if naive_checked and ok:
-        details.append(detail("naive_cross_check", True))
+    t = _Trials(campaign)
+    k = degrees_for(n, m)["capelli_x_degree"]
+    t.note("x_degree", k)
+    draws = t.draws(lambda rng: {
+        "xs": _random_mats(campaign, rng, k), "ys": _random_mats(campaign, rng, k + 1)
+    })
+    small = k <= campaign.max_naive_k
+    t.run("capelli_zero", draws, "first_failure_trial", cross_check=small)
+    if t.naive is False:
+        # the cross-check ran on trial 0, ahead of any failure
+        t.details.insert(1, detail("naive_cross_check", False))
+        t.failed = True
+    elif t.naive and not t.failed:
+        t.note("naive_cross_check", True)
 
     pool = atoms(n, m, ring)
-    structured_zero = 0
-    if ok:
-        for j in range(campaign.structured):
-            rng = trial_rng(campaign.seed, campaign.trials + j)
-            xs = [pool[rng.randrange(len(pool))] for _ in range(k)]
-            ys = [pool[rng.randrange(len(pool))] for _ in range(k + 1)]
-            value = capelli_dp(xs, ys, max_k=campaign.max_dp_k)
-            trials += 1
-            if value.is_zero():
-                structured_zero += 1
-            else:
-                ok = False
-                details.append(detail("first_failure_structured", j))
-                reproducer = {
-                    "target": campaign.target,
-                    "check": "capelli_zero",
-                    "xs": matrices_to_json(xs),
-                    "ys": matrices_to_json(ys),
-                }
-                break
-        details.append(detail("structured_trials_zero", structured_zero))
+    if not t.failed:
+        draws = t.draws(
+            lambda rng: {"xs": _atom_mats(rng, pool, k), "ys": _atom_mats(rng, pool, k + 1)},
+            campaign.structured,
+            campaign.trials,
+        )
+        zero = t.run("capelli_zero", draws, "first_failure_structured")
+        t.note("structured_trials_zero", zero)
 
     spec = _field_spec(KIND_CAPELLI, n, m, ring, parts=campaign.parts)
     xs_w, ys_w = capelli_witness(spec)
-    control = not capelli_dp(xs_w, ys_w, max_k=campaign.max_dp_k).is_zero()
-    details.append(detail("control_witness_degree", len(xs_w)))
-    details.append(detail("control_lower_degree_nonzero", control))
+    control = t.control("capelli_nonzero", {"xs": xs_w, "ys": ys_w})
+    t.note("control_witness_degree", len(xs_w))
+    t.note("control_lower_degree_nonzero", control)
     if spec.ring != ring:
-        details.append(detail("control_ring", spec.ring.name))
-    if not control and reproducer is None:
-        reproducer = {
-            "target": campaign.target,
-            "check": "capelli_nonzero",
-            "xs": matrices_to_json(xs_w),
-            "ys": matrices_to_json(ys_w),
-        }
-    return _finish(campaign, ok and control, trials, details, reproducer, start)
+        t.note("control_ring", spec.ring.name)
+    return t.finish()
 
 
 # ----- vanishing of the standard alternating sum -----
 
 
-def _standard_zero_pass(
-    campaign: Campaign, k: int, details: List[dict], label: str
-) -> Tuple[bool, Optional[dict], int]:
-    """Random + atom trials of s_k = 0; returns (ok, reproducer, trials)."""
+def _standard_zero_pass(t: _Trials, k: int, label: str) -> None:
+    """Random + atom trials of s_k = 0, then the oracle cross-check."""
+    c = t.campaign
+    before = t.trials
+    draws = t.draws(lambda rng: {"mats": _random_mats(c, rng, k)})
+    small = k <= c.max_naive_k
+    t.run("standard_zero", draws, f"{label}_first_failure_trial", cross_check=small)
+    naive = t.naive
+    if t.failed:
+        return
+    pool = atoms(c.n, c.m, c.ring)
+    draws = t.draws(lambda rng: {"mats": _atom_mats(rng, pool, k)}, c.structured, c.trials)
+    t.run("standard_zero", draws, f"{label}_first_failure_structured")
+    if not t.failed:
+        t.note(f"{label}_trials_zero", t.trials - before)
+        if naive is not None:
+            t.note(f"{label}_naive_cross_check", naive)
+            t.failed = not naive
+
+
+def _scalar_mats(campaign: Campaign, rng: random.Random, k: int) -> List[GrMatrix]:
+    """k matrices with random nonzero degree-0 entries."""
     n, m, ring = campaign.n, campaign.m, campaign.ring
-    reproducer = None
-    trials = 0
-    naive_note = None
-    for t in range(campaign.trials):
-        rng = trial_rng(campaign.seed, t)
-        mats = [random_grmatrix(rng, n, m, ring, campaign.sparsity) for _ in range(k)]
-        value = standard_dp(mats, max_k=campaign.max_dp_k)
-        trials += 1
-        if t == 0 and k <= campaign.max_naive_k:
-            naive_note = standard_naive(mats, max_k=campaign.max_naive_k) == value
-        if not value.is_zero():
-            details.append(detail(f"{label}_first_failure_trial", t))
-            reproducer = {
-                "target": campaign.target,
-                "check": "standard_zero",
-                "mats": matrices_to_json(mats),
-            }
-            return False, reproducer, trials
-    pool = atoms(n, m, ring)
-    zero = 0
-    for j in range(campaign.structured):
-        rng = trial_rng(campaign.seed, campaign.trials + j)
-        mats = [pool[rng.randrange(len(pool))] for _ in range(k)]
-        value = standard_dp(mats, max_k=campaign.max_dp_k)
-        trials += 1
-        if value.is_zero():
-            zero += 1
-        else:
-            details.append(detail(f"{label}_first_failure_structured", j))
-            reproducer = {
-                "target": campaign.target,
-                "check": "standard_zero",
-                "mats": matrices_to_json(mats),
-            }
-            return False, reproducer, trials
-    details.append(detail(f"{label}_trials_zero", trials))
-    if naive_note is not None:
-        details.append(detail(f"{label}_naive_cross_check", naive_note))
-        if not naive_note:
-            return False, None, trials
-    return True, None, trials
+
+    def entry():
+        return GrassmannElem.scalar(random_coeff(rng, ring), m, ring)
+
+    return [GrMatrix([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(k)]
 
 
 def verify_standard_bounds(campaign: Campaign) -> Report:
-    """StandardCorollary, StandardProduct, and Filtration2 campaigns.
+    """StandardCorollary, StandardProduct, Filtration2 and AmitsurLevitzki.
 
     Corollary: s_k = 0 at both proved degrees.  Product: the product of
     s_2n blocks vanishes at total degree 2n(floor(m/2)+1).  Filtration2:
-    each s_2n block lands in the span of degree >= 2 terms.  All three
-    share the staircase mutation control one degree lower.
+    each s_2n block lands in the span of degree >= 2 terms.
+    Amitsur-Levitzki: s_2n = 0 on degree-0 matrices.  All four share the
+    staircase mutation control one degree lower.
     """
-    start = time.perf_counter()
-    n, m, ring = campaign.n, campaign.m, campaign.ring
+    n, m, target = campaign.n, campaign.m, campaign.target
+    t = _Trials(campaign)
     degs = degrees_for(n, m)
-    details: List[dict] = []
-    ok = True
-    reproducer = None
-    trials = 0
-
-    if campaign.target == STANDARD_COROLLARY:
-        k1 = degs["standard_degree"]
-        k2 = degs["standard_product_degree"]
-        details.append(detail("degree", k1))
-        details.append(detail("comparison_degree", k2))
-        ok, reproducer, t1 = _standard_zero_pass(campaign, k1, details, "corollary")
-        trials += t1
-        if ok and k2 != k1:
-            ok, reproducer, t2 = _standard_zero_pass(campaign, k2, details, "product_degree")
-            trials += t2
-    elif campaign.target == STANDARD_PRODUCT:
-        blocks = m // 2 + 1
-        k = 2 * n * blocks
-        details.append(detail("degree", k))
-        details.append(detail("blocks", blocks))
-        for t in range(campaign.trials):
-            rng = trial_rng(campaign.seed, t)
-            mats = [
-                random_grmatrix(rng, n, m, ring, campaign.sparsity) for _ in range(k)
-            ]
-            value = standard_product_eval(mats, max_k=campaign.max_dp_k)
-            trials += 1
-            if not value.is_zero():
-                ok = False
-                details.append(detail("first_failure_trial", t))
-                reproducer = {
-                    "target": campaign.target,
-                    "check": "product_zero",
-                    "mats": matrices_to_json(mats),
-                }
-                break
-        if ok:
-            details.append(detail("trials_zero", trials))
-    else:
+    if target == STANDARD_COROLLARY:
+        k1, k2 = degs["standard_degree"], degs["standard_product_degree"]
+        t.note("degree", k1)
+        t.note("comparison_degree", k2)
+        _standard_zero_pass(t, k1, "corollary")
+        if not t.failed and k2 != k1:
+            _standard_zero_pass(t, k2, "product_degree")
+    elif target == AMITSUR_LEVITZKI:
         k = 2 * n
-        details.append(detail("block_degree", k))
-        in_filtration = 0
-        for t in range(campaign.trials):
-            rng = trial_rng(campaign.seed, t)
-            mats = [
-                random_grmatrix(rng, n, m, ring, campaign.sparsity) for _ in range(k)
-            ]
-            value = standard_dp(mats, max_k=campaign.max_dp_k)
-            trials += 1
-            if value.in_filtration(2):
-                in_filtration += 1
-            else:
-                ok = False
-                details.append(detail("first_failure_trial", t))
-                reproducer = {
-                    "target": campaign.target,
-                    "check": "filtration2",
-                    "mats": matrices_to_json(mats),
-                }
-                break
-        details.append(detail("blocks_in_filtration_2", in_filtration))
-
-    stairs = staircase_units(n, m, ring)
-    low = standard_dp(stairs, max_k=campaign.max_dp_k)
-    control = not low.is_zero()
-    if campaign.target == FILTRATION2:
-        control = control and not low.in_filtration(2)
-        details.append(detail("control_staircase_outside_filtration", control))
+        t.note("degree", k)
+        draws = t.draws(lambda rng: {"mats": _scalar_mats(campaign, rng, k)})
+        small = k <= campaign.max_naive_k
+        t.run("standard_zero", draws, "first_failure_trial", cross_check=small)
+        if t.naive is not None:
+            t.note("naive_cross_check", t.naive)
+            t.failed |= not t.naive
+    elif target == STANDARD_PRODUCT:
+        k = degs["standard_product_degree"]
+        t.note("degree", k)
+        t.note("blocks", m // 2 + 1)
+        draws = t.draws(lambda rng: {"mats": _random_mats(campaign, rng, k)})
+        t.run("product_zero", draws, "first_failure_trial")
+        if not t.failed:
+            t.note("trials_zero", t.trials)
     else:
-        details.append(detail("control_witness_degree", 2 * n - 1))
-        details.append(detail("control_lower_degree_nonzero", control))
-    if not control and reproducer is None:
-        reproducer = {
-            "target": campaign.target,
-            "check": "standard_nonzero",
-            "mats": matrices_to_json(stairs),
-        }
-    return _finish(campaign, ok and control, trials, details, reproducer, start)
+        t.note("block_degree", 2 * n)
+        draws = t.draws(lambda rng: {"mats": _random_mats(campaign, rng, 2 * n)})
+        t.note("blocks_in_filtration_2", t.run("filtration2", draws, "first_failure_trial"))
+
+    stairs = {"mats": staircase_units(n, m, campaign.ring)}
+    if target == FILTRATION2:
+        outside = lambda low: not low.in_filtration(2)  # noqa: E731
+        control = t.control("standard_nonzero", stairs, outside)
+        t.note("control_staircase_outside_filtration", control)
+    else:
+        control = t.control("standard_nonzero", stairs)
+        which = "staircase" if target == AMITSUR_LEVITZKI else "witness"
+        t.note(f"control_{which}_degree", 2 * n - 1)
+        t.note("control_lower_degree_nonzero", control)
+    return t.finish()
 
 
-def verify_amitsur_levitzki(campaign: Campaign) -> Report:
-    """s_2n = 0 on degree-0 matrices; the staircase at 2n-1 is nonzero."""
-    start = time.perf_counter()
-    n, m, ring = campaign.n, campaign.m, campaign.ring
-    k = 2 * n
-    details = [detail("degree", k)]
-    ok = True
-    reproducer = None
-    trials = 0
-    naive_note = None
-    for t in range(campaign.trials):
-        rng = trial_rng(campaign.seed, t)
-        mats = [
-            GrMatrix(
-                [
-                    [
-                        GrassmannElem.scalar(random_coeff(rng, ring), m, ring)
-                        for _ in range(n)
-                    ]
-                    for _ in range(n)
-                ]
-            )
-            for _ in range(k)
-        ]
-        value = standard_dp(mats, max_k=campaign.max_dp_k)
-        trials += 1
-        if t == 0 and k <= campaign.max_naive_k:
-            naive_note = standard_naive(mats, max_k=campaign.max_naive_k) == value
-        if not value.is_zero():
-            ok = False
-            details.append(detail("first_failure_trial", t))
-            reproducer = {
-                "target": campaign.target,
-                "check": "standard_zero",
-                "mats": matrices_to_json(mats),
-            }
-            break
-    if naive_note is not None:
-        details.append(detail("naive_cross_check", naive_note))
-        ok = ok and naive_note
-    stairs = staircase_units(n, m, ring)
-    low = standard_dp(stairs, max_k=campaign.max_dp_k)
-    control = not low.is_zero()
-    details.append(detail("control_staircase_degree", 2 * n - 1))
-    details.append(detail("control_lower_degree_nonzero", control))
-    if not control and reproducer is None:
-        reproducer = {
-            "target": campaign.target,
-            "check": "standard_nonzero",
-            "mats": matrices_to_json(stairs),
-        }
-    return _finish(campaign, ok and control, trials, details, reproducer, start)
+# The Amitsur-Levitzki campaign shares its runner with the other s_k campaigns.
+verify_amitsur_levitzki = verify_standard_bounds
 
 
 # ----- the open question -----
@@ -907,24 +945,21 @@ def search_open_question(campaign: Campaign) -> Report:
     verdict is never PASS: either a counterexample with reproducer, or
     the exact coverage reached within budget.
     """
-    start = time.perf_counter()
     n, m, ring = campaign.n, campaign.m, campaign.ring
-    k = 2 * (n + m // 2)
+    t = _Trials(campaign)
+    k = degrees_for(n, m)["open_question_degree"]
     budget = campaign.budget if campaign.budget is not None else DEFAULT_BUDGET
     if budget <= 0:
         raise ValueError("search budget must be positive")
     pool = atoms(n, m, ring)
     total = len(pool)
-    details = [
-        detail("degree", k),
-        detail("atoms", total),
-        detail("prune", campaign.prune),
-    ]
+    t.note("degree", k)
+    t.note("atoms", total)
+    t.note("prune", campaign.prune)
     evaluated = 0
     pruned = 0
     seen = 0
     exhausted = True
-    found = None
     for combo in combinations(range(total), k):
         if seen >= budget:
             exhausted = False
@@ -944,83 +979,55 @@ def search_open_question(campaign: Campaign) -> Report:
                 pruned += 1
                 continue
         evaluated += 1
-        value = standard_dp(mats, max_k=campaign.max_dp_k)
-        if not value.is_zero():
-            found = {
-                "target": campaign.target,
-                "check": "standard_zero",
-                "mats": matrices_to_json(mats),
-            }
-            details.append(detail("counterexample_value", value.compact_str()))
+        t.run("standard_zero", [(None, {"mats": mats})])
+        if t.failed:
+            t.note("counterexample_value", t.value.compact_str())
             break
-    details.append(detail("tuples_considered", seen))
-    details.append(detail("tuples_evaluated", evaluated))
-    details.append(detail("tuples_pruned", pruned))
-    details.append(detail("exhausted", exhausted and found is None))
+    t.note("tuples_considered", seen)
+    t.note("tuples_evaluated", evaluated)
+    t.note("tuples_pruned", pruned)
+    t.note("exhausted", exhausted and not t.failed)
 
-    sampled = 0
-    if found is None and campaign.random_samples:
-        for j in range(campaign.random_samples):
-            rng = trial_rng(campaign.seed, j)
-            combo = sorted(rng.sample(range(total), k))
-            mats = [pool[i] for i in combo]
-            sampled += 1
-            value = standard_dp(mats, max_k=campaign.max_dp_k)
-            if not value.is_zero():
-                found = {
-                    "target": campaign.target,
-                    "check": "standard_zero",
-                    "mats": matrices_to_json(mats),
-                }
-                break
-        details.append(detail("random_samples", sampled))
-
-    return _finish(
-        campaign,
-        found is None,
-        evaluated + sampled,
-        details,
-        found,
-        start,
-        search=True,
-    )
+    if not t.failed and campaign.random_samples:
+        draws = t.draws(
+            lambda rng: {"mats": [pool[i] for i in sorted(rng.sample(range(total), k))]},
+            campaign.random_samples,
+        )
+        t.run("standard_zero", draws)
+        t.note("random_samples", t.trials - evaluated)
+    return t.finish(search=True)
 
 
 # ----- dispatch -----
 
+# target -> runner, in the order the command line lists the targets
+_RUNNERS: Dict[str, Callable[[Campaign], Report]] = {
+    THEOREM1: verify_theorem1,
+    LEMMA2: verify_lemma2,
+    YOUNG_LEMMA: verify_young_lemma,
+    CAPELLI_BOUND: verify_capelli_bound,
+    STANDARD_COROLLARY: verify_standard_bounds,
+    STANDARD_PRODUCT: verify_standard_bounds,
+    FILTRATION2: verify_standard_bounds,
+    CH_SHARPNESS: lambda c: ch_sharpness_verify(
+        WitnessSpec(kind=KIND_CH, n=c.n, m=c.m, ring=c.ring, lambdas=c.lambdas)
+    ),
+    CAPELLI_SHARPNESS: lambda c: capelli_sharpness_verify(
+        WitnessSpec(kind=KIND_CAPELLI, n=c.n, m=c.m, ring=c.ring, parts=c.parts),
+        max_dp_k=c.max_dp_k,
+    ),
+    STANDARD_SHARPNESS: lambda c: standard_sharpness_verify(
+        c.n, c.m, c.ring, max_dp_k=c.max_dp_k
+    ),
+    OPEN_QUESTION: search_open_question,
+    AMITSUR_LEVITZKI: verify_standard_bounds,
+}
+TARGETS = tuple(_RUNNERS)
+
 
 def run_campaign(campaign: Campaign) -> Report:
     """Run any target; sharpness targets delegate to the witness checks."""
-    target = campaign.target
-    if target == THEOREM1:
-        return verify_theorem1(campaign)
-    if target == LEMMA2:
-        return verify_lemma2(campaign)
-    if target == YOUNG_LEMMA:
-        return verify_young_lemma(campaign)
-    if target == CAPELLI_BOUND:
-        return verify_capelli_bound(campaign)
-    if target in (STANDARD_COROLLARY, STANDARD_PRODUCT, FILTRATION2):
-        return verify_standard_bounds(campaign)
-    if target == AMITSUR_LEVITZKI:
-        return verify_amitsur_levitzki(campaign)
-    if target == OPEN_QUESTION:
-        return search_open_question(campaign)
-    if target == CH_SHARPNESS:
-        spec = WitnessSpec(
-            kind=KIND_CH, n=campaign.n, m=campaign.m, ring=campaign.ring,
-            lambdas=campaign.lambdas,
-        )
-        return ch_sharpness_verify(spec)
-    if target == CAPELLI_SHARPNESS:
-        spec = WitnessSpec(
-            kind=KIND_CAPELLI, n=campaign.n, m=campaign.m, ring=campaign.ring,
-            parts=campaign.parts,
-        )
-        return capelli_sharpness_verify(spec, max_dp_k=campaign.max_dp_k)
-    return standard_sharpness_verify(
-        campaign.n, campaign.m, campaign.ring, max_dp_k=campaign.max_dp_k
-    )
+    return _RUNNERS[campaign.target](campaign)
 
 
 # ----- reproducer replay -----
@@ -1029,8 +1036,11 @@ def run_campaign(campaign: Campaign) -> Report:
 def replay_reproducer(data: dict, max_dp_k: int = DEFAULT_STANDARD_DP_K) -> Report:
     """Re-run the exact check a reproducer came from.
 
-    The DP checks honour the same degree guard as a campaign: a
-    reproducer with more than max_dp_k matrices raises
+    The reproducer is decoded through CHECKS: an unknown check or
+    target, a missing field, a field of the wrong type, an empty matrix
+    list or an exponent outside 0..m+1 raises ValueError before any
+    work starts.  The DP checks honour the same degree guard as a
+    campaign: a reproducer with more than max_dp_k matrices raises
     DegreeTooLargeError instead of starting the DP.
 
     PASS means the stored inputs satisfy the identity after all; FAIL
@@ -1038,81 +1048,18 @@ def replay_reproducer(data: dict, max_dp_k: int = DEFAULT_STANDARD_DP_K) -> Repo
     violation still reproduces.
     """
     start = time.perf_counter()
-    target = data["target"]
-    check = data["check"]
-    campaign_echo = {"target": target, "replay": True, "check": check}
-    details: List[dict] = []
-
-    if check in ("power_zero", "power_nonzero"):
-        A = GrMatrix.from_json(data["matrix"])
-        e = int(data["exponent"])
-        if "lambdas" in data:
-            lams = [A.ring.parse(s) for s in data["lambdas"]]
-            f = Poly.from_roots(A.ring, lams)
-        else:
-            f = charpoly(A.component(0))
-        value = f.at_matrix(A) ** e
-        details.append(detail("exponent", e))
-        details.append(detail("power_is_zero", value.is_zero()))
-        holds = value.is_zero() if check == "power_zero" else not value.is_zero()
-    elif check == "lemma2":
-        A = GrMatrix.from_json(data["matrix"])
-        lams = tuple(A.ring.parse(s) for s in data["lambdas"])
-        f = Poly.from_roots(A.ring, lams)
-        checks = _lemma2_checks(
-            A.component(1), f.at_matrix(A), lams, f.derivative(), A.ring
-        )
-        for name in sorted(checks):
-            details.append(detail(name, checks[name]))
-        holds = all(checks.values())
-    elif check == "young":
-        elems = matrices_from_json(data["elems"])
-        spec = YoungSpec(
-            k=len(elems),
-            classes=tuple(tuple(c) for c in data["classes"]),
-            anticommuting=frozenset(data["anticommuting"]),
-        )
-        _young_hypothesis_check(elems, spec)
-        value = young_alternating_sum(elems, spec, 10**6)
-        if data["expect"] == "zero":
-            holds = value.is_zero()
-            details.append(detail("sum_is_zero", holds))
-        else:
-            ring = elems[0].ring
-            fact = ring.one
-            for c in spec.classes:
-                fact = ring.mul(fact, ring.factorial(len(c) - 1))
-            prod = elems[0]
-            for e in elems[1:]:
-                prod = prod * e
-            holds = value == prod.scale_coeff(fact)
-            details.append(detail("factorial_form_matches", holds))
-    elif check in ("capelli_zero", "capelli_nonzero"):
-        xs = matrices_from_json(data["xs"])
-        ys = matrices_from_json(data["ys"])
-        value = capelli_dp(xs, ys, max_k=max_dp_k)
-        details.append(detail("value_is_zero", value.is_zero()))
-        holds = value.is_zero() if check == "capelli_zero" else not value.is_zero()
-    elif check in ("standard_zero", "standard_nonzero"):
-        mats = matrices_from_json(data["mats"])
-        value = standard_dp(mats, max_k=max_dp_k)
-        details.append(detail("value_is_zero", value.is_zero()))
-        if not value.is_zero():
-            details.append(detail("value", value.compact_str()))
-        holds = value.is_zero() if check == "standard_zero" else not value.is_zero()
-    elif check == "product_zero":
-        mats = matrices_from_json(data["mats"])
-        value = standard_product_eval(mats, max_k=max_dp_k)
-        details.append(detail("value_is_zero", value.is_zero()))
-        holds = value.is_zero()
-    elif check == "filtration2":
-        mats = matrices_from_json(data["mats"])
-        value = standard_dp(mats, max_k=max_dp_k)
-        holds = value.in_filtration(2)
-        details.append(detail("in_filtration_2", holds))
-    else:
+    if not isinstance(data, dict):
+        raise ValueError("a reproducer is a JSON object")
+    check, target = data.get("check"), data.get("target")
+    entry = CHECKS.get(check) if isinstance(check, str) else None
+    if entry is None:
         raise ValueError(f"unknown reproducer check {check!r}")
-
+    if target not in TARGETS:
+        raise ValueError(f"unknown reproducer target {target!r}")
+    inputs = _decode(entry, data)
+    value = entry.evaluate(inputs, max_dp_k)
+    holds, details = entry.judge(value, inputs)
+    holds = holds != entry.negate
     if holds:
         verdict = PASS
     elif target == OPEN_QUESTION:
@@ -1120,10 +1067,10 @@ def replay_reproducer(data: dict, max_dp_k: int = DEFAULT_STANDARD_DP_K) -> Repo
     else:
         verdict = FAIL
     return Report(
-        campaign=campaign_echo,
+        campaign={"target": target, "replay": True, "check": check},
         verdict=verdict,
         trials=1,
         details=details,
-        reproducer=data if not holds else None,
+        reproducer=None if holds else data,
         elapsed_ms=int((time.perf_counter() - start) * 1000),
     )

@@ -17,8 +17,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotInvertibleError
-
 Coeff = Union[int, Fraction]
 
 INT = "int"
@@ -81,9 +79,6 @@ class Ring:
             raise ValueError("exponent must be nonnegative")
         return self.normalize(a**e)
 
-    def inv(self, a: Coeff) -> Coeff:
-        raise NotImplementedError
-
     def is_zero(self, a: Coeff) -> bool:
         return not a
 
@@ -130,9 +125,6 @@ class IntegerRing(Ring):
             return int(value)
         raise TypeError(f"cannot coerce {value!r} into {self.name}")
 
-    def inv(self, a: int) -> int:
-        raise NotInvertibleError("plain integers have no division")
-
     def parse(self, s: str) -> int:
         return int(s)
 
@@ -158,11 +150,6 @@ class RationalRing(Ring):
     def normalize(self, raw) -> Fraction:
         # Fraction arithmetic keeps itself reduced; promote stray ints.
         return raw if isinstance(raw, Fraction) else Fraction(raw)
-
-    def inv(self, a: Fraction) -> Fraction:
-        if not a:
-            raise NotInvertibleError("zero has no inverse")
-        return 1 / Fraction(a)
 
     def parse(self, s: str) -> Fraction:
         return Fraction(s)
@@ -198,12 +185,6 @@ class PrimeField(Ring):
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         return pow(a, e, self.modulus)
-
-    def inv(self, a: int) -> int:
-        a %= self.modulus
-        if a == 0:
-            raise NotInvertibleError("zero has no inverse")
-        return pow(a, self.modulus - 2, self.modulus)
 
     def clean_terms(self, terms: dict) -> dict:
         p = self.modulus

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
     BadCharacteristicError,
@@ -38,7 +38,14 @@ from .errors import (
 )
 from .gmatrix import GrMatrix
 from .grassmann import GrassmannElem, _check_rank
-from .identities import capelli_dp, capelli_naive, standard_dp, standard_naive
+from .identities import (
+    DEFAULT_CAPELLI_DP_K,
+    DEFAULT_STANDARD_DP_K,
+    capelli_dp,
+    capelli_naive,
+    standard_dp,
+    standard_naive,
+)
 from .poly import Poly, eval_product_form
 from .report import FAIL, PASS, Report, detail
 from .ring import Ring
@@ -55,6 +62,18 @@ def ceil_half(m: int) -> int:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _report(campaign: dict, ok: bool, details: List[dict], start: float) -> Report:
+    """One-trial sharpness report; a witness has no reproducer."""
+    return Report(
+        campaign=campaign,
+        verdict=PASS if ok else FAIL,
+        trials=1,
+        details=details,
+        reproducer=None,
+        elapsed_ms=int((time.perf_counter() - start) * 1000),
+    )
 
 
 @dataclass(frozen=True)
@@ -254,16 +273,7 @@ def ch_sharpness_verify(spec: WitnessSpec) -> Report:
             )
         )
 
-    campaign = {"target": "CHSharpness", **spec.to_dict()}
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return Report(
-        campaign=campaign,
-        verdict=PASS if ok else FAIL,
-        trials=1,
-        details=details,
-        reproducer=None,
-        elapsed_ms=elapsed,
-    )
+    return _report({"target": "CHSharpness", **spec.to_dict()}, ok, details, start)
 
 
 # ----- capelli family -----
@@ -304,17 +314,16 @@ def capelli_witness(spec: WitnessSpec) -> Tuple[List[GrMatrix], List[GrMatrix]]:
     return xs, ys
 
 
-def capelli_sharpness_verify(spec: WitnessSpec, max_dp_k: Optional[int] = None) -> Report:
+def capelli_sharpness_verify(
+    spec: WitnessSpec, max_dp_k: int = DEFAULT_CAPELLI_DP_K
+) -> Report:
     """Check d_k(C; B) = (bridged chain) * prod parts_r!, nonzero."""
     start = time.perf_counter()
     ring = spec.ring
     parts = spec.resolved_parts()
     xs, ys = capelli_witness(spec)
     k = len(xs)
-    if max_dp_k is None:
-        value = capelli_dp(xs, ys)
-    else:
-        value = capelli_dp(xs, ys, max_k=max_dp_k)
+    value = capelli_dp(xs, ys, max_k=max_dp_k)
     chain = ys[0]
     for i in range(k):
         chain = chain * xs[i] * ys[i + 1]
@@ -334,23 +343,12 @@ def capelli_sharpness_verify(spec: WitnessSpec, max_dp_k: Optional[int] = None) 
         detail("matches_factored_form", matches),
         detail("nonzero", nonzero),
     ]
+    ok = matches and nonzero
     if k <= 8:
         details.append(detail("naive_cross_check", capelli_naive(xs, ys) == value))
-        ok_cross = details[-1]["value"]
-    else:
-        ok_cross = True
-    ok = matches and nonzero and ok_cross
+        ok = ok and details[-1]["value"]
 
-    campaign = {"target": "CapelliSharpness", **spec.to_dict()}
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return Report(
-        campaign=campaign,
-        verdict=PASS if ok else FAIL,
-        trials=1,
-        details=details,
-        reproducer=None,
-        elapsed_ms=elapsed,
-    )
+    return _report({"target": "CapelliSharpness", **spec.to_dict()}, ok, details, start)
 
 
 # ----- standard family -----
@@ -375,7 +373,7 @@ def standard_witness(n: int, m: int, ring: Ring) -> List[GrMatrix]:
 
 
 def standard_sharpness_verify(
-    n: int, m: int, ring: Ring, max_dp_k: Optional[int] = None
+    n: int, m: int, ring: Ring, max_dp_k: int = DEFAULT_STANDARD_DP_K
 ) -> Report:
     """Evaluate s_k on the witness, k = 2(n + floor(m/2)) - 1.
 
@@ -389,10 +387,7 @@ def standard_sharpness_verify(
     start = time.perf_counter()
     mats = standard_witness(n, m, ring)
     k = len(mats)
-    if max_dp_k is None:
-        value = standard_dp(mats)
-    else:
-        value = standard_dp(mats, max_k=max_dp_k)
+    value = standard_dp(mats, max_k=max_dp_k)
 
     w = 2 * (m // 2)
     closed11 = GrassmannElem.basis((1 << w) - 1, m, ring).scale(ring.factorial(w))
@@ -417,12 +412,10 @@ def standard_sharpness_verify(
                 "value carries extra diagonal terms beyond the (1,1) closed form",
             )
         )
+    ok = entry_ok and nonzero
     if k <= 8:
         details.append(detail("naive_cross_check", standard_naive(mats) == value))
-        ok_cross = details[-1]["value"]
-    else:
-        ok_cross = True
-    ok = entry_ok and nonzero and ok_cross
+        ok = ok and details[-1]["value"]
 
     campaign = {
         "target": "StandardSharpness",
@@ -431,12 +424,4 @@ def standard_sharpness_verify(
         "m": m,
         "ring": ring.name,
     }
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return Report(
-        campaign=campaign,
-        verdict=PASS if ok else FAIL,
-        trials=1,
-        details=details,
-        reproducer=None,
-        elapsed_ms=elapsed,
-    )
+    return _report(campaign, ok, details, start)

@@ -360,3 +360,80 @@ def test_replay_honours_max_dp_k(tmp_path, capsys):
     code, _, err = run(capsys, ["standard-verify", "--max-dp-k", "2", "--replay", str(q)])
     assert code == EXIT_USAGE
     assert "grassmat: error" in err
+
+
+# ------------------------------------------------------------ hostile replay files
+
+def _replay_exit(tmp_path, capsys, reproducer):
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(reproducer))
+    code, out, err = run(capsys, ["ch-verify", "--replay", str(p)])
+    assert out == ""
+    return code, err
+
+
+def test_replay_without_target_usage_error(tmp_path, capsys):
+    mats = matrices_to_json(standard_witness(1, 2, QQ))
+    code, err = _replay_exit(tmp_path, capsys, {"check": "standard_zero", "mats": mats})
+    assert code == EXIT_USAGE
+    assert "target" in err
+
+
+def test_replay_without_matrices_usage_error(tmp_path, capsys):
+    code, err = _replay_exit(
+        tmp_path, capsys, {"target": "StandardCorollary", "check": "standard_zero"}
+    )
+    assert code == EXIT_USAGE
+    assert "'mats'" in err
+
+
+def test_replay_young_without_elements_usage_error(tmp_path, capsys):
+    reproducer = {
+        "target": "YoungLemma",
+        "check": "young",
+        "expect": "zero",
+        "classes": [],
+        "anticommuting": [],
+        "elems": [],
+    }
+    code, err = _replay_exit(tmp_path, capsys, reproducer)
+    assert code == EXIT_USAGE
+    assert "nonempty" in err
+
+
+@pytest.mark.parametrize("exponent", [100000000, -1, 4, "2", True])
+def test_replay_exponent_outside_range_usage_error(tmp_path, capsys, exponent):
+    # f(A)^(m+1) = 0 once f(A) has no degree-0 part, so m = 2 allows 0..3
+    reproducer = {
+        "target": "Theorem1",
+        "check": "power_zero",
+        "exponent": exponent,
+        "matrix": GrMatrix.unit(2, 2, ZZ, 1, 1).to_json(),
+    }
+    code, err = _replay_exit(tmp_path, capsys, reproducer)
+    assert code == EXIT_USAGE
+    assert "exponent" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mats", {"n": 1}),
+        ("mats", [[1, 2]]),
+        ("mats", [{"n": 1, "m": 10**9, "ring": "int", "entries": [[[]]]}]),
+        ("mats", [{"n": 1, "m": 0, "ring": "int", "entries": [[[[0, 2.5]]]]}]),
+        ("mats", [{"n": 1, "m": 0, "ring": "rat", "entries": [[[[0, "1/0"]]]]}]),
+        ("check", ["standard_zero"]),
+        ("target", "NoSuchTarget"),
+    ],
+)
+def test_replay_malformed_field_usage_error(tmp_path, capsys, field, value):
+    reproducer = {
+        "target": "StandardCorollary",
+        "check": "standard_zero",
+        "mats": matrices_to_json([GrMatrix.unit(1, 0, ZZ, 1, 1)] * 2),
+    }
+    reproducer[field] = value
+    code, err = _replay_exit(tmp_path, capsys, reproducer)
+    assert code == EXIT_USAGE
+    assert "grassmat: error" in err

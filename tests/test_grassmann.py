@@ -63,9 +63,9 @@ def test_supercommutativity_exhaustive():
     for m in (2, 3, 4):
         elems = _basis_elems(m, ZZ)
         for a in elems:
-            da = a.homogeneous_degree()
+            (da,) = a.degrees()
             for b in elems:
-                db = b.homogeneous_degree()
+                (db,) = b.degrees()
                 sign = -1 if (da * db) % 2 else 1
                 assert a * b == (b * a).scale(sign)
 
@@ -118,14 +118,6 @@ def test_components_and_degrees():
     assert x.component(3).is_zero()
     total = x.component(0) + x.component(1) + x.component(2)
     assert total == x
-
-
-def test_homogeneous_degree():
-    assert gen(2).homogeneous_degree() == 1
-    assert (gen(1) * gen(3)).homogeneous_degree() == 2
-    assert GrassmannElem.zero(4, ZZ).homogeneous_degree() is None
-    mixed = gen(1) + gen(1) * gen(2)
-    assert mixed.homogeneous_degree() is None
 
 
 def test_filtration_membership():
