@@ -27,11 +27,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BadCharacteristicError,
     DegenerateLambdasError,
+    DegreeTooLargeError,
     DuplicateLambdasError,
     HypothesisViolationError,
 )
@@ -325,6 +327,8 @@ def _young_hypothesis_check(elems: Sequence, spec: YoungSpec) -> None:
 
 def _young(inputs: dict, max_k: int) -> GrMatrix:
     elems = inputs["elems"]
+    if len(elems) > max_k:
+        raise DegreeTooLargeError(f"Young sums capped at k <= {max_k}, got {len(elems)}")
     spec = YoungSpec(
         k=len(elems),
         classes=tuple(tuple(c) for c in inputs["classes"]),
@@ -929,7 +933,6 @@ def verify_standard_bounds(campaign: Campaign) -> Report:
     return t.finish()
 
 
-# The Amitsur-Levitzki campaign shares its runner with the other s_k campaigns.
 verify_amitsur_levitzki = verify_standard_bounds
 
 
@@ -937,61 +940,57 @@ verify_amitsur_levitzki = verify_standard_bounds
 
 
 def search_open_question(campaign: Campaign) -> Report:
-    """Search s_k = 0, k = 2(n + floor(m/2)), over atom tuples.
+    """Search s_k = 0, k = 2(n + floor(m/2)), on k-subsets of atoms().
 
-    Atom tuples with a repeated generator across masks evaluate to zero
-    term by term, so the pruned slice cannot hide a counterexample;
-    pruning only skips their evaluation and is tallied separately.  The
-    verdict is never PASS: either a counterexample with reproducer, or
-    the exact coverage reached within budget.
+    The walk is lexicographic and depth-first.  Atoms whose masks meet
+    multiply to zero, whatever follows, so pruning counts the
+    C(total - i - 1, k - d) tuples behind atom i at depth d as
+    considered and pruned in one step.
     """
-    n, m, ring = campaign.n, campaign.m, campaign.ring
-    t = _Trials(campaign)
-    k = degrees_for(n, m)["open_question_degree"]
-    budget = campaign.budget if campaign.budget is not None else DEFAULT_BUDGET
+    c = campaign
+    t = _Trials(c)
+    k = degrees_for(c.n, c.m)["open_question_degree"]
+    budget = c.budget if c.budget is not None else DEFAULT_BUDGET
     if budget <= 0:
         raise ValueError("search budget must be positive")
-    pool = atoms(n, m, ring)
+    pool = atoms(c.n, c.m, c.ring)
     total = len(pool)
+    samples = c.random_samples
+    if samples < 0 or (samples and k > total):
+        raise ValueError(f"cannot draw {samples} samples of k={k} of {total} atoms")
     t.note("degree", k)
     t.note("atoms", total)
-    t.note("prune", campaign.prune)
-    evaluated = 0
-    pruned = 0
+    t.note("prune", c.prune)
+    w = 1 << c.m  # atoms() runs over (r, s, mask), so atom i has mask i % w
     seen = 0
-    exhausted = True
-    for combo in combinations(range(total), k):
-        if seen >= budget:
-            exhausted = False
-            break
-        seen += 1
-        mats = [pool[i] for i in combo]
-        if campaign.prune:
-            union = 0
-            degsum = 0
-            for A in mats:
-                for row in A.rows:
-                    for e in row:
-                        for mask in e.terms:
-                            union |= mask
-                            degsum += mask.bit_count()
-            if degsum > m or union.bit_count() != degsum:
-                pruned += 1
-                continue
-        evaluated += 1
-        t.run("standard_zero", [(None, {"mats": mats})])
-        if t.failed:
-            t.note("counterexample_value", t.value.compact_str())
-            break
+
+    def walk(start, prefix, union):
+        nonlocal seen
+        d = len(prefix) + 1
+        for i in range(start, total - k + d):
+            if seen >= budget:
+                return
+            if c.prune and union & i % w:
+                seen += min(comb(total - i - 1, k - d), budget - seen)
+            elif d < k:
+                yield from walk(i + 1, prefix + [pool[i]], union | i % w)
+            else:
+                seen += 1
+                yield None, {"mats": prefix + [pool[i]]}
+
+    t.run("standard_zero", walk(0, [], 0))
+    if t.failed:
+        t.note("counterexample_value", t.value.compact_str())
+    evaluated = t.trials
     t.note("tuples_considered", seen)
     t.note("tuples_evaluated", evaluated)
-    t.note("tuples_pruned", pruned)
-    t.note("exhausted", exhausted and not t.failed)
+    t.note("tuples_pruned", seen - evaluated)
+    t.note("exhausted", seen == comb(total, k) and not t.failed)
 
-    if not t.failed and campaign.random_samples:
+    if not t.failed and samples:
         draws = t.draws(
             lambda rng: {"mats": [pool[i] for i in sorted(rng.sample(range(total), k))]},
-            campaign.random_samples,
+            samples,
         )
         t.run("standard_zero", draws)
         t.note("random_samples", t.trials - evaluated)

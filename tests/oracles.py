@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's evaluation strategies: the
 characteristic polynomial comes from the Leibniz determinant expansion
-(k! terms) instead of the division-free recurrence, so agreement is
-meaningful evidence.
+(k! terms) instead of the division-free recurrence, and the open-question
+search visits every atom tuple instead of skipping pruned blocks, so
+agreement is meaningful evidence.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from grassmat import GrMatrix, Poly
+from grassmat.harness import DEFAULT_BUDGET, Campaign, _Trials, atoms, degrees_for
 from grassmat.poly import scalar_rows
+from grassmat.report import Report
 
 
 def perm_sign_by_inversions(perm):
@@ -43,3 +46,68 @@ def leibniz_charpoly(A0: GrMatrix) -> Poly:
             term = -term
         total = total + term
     return total
+
+
+def brute_force_open_search(campaign: Campaign) -> Report:
+    """The open-question search as a flat walk over combinations().
+
+    Every k-subset is built, and pruning recomputes its mask union and
+    degree sum.  harness.search_open_question must give the same report.
+
+    Atom tuples with a repeated generator across masks evaluate to zero
+    term by term, so the pruned slice cannot hide a counterexample;
+    pruning only skips their evaluation and is tallied separately.  The
+    verdict is never PASS: either a counterexample with reproducer, or
+    the exact coverage reached within budget.
+    """
+    n, m, ring = campaign.n, campaign.m, campaign.ring
+    t = _Trials(campaign)
+    k = degrees_for(n, m)["open_question_degree"]
+    budget = campaign.budget if campaign.budget is not None else DEFAULT_BUDGET
+    if budget <= 0:
+        raise ValueError("search budget must be positive")
+    pool = atoms(n, m, ring)
+    total = len(pool)
+    t.note("degree", k)
+    t.note("atoms", total)
+    t.note("prune", campaign.prune)
+    evaluated = 0
+    pruned = 0
+    seen = 0
+    exhausted = True
+    for combo in combinations(range(total), k):
+        if seen >= budget:
+            exhausted = False
+            break
+        seen += 1
+        mats = [pool[i] for i in combo]
+        if campaign.prune:
+            union = 0
+            degsum = 0
+            for A in mats:
+                for row in A.rows:
+                    for e in row:
+                        for mask in e.terms:
+                            union |= mask
+                            degsum += mask.bit_count()
+            if degsum > m or union.bit_count() != degsum:
+                pruned += 1
+                continue
+        evaluated += 1
+        t.run("standard_zero", [(None, {"mats": mats})])
+        if t.failed:
+            t.note("counterexample_value", t.value.compact_str())
+            break
+    t.note("tuples_considered", seen)
+    t.note("tuples_evaluated", evaluated)
+    t.note("tuples_pruned", pruned)
+    t.note("exhausted", exhausted and not t.failed)
+
+    if not t.failed and campaign.random_samples:
+        draws = t.draws(
+            lambda rng: {"mats": [pool[i] for i in sorted(rng.sample(range(total), k))]},
+            campaign.random_samples,
+        )
+        t.run("standard_zero", draws)
+        t.note("random_samples", t.trials - evaluated)
+    return t.finish(search=True)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from grassmat import harness
 from grassmat.cli import main
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
@@ -147,6 +148,37 @@ def test_open_search_options(capsys):
     data = json.loads(out)
     assert data["campaign"]["prune"] is False
     assert data["campaign"]["budget"] == 10
+
+
+@pytest.mark.parametrize("samples", ["-3", "-1"])
+def test_open_search_negative_random_samples_usage_error(capsys, samples):
+    code, out, err = run(
+        capsys, ["open-search", "-n", "1", "-m", "2", "--random-samples", samples]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"cannot draw {samples} samples" in err
+
+
+def test_open_search_samples_larger_than_atoms_usage_error(capsys):
+    # (1, 0) has one atom and k = 2, so no 2-subset can be drawn
+    code, out, err = run(
+        capsys, ["open-search", "-n", "1", "-m", "0", "--random-samples", "2"]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "k=2 of 1 atoms" in err
+
+
+def test_open_search_zero_random_samples_still_exhausts(capsys):
+    code, out, _ = run(
+        capsys,
+        ["open-search", "-n", "1", "-m", "0", "--random-samples", "0", "--format", "json"],
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["campaign"]["random_samples"] == 0
+    assert {d["name"]: d["value"] for d in data["details"]}["exhausted"] is True
 
 
 def test_ch_sharp_lambdas_option(capsys):
@@ -437,3 +469,28 @@ def test_replay_malformed_field_usage_error(tmp_path, capsys, field, value):
     code, err = _replay_exit(tmp_path, capsys, reproducer)
     assert code == EXIT_USAGE
     assert "grassmat: error" in err
+
+
+def test_replay_young_bounded_before_hypothesis_check(tmp_path, capsys, monkeypatch):
+    # 3,000 commuting elements would cost k(k-1)/2 product pairs in the
+    # hypothesis check; the degree guard refuses them first.
+    def unreachable(*args):
+        raise AssertionError("Young replay started work past the degree guard")
+
+    monkeypatch.setattr(harness, "_young_hypothesis_check", unreachable)
+    monkeypatch.setattr(harness, "young_alternating_sum", unreachable)
+    k = 3000
+    reproducer = {
+        "target": "YoungLemma",
+        "check": "young",
+        "expect": "zero",
+        "classes": [[p] for p in range(1, k + 1)],
+        "anticommuting": [],
+        "elems": matrices_to_json([GrMatrix.unit(1, 0, ZZ, 1, 1)] * k),
+    }
+    p = tmp_path / "young.json"
+    p.write_text(json.dumps(reproducer))
+    code, out, err = run(capsys, ["open-search", "--replay", str(p)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "capped at k <= 24, got 3000" in err

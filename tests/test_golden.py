@@ -18,6 +18,7 @@ Rewrite the files after an intended report change with
 
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,12 @@ def counterexample_3_2():
     return {"target": "OpenQuestion", "check": "standard_zero", "mats": matrices_to_json(mats)}
 
 
+@lru_cache(maxsize=None)
+def open_3_2_budget():
+    """In lexicographic order over atoms(3, 2) the first counterexample is tuple 517,955."""
+    return run_campaign(Campaign(**camp("OpenQuestion", 3, 2, ZZ, seed=0, budget=600000)))
+
+
 def _builders():
     out = {}
     for group in (C11, EXTRA):
@@ -181,6 +188,8 @@ def _builders():
             forced_report(case).reproducer
         )
     out["replay_counterexample_3_2"] = lambda: replay_reproducer(counterexample_3_2())
+    out["open_3_2_budget"] = open_3_2_budget
+    out["replay_open_3_2_budget"] = lambda: replay_reproducer(open_3_2_budget().reproducer)
     return out
 
 

@@ -1,7 +1,11 @@
 """Campaign harness: seeding, generators, verifiers, search, replay."""
 
-import pytest
+from math import comb
 
+import pytest
+from oracles import brute_force_open_search
+
+from grassmat import harness
 from grassmat.errors import (
     BadCharacteristicError,
     DegenerateLambdasError,
@@ -393,6 +397,46 @@ def test_open_search_random_samples_recorded():
 def test_open_search_rejects_bad_budget():
     with pytest.raises(ValueError):
         search_open_question(Campaign(target="OpenQuestion", n=1, m=2, budget=0))
+
+
+def _fail_at(call):
+    """standard_dp that returns a nonzero matrix on its call-th call."""
+    real, calls = harness.standard_dp, [0]
+
+    def evaluate(mats, *args, **kw):
+        calls[0] += 1
+        if calls[0] == call:
+            first = mats[0]
+            return GrMatrix.unit(first.n, first.m, first.ring, 1, 1)
+        return real(mats, *args, **kw)
+
+    return evaluate
+
+
+def _open_budgets(n, m):
+    total = n * n << m
+    tuples = comb(total, degrees_for(n, m)["open_question_degree"])
+    near = (tuples - 1, tuples, tuples + 1) if tuples <= 5000 else ()
+    return sorted({b for b in (1, 2, 7) + near if b > 0})
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0)])
+def test_open_search_matches_brute_force_walk(monkeypatch, n, m):
+    # The block-skipping walk must report exactly what the flat walk over
+    # combinations() reports: counts, exhaustion, first counterexample.
+    for budget in _open_budgets(n, m):
+        for prune in (True, False):
+            for fail in (None, 1, 3):
+                reports = []
+                for search in (brute_force_open_search, search_open_question):
+                    if fail is not None:
+                        monkeypatch.setattr(harness, "standard_dp", _fail_at(fail))
+                    campaign = Campaign(
+                        target="OpenQuestion", n=n, m=m, ring=ZZ, budget=budget, prune=prune
+                    )
+                    reports.append(search(campaign).to_json(include_elapsed=False))
+                    monkeypatch.undo()
+                assert reports[0] == reports[1], (budget, prune, fail)
 
 
 # ------------------------------------------------------------ replay
