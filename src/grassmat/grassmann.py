@@ -42,6 +42,19 @@ def _mul_sign(sa: int, sb: int) -> int:
     return -1 if inv & 1 else 1
 
 
+def signed_products(ta: dict, sb: int) -> list:
+    """[(sa | sb, ±ca)] over the masks sa of ta disjoint from sb.
+
+    These are the terms of a * v_sb, one coefficient short, so a kernel
+    that holds the operand a fixed can tabulate them once per mask sb.
+    """
+    return [
+        (sa | sb, -ca if _mul_sign(sa, sb) < 0 else ca)
+        for sa, ca in ta.items()
+        if not sa & sb
+    ]
+
+
 def mul_into(acc: dict, ta: dict, tb: dict, negate: bool = False) -> None:
     """acc += (-1)^negate * a * b on raw term dicts, no normalization.
 

@@ -18,12 +18,25 @@ sign (-1)^|{j in S : j < i}|.  A state is a raw list of n*n term dicts
 live (nonzero) states.  Each layer is built by pushing every live state
 of the previous one into its supersets, consuming the previous layer as
 it goes, and is cleaned once at its end, when states that cancel are
-dropped.  So the work scales with the live states, and memory peaks at
-the live part of a layer, at most C(k, k//2) states; sparse inputs such
-as atom tuples touch far fewer.  For the Capelli form the layer at size
-s premultiplies the fixed y_{k-s+1} into each live state before the
-transition.  Only the final full-subset state is wrapped into a
-GrMatrix.
+dropped.  So the work scales with the live states; sparse inputs such
+as atom tuples touch far fewer.
+
+h(S) is s_|S| on the x's of S in increasing order, so prefixes and
+suffixes are the same family and s_k meets in the middle: the standard
+DP builds layers only up to size ceil(k/2) and joins
+s_k = sum over |S| = floor(k/2) of (-1)^shuffle(S) h(S) h(S^c), over
+the live pairs.  Memory peaks at one layer of at most C(k, k//2) live
+states, or for odd k at layers floor(k/2) and ceil(k/2) held together.
+For the Capelli form, whose prefixes and suffixes carry different y's,
+every layer is built, and the layer at size s premultiplies the fixed
+y_{k-s+1} into each live state before the transition.  Only the final
+full-subset state is wrapped into a GrMatrix.
+
+The operands a call holds fixed (each x_i, each y, each left state of
+the join) get a product table, filled lazily for that call only: for
+each nonzero entry and each right mask sb it meets, the signed terms
+grassmann.signed_products(entry, sb).  The inner loop then needs no
+disjointness test or sign lookup.
 
 young_alternating_sum restricts the alternating sum to a Young subgroup
 (a product of symmetric groups on the classes of a set partition).  It
@@ -45,7 +58,7 @@ from .errors import (
     LengthMismatchError,
 )
 from .gmatrix import GrMatrix
-from .grassmann import GrassmannElem, mul_into
+from .grassmann import GrassmannElem, signed_products
 
 DEFAULT_NAIVE_K = 8
 DEFAULT_STANDARD_DP_K = 24
@@ -127,10 +140,19 @@ def capelli_naive(
 State = List[Optional[dict]]
 
 
-def _nonzero_entries(A: GrMatrix) -> List[Tuple[int, int, dict]]:
-    """(row, column, terms) of every nonzero entry of A."""
+def _operand(state: State, n: int) -> list:
+    """(r, t, terms, table) of every nonzero entry of a state held fixed.
+
+    table maps each right mask sb met so far to signed_products(terms,
+    sb); it fills lazily and lives as long as the operand, one call.
+    """
+    return [(j // n, j % n, d, {}) for j, d in enumerate(state) if d is not None]
+
+
+def _matrix_operand(A: GrMatrix) -> list:
+    """The _operand of a GrMatrix; its entries' term dicts are shared."""
     return [
-        (r, t, e.terms)
+        (r, t, e.terms, {})
         for r, row in enumerate(A.rows)
         for t, e in enumerate(row)
         if e.terms
@@ -141,18 +163,28 @@ def _identity_state(n: int, ring) -> State:
     return [{0: ring.one} if j % (n + 1) == 0 else None for j in range(n * n)]
 
 
-def _mul_state_into(acc: State, xnz: list, state: State, n: int, neg: bool = False) -> None:
-    """acc += (-1)^neg * x * state, raw; xnz holds x's nonzero entries."""
-    for r, t, ta in xnz:
+def _mul_state_into(acc: State, x: list, state: State, n: int, neg: bool = False) -> None:
+    """acc += (-1)^neg * x * state, raw; x is the _operand of the left factor."""
+    for r, t, ta, table in x:
         rn = r * n
         tn = t * n
         for c in range(n):
             tb = state[tn + c]
-            if tb is not None:
-                d = acc[rn + c]
-                if d is None:
-                    d = acc[rn + c] = {}
-                mul_into(d, ta, tb, neg)
+            if tb is None:
+                continue
+            d = acc[rn + c]
+            if d is None:
+                d = acc[rn + c] = {}
+            get = d.get
+            for sb, cb in tb.items():
+                row = table.get(sb)
+                if row is None:
+                    row = table[sb] = signed_products(ta, sb)
+                if neg:
+                    cb = -cb
+                for u, ca in row:
+                    prev = get(u)
+                    d[u] = ca * cb if prev is None else prev + ca * cb
 
 
 def _clean_layer(layer: dict, ring) -> dict:
@@ -181,7 +213,7 @@ def _dp_transition(xnz: List[list], layer: dict, k: int, n: int, ring) -> dict:
 
     Consumes layer: each live h(T) is popped and pushed into every
     superset S = T + {i}, adding (-1)^|{j in T : j < i}| x_i h(T) to
-    h(S).  xnz[i] holds the nonzero entries of x_i.
+    h(S).  xnz[i] is the _operand of x_i.
     """
     nxt: dict = {}
     while layer:
@@ -200,12 +232,29 @@ def _dp_transition(xnz: List[list], layer: dict, k: int, n: int, ring) -> dict:
 
 def _premultiply(y: GrMatrix, layer: dict, n: int, ring) -> dict:
     """Replace every state h of layer by y * h."""
-    ynz = _nonzero_entries(y)
+    yop = _matrix_operand(y)
     for mask, state in layer.items():
         out: State = [None] * (n * n)
-        _mul_state_into(out, ynz, state, n)
+        _mul_state_into(out, yop, state, n)
         layer[mask] = out
     return _clean_layer(layer, ring)
+
+
+def _join(left: dict, right: dict, k: int, n: int, ring) -> Optional[State]:
+    """s_k = sum over S in left of (-1)^shuffle(S) h(S) h(S^c), S^c in right.
+
+    shuffle(S) counts the pairs a in S, b outside S with a > b: the
+    inversions of the word that lists S, then S^c, each increasing.
+    That is the sign of v_S v_{S^c}.  None when the sum is zero.
+    """
+    full = (1 << k) - 1
+    acc: State = [None] * (n * n)
+    for mask, state in left.items():
+        comp = right.get(full ^ mask)
+        if comp is not None:
+            ((_, sign),) = signed_products({mask: 1}, full ^ mask)
+            _mul_state_into(acc, _operand(state, n), comp, n, sign < 0)
+    return _clean_layer({full: acc}, ring).get(full)
 
 
 def _wrap_state(state: Optional[State], n: int, m: int, ring) -> GrMatrix:
@@ -226,18 +275,27 @@ def _wrap_state(state: Optional[State], n: int, m: int, ring) -> GrMatrix:
 def standard_dp(
     mats: Sequence[GrMatrix], max_k: int = DEFAULT_STANDARD_DP_K
 ) -> GrMatrix:
-    """s_k via the subset DP; agrees with standard_naive."""
+    """s_k via the subset DP, met in the middle; agrees with standard_naive.
+
+    The suffix layers h(T) = s_|T|(x_T) are built only up to size
+    ceil(k/2); when k is odd a copy of layer floor(k/2) is kept beside
+    it, so the two are live together at the peak.  _join then sums
+    h(S) h(S^c) over the live pairs with |S| = floor(k/2).
+    """
     k = len(mats)
     if k > max_k:
         raise DegreeTooLargeError(f"DP evaluation capped at k <= {max_k}, got {k}")
     _check_matrix_family(mats, "standard_dp")
     first = mats[0]
     n, m, ring = first.n, first.m, first.ring
-    xnz = [_nonzero_entries(A) for A in mats]
+    xnz = [_matrix_operand(A) for A in mats]
     layer = {0: _identity_state(n, ring)}
-    for _ in range(k):
+    for _ in range(k // 2):
         layer = _dp_transition(xnz, layer, k, n, ring)
-    return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
+    left = layer
+    if k & 1:
+        layer = _dp_transition(xnz, dict(left), k, n, ring)
+    return _wrap_state(_join(left, layer, k, n, ring), n, m, ring)
 
 
 def capelli_dp(
@@ -250,8 +308,10 @@ def capelli_dp(
     The suffix owning the x-slots k-s+1..k starts with y_{k-s+1} already
     attached to the previous layer, so each layer premultiplies its
     fixed y once per live raw state instead of once per transition
-    term; y_0 is premultiplied last.  Only the full-mask state is
-    wrapped into a GrMatrix.
+    term; y_0 is premultiplied last.  There is no join, since a prefix
+    and a suffix carry different y's: all k layers are built, unless one
+    comes out empty.  Only the full-mask state is wrapped into a
+    GrMatrix.
     """
     k = len(xs)
     if len(ys) != k + 1:
@@ -261,9 +321,11 @@ def capelli_dp(
     _check_matrix_family(list(xs) + list(ys), "capelli_dp")
     first = ys[0]
     n, m, ring = first.n, first.m, first.ring
-    xnz = [_nonzero_entries(A) for A in xs]
+    xnz = [_matrix_operand(A) for A in xs]
     layer = {0: _identity_state(n, ring)}
     for s in range(1, k + 1):
+        if not layer:
+            break  # every later layer is empty too
         layer = _premultiply(ys[k - s + 1], layer, n, ring)
         layer = _dp_transition(xnz, layer, k, n, ring)
     layer = _premultiply(ys[0], layer, n, ring)

@@ -2,15 +2,27 @@
 
 These deliberately avoid the library's evaluation strategies: the
 characteristic polynomial comes from the Leibniz determinant expansion
-(k! terms) instead of the division-free recurrence, and the open-question
-search visits every atom tuple instead of skipping pruned blocks, so
-agreement is meaningful evidence.
+(k! terms) instead of the division-free recurrence, the open-question
+search visits every atom tuple instead of skipping pruned blocks, and
+s_k is built through all k suffix layers with mul_into instead of being
+joined at k/2 with product tables, so agreement is meaningful evidence.
 """
 
 from itertools import combinations, permutations
+from typing import List, Sequence, Tuple
 
 from grassmat import GrMatrix, Poly
+from grassmat.errors import DegreeTooLargeError
+from grassmat.grassmann import mul_into
 from grassmat.harness import DEFAULT_BUDGET, Campaign, _Trials, atoms, degrees_for
+from grassmat.identities import (
+    DEFAULT_STANDARD_DP_K,
+    State,
+    _check_matrix_family,
+    _clean_layer,
+    _identity_state,
+    _wrap_state,
+)
 from grassmat.poly import scalar_rows
 from grassmat.report import Report
 
@@ -111,3 +123,69 @@ def brute_force_open_search(campaign: Campaign) -> Report:
         t.run("standard_zero", draws)
         t.note("random_samples", t.trials - evaluated)
     return t.finish(search=True)
+
+
+# ----- s_k through every suffix layer -----
+
+
+def _nonzero_entries(A: GrMatrix) -> List[Tuple[int, int, dict]]:
+    """(row, column, terms) of every nonzero entry of A."""
+    return [
+        (r, t, e.terms)
+        for r, row in enumerate(A.rows)
+        for t, e in enumerate(row)
+        if e.terms
+    ]
+
+
+def _mul_state_into(acc: State, xnz: list, state: State, n: int, neg: bool = False) -> None:
+    """acc += (-1)^neg * x * state, raw; xnz holds x's nonzero entries."""
+    for r, t, ta in xnz:
+        rn = r * n
+        tn = t * n
+        for c in range(n):
+            tb = state[tn + c]
+            if tb is not None:
+                d = acc[rn + c]
+                if d is None:
+                    d = acc[rn + c] = {}
+                mul_into(d, ta, tb, neg)
+
+
+def _dp_transition(xnz: List[list], layer: dict, k: int, n: int, ring) -> dict:
+    """One cardinality layer of the suffix DP, pushed from live states.
+
+    Consumes layer: each live h(T) is popped and pushed into every
+    superset S = T + {i}, adding (-1)^|{j in T : j < i}| x_i h(T) to
+    h(S).  xnz[i] holds the nonzero entries of x_i.
+    """
+    nxt: dict = {}
+    while layer:
+        mask, prev = layer.popitem()
+        for i in range(k):
+            bit = 1 << i
+            if mask & bit or not xnz[i]:
+                continue
+            acc = nxt.get(mask | bit)
+            if acc is None:
+                acc = nxt[mask | bit] = [None] * (n * n)
+            neg = (mask & (bit - 1)).bit_count() & 1 == 1
+            _mul_state_into(acc, xnz[i], prev, n, neg)
+    return _clean_layer(nxt, ring)
+
+
+def full_layer_standard_dp(
+    mats: Sequence[GrMatrix], max_k: int = DEFAULT_STANDARD_DP_K
+) -> GrMatrix:
+    """s_k via the subset DP; agrees with standard_naive."""
+    k = len(mats)
+    if k > max_k:
+        raise DegreeTooLargeError(f"DP evaluation capped at k <= {max_k}, got {k}")
+    _check_matrix_family(mats, "standard_dp")
+    first = mats[0]
+    n, m, ring = first.n, first.m, first.ring
+    xnz = [_nonzero_entries(A) for A in mats]
+    layer = {0: _identity_state(n, ring)}
+    for _ in range(k):
+        layer = _dp_transition(xnz, layer, k, n, ring)
+    return _wrap_state(layer.get((1 << k) - 1), n, m, ring)

@@ -83,6 +83,13 @@ def _zero(mats, *_, **__):
     return GrMatrix.zero(first.n, first.m, first.ring)
 
 
+def _top_e11(mats, *_, **__):
+    """v1v2*e11: nonzero, but inside filtration 2."""
+    first = mats[0]
+    top = GrassmannElem.basis((1 << first.m) - 1, first.m, first.ring)
+    return GrMatrix.unit(first.n, first.m, first.ring, 1, 1).scale(top)
+
+
 class _ZeroRoots(Poly):
     """from_roots gives the zero polynomial: f(A) vanishes at every power."""
 
@@ -130,7 +137,10 @@ FORCED = {
     "standard_nonzero": ("standard_dp", _zero, C11["c11_corollary"], "standard_nonzero"),
     "standard_nonzero_al": ("standard_dp", _zero, C11["c11_al"], "standard_nonzero"),
     "standard_nonzero_filtration": (
-        "standard_dp", _zero, C11["c11_filtration"], "standard_nonzero"
+        "standard_dp", _zero, C11["c11_filtration"], "standard_outside_filtration2"
+    ),
+    "standard_outside_filtration2": (
+        "standard_dp", _top_e11, C11["c11_filtration"], "standard_outside_filtration2"
     ),
     "product_zero": ("standard_product_eval", _unit, C11["c11_product"], "product_zero"),
     "filtration2": ("standard_dp", _unit, C11["c11_filtration"], "filtration2"),

@@ -27,6 +27,8 @@ from grassmat.identities import (
 )
 from grassmat.ring import QQ, ZZ, PrimeField
 
+from oracles import full_layer_standard_dp
+
 
 def unit(r, s, n=2, m=2, ring=ZZ):
     return GrMatrix.unit(n, m, ring, r, s)
@@ -281,6 +283,73 @@ def test_dp_matches_naive_property():
         _dp_matches_naive(xs, ys)
 
     check()
+
+
+# s_k != 0 on these atom tuples at k = 7..11, past the naive cap from 9 on:
+# (r, s, g) is the unit e_rs, times v_g when g > 0, then s_k over ZZ
+KNOWN_NONZERO = [
+    (3, 2, [(1, 2, 0), (2, 3, 0), (3, 3, 0), (3, 2, 0), (2, 1, 0), (1, 1, 1), (1, 1, 2)],
+     "[[2*v1v2, 0, 0]; [0, 4*v1v2, 0]; [0, 0, 4*v1v2]]"),
+    (3, 2, [(1, 1, 0), (1, 2, 0), (1, 3, 0), (2, 1, 0), (2, 2, 0), (2, 3, 0), (1, 1, 1),
+            (3, 1, 2)], "4*v1v2*e23"),
+    (3, 2, [(1, 3, 0), (2, 1, 0), (2, 3, 1), (3, 3, 0), (2, 3, 0), (3, 2, 0), (3, 1, 2),
+            (1, 2, 0), (2, 2, 0)], "-12*v1v2*e23"),
+    (3, 4, [(1, 1, 2), (2, 3, 3), (3, 3, 0), (2, 2, 0), (1, 1, 1), (3, 1, 0), (3, 2, 0),
+            (2, 3, 0), (1, 2, 0), (1, 2, 4)], "-16*v1v2v3v4*e12"),
+    (3, 4, [(2, 3, 0), (2, 1, 0), (1, 1, 0), (2, 2, 0), (2, 2, 1), (3, 2, 0), (2, 2, 4),
+            (3, 1, 0), (1, 3, 2), (2, 2, 3), (3, 3, 0)], "48*v1v2v3v4*e21"),
+]
+
+
+def _atom(n, m, ring, r, s, g):
+    A = GrMatrix.unit(n, m, ring, r, s)
+    return A.scale(gen(g, m, ring)) if g else A
+
+
+def _reduced_atoms(rng, n, m, ring, k):
+    """k atoms: distinct degree-0 units and t units times v1..vt, shuffled."""
+    units = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
+    t = rng.randint(max(0, k - len(units)), min(m, k))
+    mats = [_atom(n, m, ring, r, s, 0) for r, s in rng.sample(units, k - t)]
+    mats += [_atom(n, m, ring, *rng.choice(units), g) for g in range(1, t + 1)]
+    rng.shuffle(mats)
+    return mats
+
+
+def _join_matches_full_layers(xs):
+    first = xs[0]
+    value = standard_dp(xs)
+    assert value == full_layer_standard_dp(xs)
+    _assert_canonical(value, first.n, first.m, first.ring)
+    return value
+
+
+def test_standard_dp_join_matches_full_layers():
+    # The join at k/2 against every suffix layer, past the naive cap, for
+    # odd and even k: dense and atom tuples, a repeated argument and a
+    # zero matrix (both give zero), and the known nonzero atom tuples.
+    rng = random.Random(15)
+    nonzero = set()
+    for ring in DP_RINGS:
+        for k in range(1, 14):
+            n, m = [(1, 4), (2, 2), (3, 1)][k % 3] if k <= 4 else (3, 2) if k <= 8 else (2, 1)
+            dense = [_random_matrix(rng, n, m, ring, 1 + (k <= 4)) for _ in range(k)]
+            atom = _reduced_atoms(rng, 3, 4, ring, k)
+            for xs in (dense, atom):
+                if not _join_matches_full_layers(xs).is_zero():
+                    nonzero.add(k)
+            vanishing = [dense[: k // 2] + [GrMatrix.zero(n, m, ring)] + dense[k // 2 + 1 :]]
+            if k > 1:
+                vanishing += [dense[:-1] + dense[:1], atom[:-1] + atom[:1]]
+            for xs in vanishing:
+                assert _join_matches_full_layers(xs).is_zero()
+        for n, m, spec, expected in KNOWN_NONZERO:
+            value = _join_matches_full_layers([_atom(n, m, ring, *a) for a in spec])
+            if ring in (ZZ, QQ):
+                assert value.compact_str() == expected
+            if not value.is_zero():
+                nonzero.add(len(spec))
+    assert nonzero == set(range(1, 12))
 
 
 # ------------------------------------------------------------ product eval
