@@ -6,6 +6,14 @@ all arithmetic stays exact.  The degree-d component of a matrix is the
 matrix of entrywise degree-d components, and matrix multiplication
 respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.
 
+A product lifts each row of the left factor and each column of the
+right factor to integer numerators over one common denominator
+(Ring.lift_terms), runs the term kernel on those ints, and lowers each
+entry (i, j) once over the product of row i's and column j's
+denominators (Ring.lower_terms).  Over the rationals that replaces a
+Fraction operation per term pair by an int one; over the integers and
+Z/p the lift and the lower change nothing.
+
 Powers are computed by plain iterated multiplication.  Nilpotency
 degrees here stay in the single digits, and the intermediate powers are
 exactly what minimality checks need to look at.
@@ -136,21 +144,22 @@ class GrMatrix:
     def __mul__(self, other: "GrMatrix") -> "GrMatrix":
         self._check_other(other)
         n, m, ring = self.n, self.m, self.ring
-        clean = ring.clean_terms
+        lift = ring.lift_terms
+        lower = ring.lower_terms
         make = GrassmannElem._make
-        brows = other.rows
+        cols = [lift([row[j].terms for row in other.rows]) for j in range(n)]
         out = []
-        for i in range(n):
-            arow = self.rows[i]
-            nz = [(k, arow[k].terms) for k in range(n) if arow[k].terms]
+        for arow in self.rows:
+            ta, da = lift([a.terms for a in arow])
+            nz = [(k, t) for k, t in enumerate(ta) if t]
             row = []
-            for j in range(n):
+            for tcol, db in cols:
                 acc: dict = {}
-                for k, ta in nz:
-                    tb = brows[k][j].terms
+                for k, t in nz:
+                    tb = tcol[k]
                     if tb:
-                        mul_into(acc, ta, tb)
-                row.append(make(m, ring, clean(acc)))
+                        mul_into(acc, t, tb)
+                row.append(make(m, ring, lower(acc, da * db)))
             out.append(tuple(row))
         return GrMatrix._make(n, m, ring, tuple(out))
 

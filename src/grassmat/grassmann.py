@@ -189,9 +189,11 @@ class GrassmannElem:
     def __mul__(self, other: "GrassmannElem") -> "GrassmannElem":
         self._check_other(other)
         ring = self.ring
+        (ta,), da = ring.lift_terms((self.terms,))
+        (tb,), db = ring.lift_terms((other.terms,))
         acc: dict = {}
-        mul_into(acc, self.terms, other.terms)
-        return GrassmannElem._make(self.m, ring, ring.clean_terms(acc))
+        mul_into(acc, ta, tb)
+        return GrassmannElem._make(self.m, ring, ring.lower_terms(acc, da * db))
 
     def __pow__(self, k: int) -> "GrassmannElem":
         if not isinstance(k, int) or k < 0:

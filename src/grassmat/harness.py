@@ -38,7 +38,7 @@ from .errors import (
     HypothesisViolationError,
 )
 from .gmatrix import GrMatrix, matrices_from_json, matrices_to_json
-from .grassmann import GrassmannElem
+from .grassmann import GrassmannElem, _check_rank
 from .identities import (
     DEFAULT_NAIVE_K,
     DEFAULT_STANDARD_DP_K,
@@ -206,11 +206,12 @@ def random_coeff(rng: random.Random, ring: Ring):
 
 def random_grassmann(rng: random.Random, m: int, ring: Ring, sparsity: int) -> GrassmannElem:
     """Sum of `sparsity` random basis monomials with random coefficients."""
-    acc = GrassmannElem.zero(m, ring)
+    _check_rank(m)
+    acc: dict = {}
     for _ in range(sparsity):
         mask = rng.randrange(1 << m)
-        acc = acc + GrassmannElem.basis(mask, m, ring).scale(random_coeff(rng, ring))
-    return acc
+        acc[mask] = acc.get(mask, 0) + ring.coerce(random_coeff(rng, ring))
+    return GrassmannElem._make(m, ring, ring.clean_terms(acc))
 
 
 def random_grmatrix(
@@ -229,15 +230,15 @@ def random_degree1_grmatrix(
     rng: random.Random, n: int, m: int, ring: Ring, sparsity: int
 ) -> GrMatrix:
     """Entries are sums of single generators; the zero matrix when m = 0."""
+    _check_rank(m)
+
     def entry():
-        acc = GrassmannElem.zero(m, ring)
+        acc: dict = {}
         for _ in range(sparsity):
             if m:
-                g = rng.randint(1, m)
-                acc = acc + GrassmannElem.generator(g, m, ring).scale(
-                    random_coeff(rng, ring)
-                )
-        return acc
+                mask = 1 << (rng.randint(1, m) - 1)
+                acc[mask] = acc.get(mask, 0) + ring.coerce(random_coeff(rng, ring))
+        return GrassmannElem._make(m, ring, ring.clean_terms(acc))
 
     return GrMatrix([[entry() for _ in range(n)] for _ in range(n)])
 

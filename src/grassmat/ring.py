@@ -9,13 +9,25 @@ arithmetic; see MixedRingsError.
 
 Ring objects compare structurally, so two PrimeField(7) instances are
 interchangeable.
+
+Products of Grassmann elements and matrices run their term kernel on
+plain ints in every ring.  `lift_terms` turns a group of term dicts
+(a matrix row, a matrix column, or one element) into integer numerators
+over one common denominator, the lcm of the group's denominators, and
+`lower_terms` turns an accumulated integer result back into canonical
+terms given the product of the denominators of its two factors.  Over
+the rationals the lower step is Fraction(v, d) per nonzero v, which
+reduces by gcd, so the result equals the one Fraction arithmetic gives,
+term for term.  Over the integers and Z/p the values already are ints:
+the lift returns the dicts unchanged with denominator 1, and the lower
+is `clean_terms`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
 
@@ -86,6 +98,14 @@ class Ring:
         """Normalize accumulated term values and drop zeros."""
         return {k: v for k, v in terms.items() if v}
 
+    def lift_terms(self, group: Sequence[dict]) -> Tuple[Sequence[dict], int]:
+        """(integer term dicts, d) with group[i] = lifted[i] / d."""
+        return group, 1
+
+    def lower_terms(self, terms: dict, den: int) -> dict:
+        """Canonical terms of the integer accumulator terms / den."""
+        return self.clean_terms(terms)
+
     def factorial(self, k: int) -> Coeff:
         return self.embed(math.factorial(k))
 
@@ -150,6 +170,16 @@ class RationalRing(Ring):
     def normalize(self, raw) -> Fraction:
         # Fraction arithmetic keeps itself reduced; promote stray ints.
         return raw if isinstance(raw, Fraction) else Fraction(raw)
+
+    def lift_terms(self, group: Sequence[dict]) -> Tuple[List[dict], int]:
+        den = math.lcm(*(v.denominator for terms in group for v in terms.values()))
+        return [
+            {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+            for terms in group
+        ], den
+
+    def lower_terms(self, terms: dict, den: int) -> dict:
+        return {k: Fraction(v, den) for k, v in terms.items() if v}
 
     def parse(self, s: str) -> Fraction:
         return Fraction(s)

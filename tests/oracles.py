@@ -5,7 +5,10 @@ characteristic polynomial comes from the Leibniz determinant expansion
 (k! terms) instead of the division-free recurrence, the open-question
 search visits every atom tuple instead of skipping pruned blocks, and
 s_k is built through all k suffix layers with mul_into instead of being
-joined at k/2 with product tables, so agreement is meaningful evidence.
+joined at k/2 with product tables, and products of elements and matrices
+run the term kernel on the ring's own values (Fractions over the
+rationals) instead of on integer numerators over a common denominator,
+so agreement is meaningful evidence.
 """
 
 from itertools import combinations, permutations
@@ -13,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from grassmat import GrMatrix, Poly
 from grassmat.errors import DegreeTooLargeError
-from grassmat.grassmann import mul_into
+from grassmat.grassmann import GrassmannElem, mul_into
 from grassmat.harness import DEFAULT_BUDGET, Campaign, _Trials, atoms, degrees_for
 from grassmat.identities import (
     DEFAULT_STANDARD_DP_K,
@@ -189,3 +192,38 @@ def full_layer_standard_dp(
     for _ in range(k):
         layer = _dp_transition(xnz, layer, k, n, ring)
     return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
+
+
+# ----- products on the ring's own values -----
+
+
+def ring_value_elem_mul(self: GrassmannElem, other: GrassmannElem) -> GrassmannElem:
+    """a * b with the term kernel on ring values; GrassmannElem.__mul__ must agree."""
+    self._check_other(other)
+    ring = self.ring
+    acc: dict = {}
+    mul_into(acc, self.terms, other.terms)
+    return GrassmannElem._make(self.m, ring, ring.clean_terms(acc))
+
+
+def ring_value_matmul(self: GrMatrix, other: GrMatrix) -> GrMatrix:
+    """A * B with the term kernel on ring values; GrMatrix.__mul__ must agree."""
+    self._check_other(other)
+    n, m, ring = self.n, self.m, self.ring
+    clean = ring.clean_terms
+    make = GrassmannElem._make
+    brows = other.rows
+    out = []
+    for i in range(n):
+        arow = self.rows[i]
+        nz = [(k, arow[k].terms) for k in range(n) if arow[k].terms]
+        row = []
+        for j in range(n):
+            acc: dict = {}
+            for k, ta in nz:
+                tb = brows[k][j].terms
+                if tb:
+                    mul_into(acc, ta, tb)
+            row.append(make(m, ring, clean(acc)))
+        out.append(tuple(row))
+    return GrMatrix._make(n, m, ring, tuple(out))

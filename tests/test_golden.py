@@ -58,6 +58,7 @@ C11 = {
 # passing campaigns on paths the C11 set does not reach
 EXTRA = {
     "pass_theorem1_field": camp("Theorem1", 2, 2, F7, trials=3, seed=5),
+    "pass_theorem1_rat": camp("Theorem1", 3, 4, QQ, trials=3, seed=5),
     "pass_lemma2_exploratory": camp("Lemma2", 2, 2, QQ, trials=3, seed=4, exploratory=True),
     "pass_lemma2_fixed": camp("Lemma2", 2, 3, F7, trials=3, seed=4, lambdas=(2, 5)),
     "pass_young_rank0": camp("YoungLemma", 1, 0, ZZ, trials=5, seed=2),
@@ -109,6 +110,9 @@ class _DropRoot(Poly):
 # case -> (harness name, replacement, campaign, check the reproducer names)
 FORCED = {
     "power_zero": ("charpoly", lambda M: Poly.one(M.ring), C11["c11_theorem1"], "power_zero"),
+    "power_zero_rat": (
+        "charpoly", lambda M: Poly.one(M.ring), EXTRA["pass_theorem1_rat"], "power_zero"
+    ),
     "power_nonzero": (
         "Poly", _ZeroRoots, camp("Theorem1", 2, 2, ZZ, trials=3, seed=3), "power_nonzero"
     ),
