@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional
 
 from .errors import GrassmatError
@@ -41,7 +41,6 @@ from .harness import (
     replay_reproducer,
     run_campaign,
 )
-from .identities import DEFAULT_NAIVE_K, DEFAULT_STANDARD_DP_K
 from .report import EXIT_IO, EXIT_USAGE, Report
 from .ring import QQ, parse_ring
 
@@ -83,8 +82,18 @@ def build_parser() -> _Parser:
         ),
     )
     common = _Parser(add_help=False)
-    common.add_argument("-n", type=int, default=2, help="matrix dimension (default 2)")
-    common.add_argument("-m", type=int, default=2, help="number of generators (default 2)")
+    # each integer flag sets the Campaign field of its name and shows its default
+    for flag, what in (
+        ("-n", "matrix dimension"),
+        ("-m", "number of generators"),
+        ("--seed", "64-bit campaign seed"),
+        ("--trials", "random trials"),
+        ("--sparsity", "expected terms per random entry"),
+        ("--structured", "structured basis-monomial trials"),
+        ("--max-dp-k", "guard for the subset-sum evaluators"),
+    ):
+        default = getattr(Campaign, flag.lstrip("-").replace("-", "_"))
+        common.add_argument(flag, type=int, default=default, help=f"{what} (default %(default)s)")
     # --ring lives in its own parent per default value: set_defaults on a
     # subparser would mutate the action shared through parents= and
     # silently change the default for every other subcommand.
@@ -95,26 +104,6 @@ def build_parser() -> _Parser:
     ring_rat = _Parser(add_help=False)
     ring_rat.add_argument(
         "--ring", default="rat", help="coefficient ring: int, rat, or zmod:<p>"
-    )
-    common.add_argument("--seed", type=int, default=0, help="64-bit campaign seed")
-    common.add_argument("--trials", type=int, default=50, help="random trials (default 50)")
-    common.add_argument(
-        "--sparsity", type=int, default=2, help="expected terms per random entry"
-    )
-    common.add_argument(
-        "--structured", type=int, default=50, help="structured basis-monomial trials"
-    )
-    common.add_argument(
-        "--max-naive-k",
-        type=int,
-        default=DEFAULT_NAIVE_K,
-        help="guard for the factorial-time evaluators",
-    )
-    common.add_argument(
-        "--max-dp-k",
-        type=int,
-        default=DEFAULT_STANDARD_DP_K,
-        help="guard for the subset-sum evaluators",
     )
     common.add_argument(
         "--format", choices=("json", "table"), default="table", help="report format"
@@ -213,18 +202,17 @@ def build_parser() -> _Parser:
         parents=[common, ring_int],
         help="search for a counterexample at degree 2(n + floor(m/2)); never PASS",
     )
-    p.add_argument("--budget", type=int, help="max atom tuples considered")
     p.add_argument(
-        "--no-prune",
-        dest="prune",
-        action="store_false",
-        help="evaluate provably-zero tuples too",
+        "--budget",
+        type=int,
+        default=Campaign.budget,
+        help="max atom tuples considered (default %(default)s)",
     )
     p.add_argument(
         "--random-samples",
         type=int,
-        default=0,
-        help="extra random atom tuples after the lexicographic walk",
+        default=Campaign.random_samples,
+        help="extra random atom tuples after the lexicographic walk (default %(default)s)",
     )
 
     p = sub.add_parser(
@@ -233,7 +221,12 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=TARGETS, default=THEOREM1)
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--budget", type=int, help="budget for open-question rows")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=Campaign.budget,
+        help="budget for open-question rows (default %(default)s)",
+    )
 
     return parser
 
@@ -253,25 +246,14 @@ def _parse_parts(args):
 
 
 def _campaign_from_args(args, target: str) -> Campaign:
+    """The Campaign of the parsed flags; a flag the subcommand lacks keeps
+    the Campaign default."""
     ring = parse_ring(args.ring)
-    return Campaign(
-        target=target,
-        n=args.n,
-        m=args.m,
-        ring=ring,
-        trials=args.trials,
-        seed=args.seed,
-        budget=getattr(args, "budget", None),
-        sparsity=args.sparsity,
-        structured=args.structured,
-        random_samples=getattr(args, "random_samples", 0),
-        max_naive_k=args.max_naive_k,
-        max_dp_k=args.max_dp_k,
-        exploratory=getattr(args, "exploratory", False),
-        prune=getattr(args, "prune", True),
-        lambdas=_parse_lambdas(args, ring),
-        parts=_parse_parts(args),
+    given = {f.name: getattr(args, f.name) for f in fields(Campaign) if hasattr(args, f.name)}
+    given.update(
+        target=target, ring=ring, lambdas=_parse_lambdas(args, ring), parts=_parse_parts(args)
     )
+    return Campaign(**given)
 
 
 def _format_value(value) -> str:

@@ -128,20 +128,25 @@ class Campaign:
     ring: Ring = ZZ
     trials: int = DEFAULT_TRIALS
     seed: int = 0
-    budget: Optional[int] = None
+    budget: int = DEFAULT_BUDGET
     sparsity: int = 2
     structured: int = 50
     random_samples: int = 0
-    max_naive_k: int = DEFAULT_NAIVE_K
     max_dp_k: int = DEFAULT_STANDARD_DP_K
     exploratory: bool = False
-    prune: bool = True
     lambdas: Optional[Tuple] = None
     parts: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
+        if self.n < 1:
+            raise ValueError(f"matrix dimension n must be >= 1, got {self.n}")
+        for name in ("trials", "structured", "sparsity", "random_samples"):
+            if (count := getattr(self, name)) < 0:
+                raise ValueError(f"cannot draw {count} samples: {name} must be >= 0")
+        if self.budget <= 0:
+            raise ValueError("search budget must be positive")
 
     def to_dict(self) -> dict:
         out = {
@@ -153,8 +158,8 @@ class Campaign:
             "seed": self.seed,
         }
         if self.target == OPEN_QUESTION:
-            out["budget"] = self.budget if self.budget is not None else DEFAULT_BUDGET
-            out["prune"] = self.prune
+            del out["trials"]  # the search draws no trials
+            out["budget"] = self.budget
             out["random_samples"] = self.random_samples
         if self.target == LEMMA2:
             out["exploratory"] = self.exploratory
@@ -575,7 +580,7 @@ class _Trials:
         for index, inputs in draws:
             value = entry.evaluate(inputs, c.max_dp_k)
             if cross_check and self.trials == before:
-                self.naive = entry.evaluate(inputs, c.max_naive_k, naive=True) == value
+                self.naive = entry.evaluate(inputs, DEFAULT_NAIVE_K, naive=True) == value
             self.trials += 1
             if inspect is not None:
                 inspect(index, inputs, value)
@@ -824,8 +829,7 @@ def verify_capelli_bound(campaign: Campaign) -> Report:
     draws = t.draws(lambda rng: {
         "xs": _random_mats(campaign, rng, k), "ys": _random_mats(campaign, rng, k + 1)
     })
-    small = k <= campaign.max_naive_k
-    t.run("capelli_zero", draws, "first_failure_trial", cross_check=small)
+    t.run("capelli_zero", draws, "first_failure_trial", cross_check=k <= DEFAULT_NAIVE_K)
     if t.naive is False:
         # the cross-check ran on trial 0, ahead of any failure
         t.details.insert(1, detail("naive_cross_check", False))
@@ -861,8 +865,7 @@ def _standard_zero_pass(t: _Trials, k: int, label: str) -> None:
     c = t.campaign
     before = t.trials
     draws = t.draws(lambda rng: {"mats": _random_mats(c, rng, k)})
-    small = k <= c.max_naive_k
-    t.run("standard_zero", draws, f"{label}_first_failure_trial", cross_check=small)
+    t.run("standard_zero", draws, f"{label}_first_failure_trial", cross_check=k <= DEFAULT_NAIVE_K)
     naive = t.naive
     if t.failed:
         return
@@ -909,8 +912,7 @@ def verify_standard_bounds(campaign: Campaign) -> Report:
         k = 2 * n
         t.note("degree", k)
         draws = t.draws(lambda rng: {"mats": _scalar_mats(campaign, rng, k)})
-        small = k <= campaign.max_naive_k
-        t.run("standard_zero", draws, "first_failure_trial", cross_check=small)
+        t.run("standard_zero", draws, "first_failure_trial", cross_check=k <= DEFAULT_NAIVE_K)
         if t.naive is not None:
             t.note("naive_cross_check", t.naive)
             t.failed |= not t.naive
@@ -956,17 +958,14 @@ def search_open_question(campaign: Campaign) -> Report:
     c = campaign
     t = _Trials(c)
     k = degrees_for(c.n, c.m)["open_question_degree"]
-    budget = c.budget if c.budget is not None else DEFAULT_BUDGET
-    if budget <= 0:
-        raise ValueError("search budget must be positive")
+    if k > c.max_dp_k:
+        raise DegreeTooLargeError(f"DP evaluation capped at k <= {c.max_dp_k}, got {k}")
     pool = atoms(c.n, c.m, c.ring)
     total = len(pool)
-    samples = c.random_samples
-    if samples < 0 or (samples and k > total):
-        raise ValueError(f"cannot draw {samples} samples of k={k} of {total} atoms")
+    if c.random_samples and k > total:
+        raise ValueError(f"cannot draw {c.random_samples} samples of k={k} of {total} atoms")
     t.note("degree", k)
     t.note("atoms", total)
-    t.note("prune", c.prune)
     w = 1 << c.m  # atoms() runs over (r, s, mask), so atom i has mask i % w
     seen = 0
 
@@ -974,10 +973,10 @@ def search_open_question(campaign: Campaign) -> Report:
         nonlocal seen
         d = len(prefix) + 1
         for i in range(start, total - k + d):
-            if seen >= budget:
+            if seen >= c.budget:
                 return
-            if c.prune and union & i % w:
-                seen += min(comb(total - i - 1, k - d), budget - seen)
+            if union & i % w:
+                seen += min(comb(total - i - 1, k - d), c.budget - seen)
             elif d < k:
                 yield from walk(i + 1, prefix + [pool[i]], union | i % w)
             else:
@@ -993,10 +992,10 @@ def search_open_question(campaign: Campaign) -> Report:
     t.note("tuples_pruned", seen - evaluated)
     t.note("exhausted", seen == comb(total, k) and not t.failed)
 
-    if not t.failed and samples:
+    if not t.failed and c.random_samples:
         draws = t.draws(
             lambda rng: {"mats": [pool[i] for i in sorted(rng.sample(range(total), k))]},
-            samples,
+            c.random_samples,
         )
         t.run("standard_zero", draws)
         t.note("random_samples", t.trials - evaluated)

@@ -40,6 +40,7 @@ from .gmatrix import GrMatrix
 from .grassmann import GrassmannElem, _check_rank
 from .identities import (
     DEFAULT_CAPELLI_DP_K,
+    DEFAULT_NAIVE_K,
     DEFAULT_STANDARD_DP_K,
     capelli_dp,
     capelli_naive,
@@ -344,7 +345,7 @@ def capelli_sharpness_verify(
         detail("nonzero", nonzero),
     ]
     ok = matches and nonzero
-    if k <= 8:
+    if k <= DEFAULT_NAIVE_K:
         details.append(detail("naive_cross_check", capelli_naive(xs, ys) == value))
         ok = ok and details[-1]["value"]
 
@@ -413,7 +414,7 @@ def standard_sharpness_verify(
             )
         )
     ok = entry_ok and nonzero
-    if k <= 8:
+    if k <= DEFAULT_NAIVE_K:
         details.append(detail("naive_cross_check", standard_naive(mats) == value))
         ok = ok and details[-1]["value"]
 

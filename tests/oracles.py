@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 from grassmat import GrMatrix, Poly
 from grassmat.errors import DegreeTooLargeError
 from grassmat.grassmann import GrassmannElem, mul_into
-from grassmat.harness import DEFAULT_BUDGET, Campaign, _Trials, atoms, degrees_for
+from grassmat.harness import Campaign, _Trials, atoms, degrees_for
 from grassmat.identities import (
     DEFAULT_STANDARD_DP_K,
     State,
@@ -66,7 +66,7 @@ def leibniz_charpoly(A0: GrMatrix) -> Poly:
 def brute_force_open_search(campaign: Campaign) -> Report:
     """The open-question search as a flat walk over combinations().
 
-    Every k-subset is built, and pruning recomputes its mask union and
+    Every k-subset is built, and the walk recomputes its mask union and
     degree sum.  harness.search_open_question must give the same report.
 
     Atom tuples with a repeated generator across masks evaluate to zero
@@ -78,14 +78,11 @@ def brute_force_open_search(campaign: Campaign) -> Report:
     n, m, ring = campaign.n, campaign.m, campaign.ring
     t = _Trials(campaign)
     k = degrees_for(n, m)["open_question_degree"]
-    budget = campaign.budget if campaign.budget is not None else DEFAULT_BUDGET
-    if budget <= 0:
-        raise ValueError("search budget must be positive")
+    budget = campaign.budget
     pool = atoms(n, m, ring)
     total = len(pool)
     t.note("degree", k)
     t.note("atoms", total)
-    t.note("prune", campaign.prune)
     evaluated = 0
     pruned = 0
     seen = 0
@@ -96,18 +93,17 @@ def brute_force_open_search(campaign: Campaign) -> Report:
             break
         seen += 1
         mats = [pool[i] for i in combo]
-        if campaign.prune:
-            union = 0
-            degsum = 0
-            for A in mats:
-                for row in A.rows:
-                    for e in row:
-                        for mask in e.terms:
-                            union |= mask
-                            degsum += mask.bit_count()
-            if degsum > m or union.bit_count() != degsum:
-                pruned += 1
-                continue
+        union = 0
+        degsum = 0
+        for A in mats:
+            for row in A.rows:
+                for e in row:
+                    for mask in e.terms:
+                        union |= mask
+                        degsum += mask.bit_count()
+        if degsum > m or union.bit_count() != degsum:
+            pruned += 1
+            continue
         evaluated += 1
         t.run("standard_zero", [(None, {"mats": mats})])
         if t.failed:

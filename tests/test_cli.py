@@ -140,14 +140,14 @@ def test_open_search_options(capsys):
         capsys,
         [
             "open-search", "-n", "1", "-m", "2",
-            "--budget", "10", "--no-prune", "--random-samples", "2",
+            "--budget", "10", "--random-samples", "2",
             "--format", "json",
         ],
     )
     assert code == EXIT_OK
     data = json.loads(out)
-    assert data["campaign"]["prune"] is False
     assert data["campaign"]["budget"] == 10
+    assert data["campaign"]["random_samples"] == 2
 
 
 @pytest.mark.parametrize("samples", ["-3", "-1"])
@@ -158,6 +158,33 @@ def test_open_search_negative_random_samples_usage_error(capsys, samples):
     assert code == EXIT_USAGE
     assert out == ""
     assert f"cannot draw {samples} samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ch-verify", "--sparsity", "-3"],
+        ["capelli-verify", "-n", "1", "-m", "2", "--trials", "-4", "--structured", "-2"],
+        ["open-search", "-n", "0"],
+    ],
+)
+def test_out_of_range_counts_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "must be" in err
+
+
+def test_open_search_past_dp_cap_fails_before_building_atoms(capsys, monkeypatch):
+    # k = 2(1 + 20) = 42 > 24: the pool of 2^40 atoms must never be built
+    def no_atoms(*args):
+        raise AssertionError("atoms() built past the DP cap")
+
+    monkeypatch.setattr(harness, "atoms", no_atoms)
+    code, out, err = run(capsys, ["open-search", "-n", "1", "-m", "40", "--budget", "10"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "capped at k <= 24, got 42" in err
 
 
 def test_open_search_samples_larger_than_atoms_usage_error(capsys):

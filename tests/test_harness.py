@@ -1,6 +1,9 @@
 """Campaign harness: seeding, generators, verifiers, search, replay."""
 
+from functools import reduce
+from itertools import combinations
 from math import comb
+from operator import or_
 
 import pytest
 from oracles import brute_force_open_search
@@ -34,7 +37,7 @@ from grassmat.harness import (
     verify_theorem1,
     verify_young_lemma,
 )
-from grassmat.identities import standard_naive
+from grassmat.identities import standard_dp, standard_naive
 from grassmat.poly import Poly
 from grassmat.report import (
     COUNTEREXAMPLE_FOUND,
@@ -160,7 +163,8 @@ def test_campaign_validation_and_to_dict():
     }
     o = Campaign(target="OpenQuestion", n=1, m=2, budget=50, random_samples=5)
     d = o.to_dict()
-    assert d["budget"] == 50 and d["prune"] is True and d["random_samples"] == 5
+    assert d["budget"] == 50 and d["random_samples"] == 5
+    assert "trials" not in d  # the search draws no trials
     l = Campaign(target="Lemma2", ring=QQ, exploratory=True, lambdas=(0, 1))
     d2 = l.to_dict()
     assert d2["exploratory"] is True and d2["lambdas"] == ["0", "1"]
@@ -362,19 +366,6 @@ def test_open_search_exhausts_tiny_grid():
     assert rep.find("tuples_evaluated") == 0
 
 
-def test_open_search_prune_equivalence():
-    on = search_open_question(
-        Campaign(target="OpenQuestion", n=1, m=2, ring=ZZ, prune=True)
-    )
-    off = search_open_question(
-        Campaign(target="OpenQuestion", n=1, m=2, ring=ZZ, prune=False)
-    )
-    assert on.verdict == off.verdict == NO_COUNTEREXAMPLE_IN_BUDGET
-    assert off.find("tuples_evaluated") == 1
-    assert off.find("tuples_pruned") == 0
-    assert on.find("exhausted") is True and off.find("exhausted") is True
-
-
 def test_open_search_budget_cuts_off():
     rep = search_open_question(
         Campaign(target="OpenQuestion", n=2, m=2, ring=ZZ, budget=5)
@@ -425,18 +416,35 @@ def test_open_search_matches_brute_force_walk(monkeypatch, n, m):
     # The block-skipping walk must report exactly what the flat walk over
     # combinations() reports: counts, exhaustion, first counterexample.
     for budget in _open_budgets(n, m):
-        for prune in (True, False):
-            for fail in (None, 1, 3):
-                reports = []
-                for search in (brute_force_open_search, search_open_question):
-                    if fail is not None:
-                        monkeypatch.setattr(harness, "standard_dp", _fail_at(fail))
-                    campaign = Campaign(
-                        target="OpenQuestion", n=n, m=m, ring=ZZ, budget=budget, prune=prune
-                    )
-                    reports.append(search(campaign).to_json(include_elapsed=False))
-                    monkeypatch.undo()
-                assert reports[0] == reports[1], (budget, prune, fail)
+        for fail in (None, 1, 3):
+            reports = []
+            for search in (brute_force_open_search, search_open_question):
+                if fail is not None:
+                    monkeypatch.setattr(harness, "standard_dp", _fail_at(fail))
+                campaign = Campaign(target="OpenQuestion", n=n, m=m, ring=ZZ, budget=budget)
+                reports.append(search(campaign).to_json(include_elapsed=False))
+                monkeypatch.undo()
+            assert reports[0] == reports[1], (budget, fail)
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0)])
+def test_open_search_pruned_tuples_are_zero(n, m):
+    # The walk counts a tuple whose atom masks overlap as zero without
+    # evaluating it; evaluate every such tuple and check that it is.
+    pool = atoms(n, m, ZZ)
+    k = degrees_for(n, m)["open_question_degree"]
+    w = 1 << m  # atom i has mask i % w
+    overlapping = 0
+    for combo in combinations(range(len(pool)), k):
+        masks = [i % w for i in combo]
+        if sum(map(int.bit_count, masks)) != reduce(or_, masks).bit_count():
+            overlapping += 1
+            assert standard_dp([pool[i] for i in combo]).is_zero(), combo
+    # and these are exactly the tuples an exhaustive walk skips
+    budget = max(1, comb(len(pool), k))
+    rep = search_open_question(Campaign(target="OpenQuestion", n=n, m=m, budget=budget))
+    assert rep.find("exhausted") is True
+    assert rep.find("tuples_pruned") == overlapping
 
 
 # ------------------------------------------------------------ replay
