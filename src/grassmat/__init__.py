@@ -30,14 +30,10 @@ from .grassmann import MAX_RANK, GrassmannElem
 from .harness import (
     Campaign,
     TARGETS,
-    atoms,
     degrees_for,
-    random_grmatrix,
     replay_reproducer,
     run_campaign,
     search_open_question,
-    splitmix64,
-    trial_rng,
     verify_amitsur_levitzki,
     verify_capelli_bound,
     verify_lemma2,
@@ -64,15 +60,13 @@ from .report import (
     Report,
 )
 from .ring import QQ, ZZ, PrimeField, Ring, parse_ring
+from .sampling import atoms, random_grmatrix, splitmix64, trial_rng
 from .witnesses import (
     WitnessSpec,
-    capelli_sharpness_verify,
     capelli_witness,
     ch_nilpotent,
-    ch_sharpness_verify,
     ch_witness,
     staircase_units,
-    standard_sharpness_verify,
     standard_witness,
 )
 
@@ -111,10 +105,8 @@ __all__ = [
     "atoms",
     "capelli_dp",
     "capelli_naive",
-    "capelli_sharpness_verify",
     "capelli_witness",
     "ch_nilpotent",
-    "ch_sharpness_verify",
     "ch_witness",
     "charpoly",
     "degrees_for",
@@ -132,7 +124,6 @@ __all__ = [
     "standard_dp",
     "standard_naive",
     "standard_product_eval",
-    "standard_sharpness_verify",
     "standard_witness",
     "trial_rng",
     "verify_amitsur_levitzki",

@@ -3,9 +3,11 @@
 Each subcommand builds one Campaign, runs it, and emits the Report as a
 human-readable table (default) or as canonical JSON.  --output always
 writes the JSON serialization, byte-identical to what --format json
-prints.  --replay re-runs a previously saved reproducer (a report file
-works too; its embedded reproducer is used) and exits with the replayed
-verdict.
+prints.  Every target, the sharpness subcommands included, runs its
+checks through the registry harness.CHECKS, so a FAIL from a violated
+check carries a reproducer.  --replay re-runs a saved reproducer (a
+report file works too; its embedded reproducer is used) and exits with
+the replayed verdict.
 
 Exit codes: 0 all good (PASS or NO_COUNTEREXAMPLE_IN_BUDGET), 2 an
 identity check failed, 3 the open-question search found a
@@ -231,18 +233,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_lambdas(args, ring):
-    raw = getattr(args, "lambdas", None)
-    if raw is None:
-        return None
-    return tuple(ring.parse(tok.strip()) for tok in raw.split(","))
-
-
-def _parse_parts(args):
-    raw = getattr(args, "parts", None)
-    if raw is None:
-        return None
-    return tuple(int(tok.strip()) for tok in raw.split(","))
+def _parse_list(args, name: str, parse):
+    """The comma-separated values of --<name> through parse; None without it."""
+    raw = getattr(args, name, None)
+    return None if raw is None else tuple(parse(tok.strip()) for tok in raw.split(","))
 
 
 def _campaign_from_args(args, target: str) -> Campaign:
@@ -251,7 +245,10 @@ def _campaign_from_args(args, target: str) -> Campaign:
     ring = parse_ring(args.ring)
     given = {f.name: getattr(args, f.name) for f in fields(Campaign) if hasattr(args, f.name)}
     given.update(
-        target=target, ring=ring, lambdas=_parse_lambdas(args, ring), parts=_parse_parts(args)
+        target=target,
+        ring=ring,
+        lambdas=_parse_list(args, "lambdas", ring.parse),
+        parts=_parse_list(args, "parts", int),
     )
     return Campaign(**given)
 

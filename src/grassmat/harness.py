@@ -9,8 +9,9 @@ replay_reproducer re-runs exactly that check from the parsed inputs.
 
 CHECKS is the one registry of those checks.  Each entry names the input
 fields of its reproducer (written by _reproducer, read back through
-_READERS), the evaluator and the predicate its value must satisfy.  Every campaign
-trial and every replay goes through it, so the two cannot drift apart.
+_READERS), the evaluator and the predicate its value must satisfy.  Every
+target, the three sharpness witnesses included, runs its trials through it,
+and so does every replay: a FAIL from a violated check replays.
 
 Every verify campaign embeds a mutation control: the same construction
 with the degree or exponent lowered by one must come out nonzero.  An
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -38,7 +39,7 @@ from .errors import (
     HypothesisViolationError,
 )
 from .gmatrix import GrMatrix, matrices_from_json, matrices_to_json
-from .grassmann import GrassmannElem, _check_rank
+from .grassmann import GrassmannElem
 from .identities import (
     DEFAULT_NAIVE_K,
     DEFAULT_STANDARD_DP_K,
@@ -50,7 +51,7 @@ from .identities import (
     standard_product_eval,
     young_alternating_sum,
 )
-from .poly import Poly, charpoly
+from .poly import Poly, charpoly, eval_product_form
 from .report import (
     COUNTEREXAMPLE_FOUND,
     FAIL,
@@ -59,18 +60,27 @@ from .report import (
     Report,
     detail,
 )
-from .ring import QQ, RAT, Ring, ZMOD, ZZ
+from .ring import QQ, Ring, ZMOD, ZZ
+from .sampling import (
+    atom,
+    atoms,
+    random_coeff,
+    random_degree1_grmatrix,
+    random_grmatrix,
+    trial_rng,
+)
 from .witnesses import (
     KIND_CAPELLI,
     KIND_CH,
+    KIND_STANDARD,
     WitnessSpec,
-    capelli_sharpness_verify,
+    capelli_sharp_judge,
     capelli_witness,
     ceil_half,
-    ch_sharpness_verify,
-    ch_witness,
+    ch_sharp_judge,
     staircase_units,
-    standard_sharpness_verify,
+    standard_sharp_judge,
+    witness_inputs,
 )
 
 THEOREM1 = "Theorem1"
@@ -149,6 +159,8 @@ class Campaign:
             raise ValueError("search budget must be positive")
 
     def to_dict(self) -> dict:
+        if self.target in _SHARP:  # a witness campaign is its resolved spec
+            return {"target": self.target, **_witness_spec(self).to_dict()}
         out = {
             "target": self.target,
             "n": self.n,
@@ -168,99 +180,6 @@ class Campaign:
         if self.parts is not None:
             out["parts"] = list(self.parts)
         return out
-
-
-# ----- seeding -----
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def splitmix64(x: int) -> int:
-    """One scramble step of the splitmix64 finalizer on 64-bit ints."""
-    x = (x + _GOLDEN) & _MASK64
-    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def trial_rng(seed: int, stream: int) -> random.Random:
-    """Generator for one trial substream.
-
-    The campaign seed and the stream index mix through splitmix64, so
-    neighboring streams are unrelated and (seed, stream) pins every
-    draw.  Campaigns use stream = trial index, with structured passes
-    offset past the random trials.
-    """
-    return random.Random(splitmix64((seed + (stream + 1) * _GOLDEN) & _MASK64))
-
-
-_SMALL_NONZERO = tuple(x for x in range(-9, 10) if x != 0)
-
-
-def random_coeff(rng: random.Random, ring: Ring):
-    """Small nonzero coefficient: [-9,9] over int, uniform nonzero mod p,
-    small fractions over rat."""
-    if ring.kind == ZMOD:
-        return rng.randrange(1, ring.characteristic)
-    num = rng.choice(_SMALL_NONZERO)
-    if ring.kind == RAT:
-        return Fraction(num, rng.randint(1, 4))
-    return num
-
-
-def random_grassmann(rng: random.Random, m: int, ring: Ring, sparsity: int) -> GrassmannElem:
-    """Sum of `sparsity` random basis monomials with random coefficients."""
-    _check_rank(m)
-    acc: dict = {}
-    for _ in range(sparsity):
-        mask = rng.randrange(1 << m)
-        acc[mask] = acc.get(mask, 0) + ring.coerce(random_coeff(rng, ring))
-    return GrassmannElem._make(m, ring, ring.clean_terms(acc))
-
-
-def random_grmatrix(
-    rng: random.Random, n: int, m: int, ring: Ring, sparsity: int
-) -> GrMatrix:
-    """Entrywise random_grassmann draws; sparsity 0 gives the zero matrix."""
-    return GrMatrix(
-        [
-            [random_grassmann(rng, m, ring, sparsity) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
-
-
-def random_degree1_grmatrix(
-    rng: random.Random, n: int, m: int, ring: Ring, sparsity: int
-) -> GrMatrix:
-    """Entries are sums of single generators; the zero matrix when m = 0."""
-    _check_rank(m)
-
-    def entry():
-        acc: dict = {}
-        for _ in range(sparsity):
-            if m:
-                mask = 1 << (rng.randint(1, m) - 1)
-                acc[mask] = acc.get(mask, 0) + ring.coerce(random_coeff(rng, ring))
-        return GrassmannElem._make(m, ring, ring.clean_terms(acc))
-
-    return GrMatrix([[entry() for _ in range(n)] for _ in range(n)])
-
-
-def atoms(n: int, m: int, ring: Ring) -> List[GrMatrix]:
-    """All b * e_rs with b a basis monomial, ordered by (r, s, mask).
-
-    By multilinearity, an alternating identity vanishes on all matrices
-    iff it vanishes on all tuples of these.
-    """
-    out = []
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            unit = GrMatrix.unit(n, m, ring, r, s)
-            for mask in range(1 << m):
-                out.append(unit.scale(GrassmannElem.basis(mask, m, ring)))
-    return out
 
 
 def _field_spec(kind: str, n: int, m: int, ring: Ring, **kw) -> WitnessSpec:
@@ -358,30 +277,45 @@ def _product(inputs: dict, max_k: int) -> GrMatrix:
     return standard_product_eval(inputs["mats"], max_k=max_k)
 
 
+def _ch_sharp(inputs: dict, max_k: int) -> tuple:
+    """(f, f(A)^c, f(A)^(c+1), [g_i(A)]) for f = prod (x - lambda_i), c = ceil(m/2)
+    and g_i = (x - lambda_i)^c prod_{j != i} (x - lambda_j)^(c+1)."""
+    A, lams = inputs["matrix"], inputs["lambdas"]
+    c = ceil_half(A.m)
+    f = Poly.from_roots(A.ring, lams)
+    B = f.at_matrix(A)
+    Bc = B**c
+    gs = [
+        eval_product_form(A, [(lams[i], c)] + [(lams[j], c + 1) for j in range(A.n) if j != i])
+        for i in range(A.n)
+    ]
+    return f, Bc, Bc * B, gs
+
+
 def _zero_judge(value: GrMatrix, inputs: dict):
-    return value.is_zero(), [detail("value_is_zero", value.is_zero())]
+    return value.is_zero(), {"value_is_zero": value.is_zero()}
 
 
 def _standard_judge(value: GrMatrix, inputs: dict):
     if value.is_zero():
         return _zero_judge(value, inputs)
-    return False, [detail("value_is_zero", False), detail("value", value.compact_str())]
+    return False, {"value_is_zero": False, "value": value.compact_str()}
 
 
 def _power_judge(value: GrMatrix, inputs: dict):
     zero = value.is_zero()
-    return zero, [detail("exponent", inputs["exponent"]), detail("power_is_zero", zero)]
+    return zero, {"exponent": inputs["exponent"], "power_is_zero": zero}
 
 
 def _lemma2_judge(value, inputs: dict):
     checks = value[1]
-    return all(checks.values()), [detail(name, checks[name]) for name in sorted(checks)]
+    return all(checks.values()), dict(sorted(checks.items()))
 
 
 def _young_judge(value: GrMatrix, inputs: dict):
     """Zero, or prod over classes (|class| - 1)! times the plain product."""
     if inputs["expect"] == "zero":
-        return value.is_zero(), [detail("sum_is_zero", value.is_zero())]
+        return value.is_zero(), {"sum_is_zero": value.is_zero()}
     elems = inputs["elems"]
     ring = elems[0].ring
     fact = ring.one
@@ -391,12 +325,12 @@ def _young_judge(value: GrMatrix, inputs: dict):
     for e in elems[1:]:
         prod = prod * e
     holds = value == prod.scale_coeff(fact)
-    return holds, [detail("factorial_form_matches", holds)]
+    return holds, {"factorial_form_matches": holds}
 
 
 def _filtration_judge(value: GrMatrix, inputs: dict):
     holds = value.in_filtration(2)
-    return holds, [detail("in_filtration_2", holds)]
+    return holds, {"in_filtration_2": holds}
 
 
 def _outside_filtration_judge(value: GrMatrix, inputs: dict):
@@ -412,7 +346,7 @@ class Check(NamedTuple):
     evaluate(inputs, max_k) computes the value (the DP checks also take
     naive=True for the factorial-time oracle); judge(value, inputs) says
     whether the identity holds (negated for a nonvanishing check) and
-    gives a replay's details.
+    names the details of a replay, or of a sharpness report, in order.
     Evaluators look identity functions up by module name at call time,
     so patching a name here reaches campaigns and replays alike.
     """
@@ -425,6 +359,9 @@ class Check(NamedTuple):
 
     def holds(self, value, inputs: dict) -> bool:
         return self.judge(value, inputs)[0] != self.negate
+
+    def details(self, value, inputs: dict) -> List[dict]:
+        return [detail(name, v) for name, v in self.judge(value, inputs)[1].items()]
 
 
 _POWER = ("matrix", "exponent")
@@ -442,6 +379,9 @@ CHECKS: Dict[str, Check] = {
     "product_zero": Check(("mats",), _product, _zero_judge),
     "filtration2": Check(("mats",), _standard, _filtration_judge),
     "standard_outside_filtration2": Check(("mats",), _standard, _outside_filtration_judge, True),
+    "ch_sharp": Check(("matrix", "lambdas"), _ch_sharp, ch_sharp_judge),
+    "capelli_sharp": Check(("xs", "ys", "parts"), _capelli, capelli_sharp_judge),
+    "standard_sharp": Check(("mats",), _standard, standard_sharp_judge),
 }
 
 
@@ -484,6 +424,13 @@ def _int_list(raw) -> bool:
     return isinstance(raw, list) and all(type(x) is int for x in raw)
 
 
+def _read_parts(raw, inputs: dict) -> List[int]:
+    # parts count generator copies among the xs, which bounds the factorials taken
+    if not (_int_list(raw) and min(raw, default=0) >= 0 and sum(raw) < len(inputs["xs"])):
+        raise ValueError(f"parts must be nonnegative and sum to less than len(xs), got {raw!r}")
+    return raw
+
+
 # input field -> its reader from JSON; a reader sees the fields its
 # check lists before it
 _READERS = {
@@ -501,6 +448,7 @@ _READERS = {
     ),
     "anticommuting": _plain(_int_list, "a list of integers"),
     "sizes": _plain(_int_list, "a list of integers"),
+    "parts": _read_parts,
 }
 
 
@@ -646,8 +594,7 @@ def verify_theorem1(campaign: Campaign) -> Report:
     if t.failed:
         t.note("value", str(t.value))
     spec = _field_spec(KIND_CH, n, m, ring, lambdas=campaign.lambdas)
-    W, lams = ch_witness(spec), spec.resolved_lambdas()
-    control = t.control("power_nonzero", {"matrix": W, "exponent": e - 1, "lambdas": lams})
+    control = t.control("power_nonzero", {**witness_inputs(spec), "exponent": e - 1})
     t.note("control_lower_exponent_nonzero", control)
     if spec.ring != ring:
         t.note("control_ring", spec.ring.name)
@@ -678,6 +625,8 @@ def verify_lemma2(campaign: Campaign) -> Report:
     them touch the verdict.
     """
     n, m, ring = campaign.n, campaign.m, campaign.ring
+    if campaign.trials == 0:
+        raise ValueError("Lemma2 needs trials >= 1: its control reads the trials' f(A)")
     if not ring.is_field():
         raise BadCharacteristicError(
             f"eigenvalue differences must be invertible; {ring.name} is not a field"
@@ -944,6 +893,43 @@ def verify_standard_bounds(campaign: Campaign) -> Report:
 verify_amitsur_levitzki = verify_standard_bounds
 
 
+# ----- sharpness witnesses -----
+
+# sharpness target -> witness kind K, whose check is "K_sharp"
+_SHARP = {
+    CH_SHARPNESS: KIND_CH,
+    CAPELLI_SHARPNESS: KIND_CAPELLI,
+    STANDARD_SHARPNESS: KIND_STANDARD,
+}
+
+
+def _witness_spec(c: Campaign) -> WitnessSpec:
+    kind = _SHARP[c.target]
+    lambdas = c.lambdas if kind == KIND_CH else None
+    parts = c.parts if kind == KIND_CAPELLI else None
+    return WitnessSpec(kind=kind, n=c.n, m=c.m, ring=c.ring, lambdas=lambdas, parts=parts)
+
+
+def verify_sharpness(campaign: Campaign) -> Report:
+    """One trial: the sharpness check of the witness one degree or
+    exponent below the bound.  The report's details are the judge's,
+    then the naive oracle's cross-check of a small DP value."""
+    spec = _witness_spec(campaign)
+    check, inputs = f"{spec.kind}_sharp", witness_inputs(spec)
+    t = _Trials(campaign)
+
+    def note_details(index, inputs: dict, value) -> None:
+        t.details.extend(CHECKS[check].details(value, inputs))
+
+    dp_args = inputs.get("xs", inputs.get("mats"))  # None for ch_sharp
+    oracle = dp_args is not None and len(dp_args) <= DEFAULT_NAIVE_K
+    t.run(check, [(0, inputs)], inspect=note_details, cross_check=oracle)
+    if t.naive is not None:
+        t.note("naive_cross_check", t.naive)
+        t.failed |= not t.naive
+    return t.finish()
+
+
 # ----- the open question -----
 
 
@@ -960,13 +946,13 @@ def search_open_question(campaign: Campaign) -> Report:
     k = degrees_for(c.n, c.m)["open_question_degree"]
     if k > c.max_dp_k:
         raise DegreeTooLargeError(f"DP evaluation capped at k <= {c.max_dp_k}, got {k}")
-    pool = atoms(c.n, c.m, c.ring)
-    total = len(pool)
+    w = 1 << c.m
+    total = c.n * c.n * w
+    pool = lru_cache(maxsize=None)(lambda i: atom(c.n, c.m, c.ring, i))  # atoms()[i], on first use
     if c.random_samples and k > total:
         raise ValueError(f"cannot draw {c.random_samples} samples of k={k} of {total} atoms")
     t.note("degree", k)
     t.note("atoms", total)
-    w = 1 << c.m  # atoms() runs over (r, s, mask), so atom i has mask i % w
     seen = 0
 
     def walk(start, prefix, union):
@@ -978,10 +964,10 @@ def search_open_question(campaign: Campaign) -> Report:
             if union & i % w:
                 seen += min(comb(total - i - 1, k - d), c.budget - seen)
             elif d < k:
-                yield from walk(i + 1, prefix + [pool[i]], union | i % w)
+                yield from walk(i + 1, prefix + [pool(i)], union | i % w)
             else:
                 seen += 1
-                yield None, {"mats": prefix + [pool[i]]}
+                yield None, {"mats": prefix + [pool(i)]}
 
     t.run("standard_zero", walk(0, [], 0))
     if t.failed:
@@ -994,7 +980,7 @@ def search_open_question(campaign: Campaign) -> Report:
 
     if not t.failed and c.random_samples:
         draws = t.draws(
-            lambda rng: {"mats": [pool[i] for i in sorted(rng.sample(range(total), k))]},
+            lambda rng: {"mats": [pool(i) for i in sorted(rng.sample(range(total), k))]},
             c.random_samples,
         )
         t.run("standard_zero", draws)
@@ -1013,16 +999,9 @@ _RUNNERS: Dict[str, Callable[[Campaign], Report]] = {
     STANDARD_COROLLARY: verify_standard_bounds,
     STANDARD_PRODUCT: verify_standard_bounds,
     FILTRATION2: verify_standard_bounds,
-    CH_SHARPNESS: lambda c: ch_sharpness_verify(
-        WitnessSpec(kind=KIND_CH, n=c.n, m=c.m, ring=c.ring, lambdas=c.lambdas)
-    ),
-    CAPELLI_SHARPNESS: lambda c: capelli_sharpness_verify(
-        WitnessSpec(kind=KIND_CAPELLI, n=c.n, m=c.m, ring=c.ring, parts=c.parts),
-        max_dp_k=c.max_dp_k,
-    ),
-    STANDARD_SHARPNESS: lambda c: standard_sharpness_verify(
-        c.n, c.m, c.ring, max_dp_k=c.max_dp_k
-    ),
+    CH_SHARPNESS: verify_sharpness,
+    CAPELLI_SHARPNESS: verify_sharpness,
+    STANDARD_SHARPNESS: verify_sharpness,
     OPEN_QUESTION: search_open_question,
     AMITSUR_LEVITZKI: verify_standard_bounds,
 }
@@ -1030,7 +1009,7 @@ TARGETS = tuple(_RUNNERS)
 
 
 def run_campaign(campaign: Campaign) -> Report:
-    """Run any target; sharpness targets delegate to the witness checks."""
+    """Run any target, sharpness included, through its runner."""
     return _RUNNERS[campaign.target](campaign)
 
 
@@ -1062,19 +1041,12 @@ def replay_reproducer(data: dict, max_dp_k: int = DEFAULT_STANDARD_DP_K) -> Repo
         raise ValueError(f"unknown reproducer target {target!r}")
     inputs = _decode(entry, data)
     value = entry.evaluate(inputs, max_dp_k)
-    holds, details = entry.judge(value, inputs)
-    holds = holds != entry.negate
-    if holds:
-        verdict = PASS
-    elif target == OPEN_QUESTION:
-        verdict = COUNTEREXAMPLE_FOUND
-    else:
-        verdict = FAIL
+    holds = entry.holds(value, inputs)
     return Report(
         campaign={"target": target, "replay": True, "check": check},
-        verdict=verdict,
+        verdict=PASS if holds else COUNTEREXAMPLE_FOUND if target == OPEN_QUESTION else FAIL,
         trials=1,
-        details=details,
+        details=entry.details(value, inputs),
         reproducer=None if holds else data,
         elapsed_ms=int((time.perf_counter() - start) * 1000),
     )

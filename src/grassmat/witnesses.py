@@ -22,11 +22,16 @@ Three families, one per identity:
 
 Constructions demand a field whose characteristic clears the factorials
 involved; violations raise BadCharacteristicError up front.
+
+The sharpness targets run like every other target, through the check
+registry of the harness: it evaluates each witness and judges the value
+with the *_sharp_judge functions here, which return the verdict and name
+the details of the report in order.  A FAIL therefore carries a reproducer
+that --replay re-runs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -38,17 +43,6 @@ from .errors import (
 )
 from .gmatrix import GrMatrix
 from .grassmann import GrassmannElem, _check_rank
-from .identities import (
-    DEFAULT_CAPELLI_DP_K,
-    DEFAULT_NAIVE_K,
-    DEFAULT_STANDARD_DP_K,
-    capelli_dp,
-    capelli_naive,
-    standard_dp,
-    standard_naive,
-)
-from .poly import Poly, eval_product_form
-from .report import FAIL, PASS, Report, detail
 from .ring import Ring
 
 KIND_CH = "ch"
@@ -63,18 +57,6 @@ def ceil_half(m: int) -> int:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _report(campaign: dict, ok: bool, details: List[dict], start: float) -> Report:
-    """One-trial sharpness report; a witness has no reproducer."""
-    return Report(
-        campaign=campaign,
-        verdict=PASS if ok else FAIL,
-        trials=1,
-        details=details,
-        reproducer=None,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-    )
 
 
 @dataclass(frozen=True)
@@ -220,61 +202,42 @@ def ch_witness(spec: WitnessSpec) -> GrMatrix:
     return GrMatrix.diag(entries)
 
 
-def ch_sharpness_verify(spec: WitnessSpec) -> Report:
-    """Check f(A)^(c+1) = 0 and that no smaller power of f annihilates.
+def ch_sharp_judge(value, inputs: dict) -> Tuple[bool, dict]:
+    """Whether f(A)^(c+1) = 0 and no smaller power of f annihilates.
 
-    c = ceil(m/2).  Minimality is certified by the separating
-    polynomials: g_i(A) != 0 for every i, with the (i,i) entry equal to
-    v^c f'(lambda_i)^(c+1) on the nose.
+    c = ceil(m/2), and value is (f, f(A)^c, f(A)^(c+1), [g_i(A)]).
+    Minimality is certified by the separating polynomials: g_i(A) != 0
+    for every i, with the (i,i) entry equal to v^c f'(lambda_i)^(c+1)
+    on the nose, v the nilpotent part of the witness.
     """
-    start = time.perf_counter()
-    ring = spec.ring
-    n, m = spec.n, spec.m
+    f, Bc, Bc1, gs = value
+    A, lams = inputs["matrix"], inputs["lambdas"]
+    ring, m = A.ring, A.m
     c = ceil_half(m)
-    lams = spec.resolved_lambdas()
-    f = Poly.from_roots(ring, lams)
     fprime = f.derivative()
-    A = ch_witness(spec)
-    B = f.at_matrix(A)
-    Bc = B**c
-    Bc1 = Bc * B
-
     v = ch_nilpotent(m, ring)
     vc = v**c
     top = GrassmannElem.basis((1 << m) - 1, m, ring).scale(ring.factorial(c))
-
-    details = [
-        detail("exponent", c + 1),
-        detail("charpoly", str(f)),
-        detail("nilpotent_part", str(v)),
-        detail("power_zero", Bc1.is_zero()),
-        detail("previous_power_nonzero", not Bc.is_zero()),
-        detail("nilpotent_power_is_top_monomial", vc == top),
-    ]
     ok = Bc1.is_zero() and not Bc.is_zero() and vc == top
-
-    for i in range(n):
-        factors = [(lams[i], c)] + [
-            (lams[j], c + 1) for j in range(n) if j != i
-        ]
-        gi = eval_product_form(A, factors)
+    named = {
+        "exponent": c + 1,
+        "charpoly": str(f),
+        "nilpotent_part": str(v),
+        "power_zero": Bc1.is_zero(),
+        "previous_power_nonzero": not Bc.is_zero(),
+        "nilpotent_power_is_top_monomial": vc == top,
+    }
+    for i, gi in enumerate(gs):
         expected = vc.scale(ring.power(fprime(lams[i]), c + 1))
         entry_ok = gi.entry(i + 1, i + 1) == expected
-        sep_ok = (not gi.is_zero()) and entry_ok
-        ok = ok and sep_ok
-        details.append(
-            detail(
-                f"separating_poly_{i + 1}",
-                {
-                    "nonzero": not gi.is_zero(),
-                    "diag_entry": str(gi.entry(i + 1, i + 1)),
-                    "expected": str(expected),
-                    "matches": entry_ok,
-                },
-            )
-        )
-
-    return _report({"target": "CHSharpness", **spec.to_dict()}, ok, details, start)
+        ok = ok and not gi.is_zero() and entry_ok
+        named[f"separating_poly_{i + 1}"] = {
+            "nonzero": not gi.is_zero(),
+            "diag_entry": str(gi.entry(i + 1, i + 1)),
+            "expected": str(expected),
+            "matches": entry_ok,
+        }
+    return ok, named
 
 
 # ----- capelli family -----
@@ -315,41 +278,27 @@ def capelli_witness(spec: WitnessSpec) -> Tuple[List[GrMatrix], List[GrMatrix]]:
     return xs, ys
 
 
-def capelli_sharpness_verify(
-    spec: WitnessSpec, max_dp_k: int = DEFAULT_CAPELLI_DP_K
-) -> Report:
-    """Check d_k(C; B) = (bridged chain) * prod parts_r!, nonzero."""
-    start = time.perf_counter()
-    ring = spec.ring
-    parts = spec.resolved_parts()
-    xs, ys = capelli_witness(spec)
-    k = len(xs)
-    value = capelli_dp(xs, ys, max_k=max_dp_k)
+def capelli_sharp_judge(value: GrMatrix, inputs: dict) -> Tuple[bool, dict]:
+    """Whether d_k(C; B) = (bridged chain) * prod parts_r!, nonzero."""
+    xs, ys, parts = inputs["xs"], inputs["ys"], inputs["parts"]
+    ring = xs[0].ring
     chain = ys[0]
-    for i in range(k):
-        chain = chain * xs[i] * ys[i + 1]
+    for x, y in zip(xs, ys[1:]):
+        chain = chain * x * y
     fact = ring.one
     for part in parts:
         fact = ring.mul(fact, ring.factorial(part))
-    expected = chain.scale_coeff(fact)
-
-    matches = value == expected
+    matches = value == chain.scale_coeff(fact)
     nonzero = not value.is_zero()
-    details = [
-        detail("x_degree", k),
-        detail("parts", list(parts)),
-        detail("zero_parts_used", any(p == 0 for p in parts)),
-        detail("factorial_product", ring.format(fact)),
-        detail("value", value.compact_str()),
-        detail("matches_factored_form", matches),
-        detail("nonzero", nonzero),
-    ]
-    ok = matches and nonzero
-    if k <= DEFAULT_NAIVE_K:
-        details.append(detail("naive_cross_check", capelli_naive(xs, ys) == value))
-        ok = ok and details[-1]["value"]
-
-    return _report({"target": "CapelliSharpness", **spec.to_dict()}, ok, details, start)
+    return matches and nonzero, {
+        "x_degree": len(xs),
+        "parts": list(parts),
+        "zero_parts_used": any(p == 0 for p in parts),
+        "factorial_product": ring.format(fact),
+        "value": value.compact_str(),
+        "matches_factored_form": matches,
+        "nonzero": nonzero,
+    }
 
 
 # ----- standard family -----
@@ -373,56 +322,45 @@ def standard_witness(n: int, m: int, ring: Ring) -> List[GrMatrix]:
     return mats
 
 
-def standard_sharpness_verify(
-    n: int, m: int, ring: Ring, max_dp_k: int = DEFAULT_STANDARD_DP_K
-) -> Report:
-    """Evaluate s_k on the witness, k = 2(n + floor(m/2)) - 1.
+def standard_sharp_judge(value: GrMatrix, inputs: dict) -> Tuple[bool, dict]:
+    """Whether s_k on the witness, k = 2(n + floor(m/2)) - 1, is nonzero
+    with the closed-form (1,1) entry.
 
     The exact closed form lives in the (1,1) entry:
     (2*floor(m/2))! v_1...v_w, reducing to 1 when m <= 1.  For n >= 2
     the full matrix carries additional diagonal terms in rows 2..n (for
     example s3(e12, e22, e21) = e11 + 2 e22), so the verdict asserts the
-    (1,1) entry and nonvanishing, and the report records whether the
+    (1,1) entry and nonvanishing, and the details record whether the
     whole matrix happens to match the closed form times e11.
     """
-    start = time.perf_counter()
-    mats = standard_witness(n, m, ring)
-    k = len(mats)
-    value = standard_dp(mats, max_k=max_dp_k)
-
+    first = inputs["mats"][0]
+    n, m, ring = first.n, first.m, first.ring
     w = 2 * (m // 2)
     closed11 = GrassmannElem.basis((1 << w) - 1, m, ring).scale(ring.factorial(w))
     expected_full = GrMatrix.unit(n, m, ring, 1, 1).scale(closed11)
-
     entry_ok = value.entry(1, 1) == closed11
     nonzero = not value.is_zero()
     full_match = value == expected_full
-    details = [
-        detail("degree", k),
-        detail("closed_form", expected_full.compact_str()),
-        detail("entry_11", str(value.entry(1, 1))),
-        detail("entry_11_matches_closed_form", entry_ok),
-        detail("nonzero", nonzero),
-        detail("full_matrix_matches_closed_form", full_match),
-        detail("value", value.compact_str()),
-    ]
-    if not full_match:
-        details.append(
-            detail(
-                "note",
-                "value carries extra diagonal terms beyond the (1,1) closed form",
-            )
-        )
-    ok = entry_ok and nonzero
-    if k <= DEFAULT_NAIVE_K:
-        details.append(detail("naive_cross_check", standard_naive(mats) == value))
-        ok = ok and details[-1]["value"]
-
-    campaign = {
-        "target": "StandardSharpness",
-        "kind": KIND_STANDARD,
-        "n": n,
-        "m": m,
-        "ring": ring.name,
+    named = {
+        "degree": len(inputs["mats"]),
+        "closed_form": expected_full.compact_str(),
+        "entry_11": str(value.entry(1, 1)),
+        "entry_11_matches_closed_form": entry_ok,
+        "nonzero": nonzero,
+        "full_matrix_matches_closed_form": full_match,
+        "value": value.compact_str(),
     }
-    return _report(campaign, ok, details, start)
+    if not full_match:
+        named["note"] = "value carries extra diagonal terms beyond the (1,1) closed form"
+    return entry_ok and nonzero, named
+
+
+def witness_inputs(spec: WitnessSpec) -> dict:
+    """The inputs of spec's sharpness check: the witness, with the
+    eigenvalues or the parts it was built from."""
+    if spec.kind == KIND_CH:
+        return {"matrix": ch_witness(spec), "lambdas": spec.resolved_lambdas()}
+    if spec.kind == KIND_CAPELLI:
+        xs, ys = capelli_witness(spec)
+        return {"xs": xs, "ys": ys, "parts": list(spec.resolved_parts())}
+    return {"mats": standard_witness(spec.n, spec.m, spec.ring)}

@@ -33,9 +33,6 @@ from grassmat.ring import QQ, ZZ, PrimeField, is_prime
 from grassmat.witnesses import (
     WitnessSpec,
     ceil_half,
-    ch_sharpness_verify,
-    capelli_sharpness_verify,
-    standard_sharpness_verify,
     standard_witness,
 )
 
@@ -110,7 +107,7 @@ def test_c02_ch_sharpness_grid(crit):
             for m in range(6):
                 p = next_prime(max(ceil_half(m), n - 1))
                 for ring in (QQ, PrimeField(p)):
-                    rep = ch_sharpness_verify(WitnessSpec("ch", n, m, ring))
+                    rep = run_campaign(Campaign(target="CHSharpness", n=n, m=m, ring=ring))
                     assert rep.verdict == PASS, (n, m, ring.name)
                     assert rep.find("exponent") == ceil_half(m) + 1
                     assert rep.find("power_zero") is True
@@ -178,9 +175,9 @@ def test_c06_capelli_sharpness(crit):
     with crit("C6 capelli sharpness grid plus worked value"):
         for n, m in GRID:
             for ring in (QQ, first_valid_prime("capelli", n, m)):
-                rep = capelli_sharpness_verify(WitnessSpec("capelli", n, m, ring))
+                rep = run_campaign(Campaign(target="CapelliSharpness", n=n, m=m, ring=ring))
                 assert rep.verdict == PASS, (n, m, ring.name)
-        worked = capelli_sharpness_verify(WitnessSpec("capelli", 1, 2, QQ))
+        worked = run_campaign(Campaign(target="CapelliSharpness", n=1, m=2, ring=QQ))
         assert worked.find("value") == "2*v1v2*e11"
 
 
@@ -250,7 +247,7 @@ def test_c08_standard_sharpness_refined_and_summary(capsys):
     for n, m in GRID:
         rings = [QQ, first_valid_prime("standard", n, m)]
         for ring in rings:
-            rep = standard_sharpness_verify(n, m, ring)
+            rep = run_campaign(Campaign(target="StandardSharpness", n=n, m=m, ring=ring))
             assert rep.verdict == PASS, (n, m, ring.name)
             assert rep.find("entry_11_matches_closed_form") is True, (n, m, ring.name)
             assert rep.find("nonzero") is True, (n, m, ring.name)

@@ -9,7 +9,7 @@ from grassmat.cli import main
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
 from grassmat.ring import QQ, ZZ
-from grassmat.witnesses import standard_witness
+from grassmat.witnesses import WitnessSpec, capelli_witness, standard_witness
 
 
 def run(capsys, argv):
@@ -185,6 +185,29 @@ def test_open_search_past_dp_cap_fails_before_building_atoms(capsys, monkeypatch
     assert code == EXIT_USAGE
     assert out == ""
     assert "capped at k <= 24, got 42" in err
+
+
+def test_open_search_builds_only_the_atoms_it_visits(capsys, monkeypatch):
+    # k = 2(1 + 11) = 24 is allowed over 4.2 M atoms; the walk reaches its
+    # budget after three of them, so no pool may be built up front
+    def no_atoms(*args):
+        raise AssertionError("atoms() built for the search")
+
+    monkeypatch.setattr(harness, "atoms", no_atoms)
+    argv = ["open-search", "-n", "1", "-m", "22", "--budget", "10", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    found = {d["name"]: d["value"] for d in json.loads(out)["details"]}
+    assert found["atoms"] == 1 << 22
+    assert found["tuples_considered"] == 10
+
+
+def test_lemma2_without_trials_usage_error(capsys):
+    # its control reads the trials' f(A), so a run without trials is refused
+    code, out, err = run(capsys, ["lemma2", "-n", "2", "-m", "2", "--trials", "0"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "trials >= 1" in err
 
 
 def test_open_search_samples_larger_than_atoms_usage_error(capsys):
@@ -369,6 +392,28 @@ def test_replay_reproducer_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_sharpness_failure_replays(tmp_path, capsys, monkeypatch):
+    # a zeroed standard_dp fails the witness; its report's reproducer
+    # replays to FAIL while the evaluator stays patched
+    def zero(mats, **_):
+        first = mats[0]
+        return GrMatrix.zero(first.n, first.m, first.ring)
+
+    monkeypatch.setattr(harness, "standard_dp", zero)
+    p = tmp_path / "rep.json"
+    code, out, _ = run(capsys, ["standard-sharp", "-n", "1", "-m", "2", "--output", str(p)])
+    assert code == 2
+    assert "reproducer: present" in out
+    assert json.loads(p.read_text())["reproducer"]["check"] == "standard_sharp"
+    code, out, _ = run(capsys, ["standard-sharp", "--replay", str(p)])
+    assert code == 2
+    assert "FAIL" in out
+    monkeypatch.undo()
+    code, out, _ = run(capsys, ["standard-sharp", "--replay", str(p)])
+    assert code == EXIT_OK
+    assert "PASS" in out
+
+
 def test_replay_unwraps_full_report(tmp_path, capsys):
     mats = standard_witness(1, 2, QQ)
     p = tmp_path / "full.json"
@@ -472,6 +517,25 @@ def test_replay_exponent_outside_range_usage_error(tmp_path, capsys, exponent):
     code, err = _replay_exit(tmp_path, capsys, reproducer)
     assert code == EXIT_USAGE
     assert "exponent" in err
+
+
+@pytest.mark.parametrize(
+    "parts, code", [([2], EXIT_OK), ([10**9], EXIT_USAGE), ([-2], EXIT_USAGE), ([3], EXIT_USAGE)]
+)
+def test_replay_capelli_sharp_parts_bounded_by_xs(tmp_path, capsys, parts, code):
+    # parts count the generator copies among the 3 x-arguments of the
+    # n = 1, m = 2 witness, which bounds the factorials the judge takes
+    xs, ys = capelli_witness(WitnessSpec("capelli", 1, 2, QQ))
+    reproducer = {
+        "target": "CapelliSharpness",
+        "check": "capelli_sharp",
+        "xs": matrices_to_json(xs),
+        "ys": matrices_to_json(ys),
+        "parts": parts,
+    }
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(reproducer))
+    assert run(capsys, ["capelli-sharp", "--replay", str(p)])[0] == code
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,9 @@ FORCED = {
     ),
     "product_zero": ("standard_product_eval", _unit, C11["c11_product"], "product_zero"),
     "filtration2": ("standard_dp", _unit, C11["c11_filtration"], "filtration2"),
+    "ch_sharp": ("Poly", _DropRoot, C11["c11_ch_sharp"], "ch_sharp"),
+    "capelli_sharp": ("capelli_dp", _zero, C11["c11_capelli_sharp"], "capelli_sharp"),
+    "standard_sharp": ("standard_dp", _zero, C11["c11_standard_sharp"], "standard_sharp"),
 }
 
 

@@ -20,16 +20,10 @@ from grassmat.grassmann import GrassmannElem
 from grassmat.harness import (
     Campaign,
     TARGETS,
-    atoms,
     degrees_for,
-    random_coeff,
-    random_degree1_grmatrix,
-    random_grmatrix,
     replay_reproducer,
     run_campaign,
     search_open_question,
-    splitmix64,
-    trial_rng,
     verify_amitsur_levitzki,
     verify_capelli_bound,
     verify_lemma2,
@@ -38,6 +32,14 @@ from grassmat.harness import (
     verify_young_lemma,
 )
 from grassmat.identities import standard_dp, standard_naive
+from grassmat.sampling import (
+    atoms,
+    random_coeff,
+    random_degree1_grmatrix,
+    random_grmatrix,
+    splitmix64,
+    trial_rng,
+)
 from grassmat.poly import Poly
 from grassmat.report import (
     COUNTEREXAMPLE_FOUND,

@@ -13,25 +13,28 @@ from grassmat.errors import (
 )
 from grassmat.gmatrix import GrMatrix
 from grassmat.grassmann import GrassmannElem
+from grassmat.harness import Campaign, run_campaign
 from grassmat.identities import capelli_dp, standard_dp
 from grassmat.report import PASS
 from grassmat.ring import QQ, ZZ, PrimeField
 from grassmat.witnesses import (
     WitnessSpec,
-    capelli_sharpness_verify,
     capelli_witness,
     ceil_half,
     ch_nilpotent,
-    ch_sharpness_verify,
     ch_witness,
     staircase_units,
-    standard_sharpness_verify,
     standard_witness,
 )
 
 
 def gen(i, m, ring=QQ):
     return GrassmannElem.generator(i, m, ring)
+
+
+def sharp(target, n, m, ring=QQ, **kw):
+    """The report of one sharpness campaign."""
+    return run_campaign(Campaign(target=target, n=n, m=m, ring=ring, **kw))
 
 
 # ------------------------------------------------------------ spec checks
@@ -140,8 +143,7 @@ def test_ch_witness_shape():
 
 
 def test_ch_sharpness_report_frozen():
-    spec = WitnessSpec("ch", 2, 4, QQ)
-    rep = ch_sharpness_verify(spec)
+    rep = sharp("CHSharpness", 2, 4)
     assert rep.verdict == PASS
     assert rep.find("exponent") == 3
     assert rep.find("power_zero") is True
@@ -158,15 +160,13 @@ def test_ch_sharpness_report_frozen():
 
 
 def test_ch_sharpness_small_prime_field():
-    spec = WitnessSpec("ch", 2, 4, PrimeField(3))
-    rep = ch_sharpness_verify(spec)
+    rep = sharp("CHSharpness", 2, 4, PrimeField(3))
     assert rep.verdict == PASS
 
 
 def test_ch_sharpness_m_zero():
     # Rank 0: A is diagonal scalar, f(A) = 0, exponent 1.
-    spec = WitnessSpec("ch", 3, 0, QQ)
-    rep = ch_sharpness_verify(spec)
+    rep = sharp("CHSharpness", 3, 0)
     assert rep.verdict == PASS
     assert rep.find("exponent") == 1
 
@@ -184,8 +184,7 @@ def test_capelli_witness_counts():
 
 def test_capelli_witness_value_frozen_1x1():
     # n=1, m=2: d_k collapses to 2 v1v2 e11.
-    spec = WitnessSpec("capelli", 1, 2, QQ)
-    rep = capelli_sharpness_verify(spec)
+    rep = sharp("CapelliSharpness", 1, 2)
     assert rep.verdict == PASS
     assert rep.find("x_degree") == 1 + 2
     assert rep.find("value") == "2*v1v2*e11"
@@ -195,8 +194,7 @@ def test_capelli_witness_value_frozen_1x1():
 
 
 def test_capelli_witness_value_frozen_1x1_rank4_f5():
-    spec = WitnessSpec("capelli", 1, 4, PrimeField(5), parts=(4,))
-    rep = capelli_sharpness_verify(spec)
+    rep = sharp("CapelliSharpness", 1, 4, PrimeField(5), parts=(4,))
     assert rep.verdict == PASS
     # 4! = 24 = 4 mod 5.
     assert rep.find("value") == "4*v1v2v3v4*e11"
@@ -204,8 +202,7 @@ def test_capelli_witness_value_frozen_1x1_rank4_f5():
 
 
 def test_capelli_witness_value_frozen_2x2():
-    spec = WitnessSpec("capelli", 2, 2, QQ)
-    rep = capelli_sharpness_verify(spec)
+    rep = sharp("CapelliSharpness", 2, 2)
     assert rep.verdict == PASS
     assert rep.find("x_degree") == 6
     assert rep.find("value") == "2*v1v2*e11"
@@ -220,8 +217,7 @@ def test_capelli_witness_direct_evaluation_agrees():
 
 
 def test_capelli_zero_parts_detail():
-    spec = WitnessSpec("capelli", 2, 2, QQ)
-    rep = capelli_sharpness_verify(spec)
+    rep = sharp("CapelliSharpness", 2, 2)
     assert rep.find("zero_parts_used") is True
     assert rep.find("parts") == [2, 0, 0, 0]
 
@@ -252,7 +248,7 @@ def test_standard_witness_length():
 
 
 def test_standard_sharpness_frozen_1x1():
-    rep = standard_sharpness_verify(1, 2, QQ)
+    rep = sharp("StandardSharpness", 1, 2)
     assert rep.verdict == PASS
     assert rep.find("degree") == 2 * (1 + 1) - 1
     assert rep.find("entry_11") == "2*v1v2"
@@ -264,7 +260,7 @@ def test_standard_sharpness_frozen_1x1():
 def test_standard_sharpness_frozen_2x2_rank_0():
     # Scalar case: s_3 over the staircase gives e11 + 2 e22, so only the
     # (1,1) entry matches the closed form.
-    rep = standard_sharpness_verify(2, 0, QQ)
+    rep = sharp("StandardSharpness", 2, 0)
     assert rep.verdict == PASS
     assert rep.find("entry_11") == "1"
     assert rep.find("entry_11_matches_closed_form") is True
@@ -272,7 +268,7 @@ def test_standard_sharpness_frozen_2x2_rank_0():
 
 
 def test_standard_sharpness_frozen_2x2():
-    rep = standard_sharpness_verify(2, 2, QQ)
+    rep = sharp("StandardSharpness", 2, 2)
     assert rep.verdict == PASS
     assert rep.find("degree") == 2 * (2 + 1) - 1
     assert rep.find("entry_11") == "2*v1v2"
@@ -283,7 +279,7 @@ def test_standard_sharpness_frozen_2x2():
 
 def test_standard_sharpness_field_gate():
     with pytest.raises(BadCharacteristicError):
-        standard_sharpness_verify(2, 2, PrimeField(2))
+        sharp("StandardSharpness", 2, 2, PrimeField(2))
 
 
 def test_standard_witness_direct_evaluation():
