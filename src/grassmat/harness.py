@@ -77,6 +77,7 @@ from .witnesses import (
     capelli_sharp_judge,
     capelli_witness,
     ceil_half,
+    ch_exponent,
     ch_sharp_judge,
     staircase_units,
     standard_sharp_judge,
@@ -201,8 +202,8 @@ def _field_spec(kind: str, n: int, m: int, ring: Ring, **kw) -> WitnessSpec:
 
 def _power(inputs: dict, max_k: int) -> GrMatrix:
     """f(A)^exponent, f the degree-0 charpoly or prod (x - lambda_i)."""
-    A = inputs["matrix"]
-    lams = inputs.get("lambdas")
+    A, lams = inputs["matrix"], inputs.get("lambdas")
+    ch_exponent(A.m)  # the rank cap, before any power
     f = charpoly(A.component(0)) if lams is None else Poly.from_roots(A.ring, lams)
     return f.at_matrix(A) ** inputs["exponent"]
 
@@ -211,6 +212,7 @@ def _lemma2(inputs: dict, max_k: int) -> Tuple[GrMatrix, Dict[str, bool]]:
     """B = f(A) for f = prod (x - lambda_i), and the Lemma 2 checks on it."""
     A, lams = inputs["matrix"], inputs["lambdas"]
     ring, n = A.ring, A.n
+    ch_exponent(A.m)  # the rank cap, before any power
     f = Poly.from_roots(ring, lams)
     fprime = f.derivative()
     B = f.at_matrix(A)
@@ -281,7 +283,7 @@ def _ch_sharp(inputs: dict, max_k: int) -> tuple:
     """(f, f(A)^c, f(A)^(c+1), [g_i(A)]) for f = prod (x - lambda_i), c = ceil(m/2)
     and g_i = (x - lambda_i)^c prod_{j != i} (x - lambda_j)^(c+1)."""
     A, lams = inputs["matrix"], inputs["lambdas"]
-    c = ceil_half(A.m)
+    c = ch_exponent(A.m)
     f = Poly.from_roots(A.ring, lams)
     B = f.at_matrix(A)
     Bc = B**c
@@ -396,9 +398,7 @@ def _read_exponent(raw, inputs: dict) -> int:
 
 def _read_lambdas(raw, inputs: dict) -> Tuple:
     A = inputs["matrix"]
-    if not isinstance(raw, list) or len(raw) != A.n or not all(
-        isinstance(s, str) for s in raw
-    ):
+    if not (isinstance(raw, list) and len(raw) == A.n and all(isinstance(s, str) for s in raw)):
         raise ValueError(f"lambdas must be a list of {A.n} strings")
     return tuple(A.ring.parse(s) for s in raw)
 

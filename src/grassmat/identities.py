@@ -13,13 +13,12 @@ Both have a naive k!-term evaluator (the oracle, guarded at small k) and
 a subset dynamic program.  The DP runs over suffixes: h(S) is the signed
 sum over arrangements of S in the last |S| slots, built from
 h(S minus {i}) by placing x_i first among them, which costs
-sign (-1)^|{j in S : j < i}|.  A state is a raw list of n*n term dicts
-(None for a zero entry), not a GrMatrix, and a layer keeps only its
-live (nonzero) states.  Each layer is built by pushing every live state
-of the previous one into its supersets, consuming the previous layer as
-it goes, and is cleaned once at its end, when states that cancel are
-dropped.  So the work scales with the live states; sparse inputs such
-as atom tuples touch far fewer.
+sign (-1)^|{j in S : j < i}|.  A layer keeps only its live (nonzero)
+states.  Each layer is built by pushing every live state of the
+previous one into its supersets, consuming the previous layer as it
+goes, and skipping a push when no column of x_i meets a row of the
+state; it is cleaned once at its end.  So the work scales with the live
+states; sparse inputs such as atom tuples touch far fewer.
 
 h(S) is s_|S| on the x's of S in increasing order, so prefixes and
 suffixes are the same family and s_k meets in the middle: the standard
@@ -29,14 +28,51 @@ the live pairs.  Memory peaks at one layer of at most C(k, k//2) live
 states, or for odd k at layers floor(k/2) and ceil(k/2) held together.
 For the Capelli form, whose prefixes and suffixes carry different y's,
 every layer is built, and the layer at size s premultiplies the fixed
-y_{k-s+1} into each live state before the transition.  Only the final
-full-subset state is wrapped into a GrMatrix.
+y_{k-s+1} into each live state before the transition.
 
-The operands a call holds fixed (each x_i, each y, each left state of
-the join) get a product table, filled lazily for that call only: for
-each nonzero entry and each right mask sb it meets, the signed terms
-grassmann.signed_products(entry, sb).  The inner loop then needs no
-disjointness test or sign lookup.
+Packed states.  The DP runs on plain ints in every ring.  A state is one
+dict: its key (t << m) | mask names row t of the matrix at the Grassmann
+monomial mask, and its value P = sum over c of d_c << (W*c) packs the n
+column coefficients of that row as signed digits, |d_c| < 2^(W-1).  An
+entry whose P is 0 is dropped, and a state with no entries is dead.
+Multiplying a packed row by one coefficient of the left factor
+multiplies all n digits at once, so the kernel spends one int
+multiply-add per pair of terms instead of one per column.  Each operand
+held fixed for a call (each x_i, each y, each left state of the join)
+keeps a table, filled lazily, from a state key (t << m) | sb to the
+signed terms its column t sends into each row r,
+[((r << m) | u, +-ca)], built with grassmann.signed_products, so the DP
+shares one sign rule with the products.  Only the final state is
+unpacked into a GrMatrix.
+
+The width lemma.  Take c = p - 1 over Z/p, and otherwise the largest
+|coefficient| of the integer factors, and let N be the number of
+factors (k for s_k, 2k + 1 for d_k) and F the number of products in a
+word (k - 1 for s_k, 2k for d_k).  With
+W = bits(k!) + F*bits(n * 2^m) + N*bits(c) + 1, no digit ever reaches
+2^(W-1).  Proof: expand the polynomial into words, one choice of
+permutation, of the n inner indices between neighbouring factors, and
+of an ordered split of the output mask u into one mask per factor.  For
+a fixed output entry and mask there are at most k! permutations, n^F
+index choices and (F + 1)^|u| <= 2^(m*F) splits, since F + 1 <= 2^F;
+so at most k! (n 2^m)^F words, each a product of at most N
+coefficients, so of size at most 2^(N*bits(c)).  Every digit the DP
+ever holds (a state of a smaller S, a partial accumulator during a
+push, a premultiplied state, a product of two joined digits) is a
+signed sum of a subset of the words of one such expansion with at most
+as many factors, because no step reduces or cancels anything but adds
+whole words.  So its size is at most
+k! (n 2^m)^F 2^(N*bits(c)) < 2^(W-1), strictly because k! < 2^bits(k!),
+and the decoding of each digit from its W-bit field is exact.
+
+Rings.  Over int the DP runs on the coefficients as they are.  Over
+Z/p it runs on the residues as ints, and the final state is reduced once
+by Ring.lower_terms (clean_terms).  Over rat each factor is lifted once
+by Ring.lift_terms to integer numerators over its denominator d_i; by
+multilinearity the polynomial of the lifted factors is the polynomial
+of the originals times the product D of the d_i, so the final state is
+lowered once by Ring.lower_terms(terms, D), which gives the same
+canonical Fractions term for term.
 
 young_alternating_sum restricts the alternating sum to a Young subgroup
 (a product of symmetric groups on the classes of a set partition).  It
@@ -47,7 +83,7 @@ rely on the vanishing or factorial lemmas must check those separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import chain, compress, permutations, product
 from math import factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -59,6 +95,7 @@ from .errors import (
 )
 from .gmatrix import GrMatrix
 from .grassmann import GrassmannElem, signed_products
+from .ring import ZMOD
 
 DEFAULT_NAIVE_K = 8
 DEFAULT_STANDARD_DP_K = 24
@@ -135,140 +172,194 @@ def capelli_naive(
     return total
 
 
-# A raw state is a flat row-major list of n*n term dicts, None for a
-# zero entry; a layer maps subset masks to its live states only.
-State = List[Optional[dict]]
+# A state is one dict over the nonzero rows of h(S): key (t << m) | mask,
+# value P = sum_c d_c << (W*c), row t's n column digits at that mask.
+# A layer maps subset masks to its live states only.
 
 
-def _operand(state: State, n: int) -> list:
-    """(r, t, terms, table) of every nonzero entry of a state held fixed.
+class _Operand(dict):
+    """A factor held fixed for one call: an x_i, a y, or a left state.
 
-    table maps each right mask sb met so far to signed_products(terms,
-    sb); it fills lazily and lives as long as the operand, one call.
+    flat is its row-major list of n*n term dicts with integer
+    coefficients (None or {} for a zero entry), and bit r*n + t of live
+    is set when entry (r, t) is nonzero.  As a dict it maps a state key
+    (t << m) | sb to what that state entry sends into every row r,
+    [((r << m) | u, ±ca)] over the terms of column t, from
+    grassmann.signed_products; each row is filled on first lookup and
+    kept for the call.
     """
-    return [(j // n, j % n, d, {}) for j, d in enumerate(state) if d is not None]
+
+    __slots__ = ("flat", "n", "m", "live")
+
+    def __init__(self, flat: list, n: int, m: int, live: int):
+        self.flat, self.n, self.m, self.live = flat, n, m, live
+
+    def __missing__(self, key: int) -> list:
+        m = self.m
+        sb = key & ((1 << m) - 1)
+        row = []
+        for r, terms in enumerate(self.flat[key >> m :: self.n]):
+            if terms:
+                rm = r << m
+                for u, ca in signed_products(terms, sb):
+                    row.append((rm | u, ca))
+        self[key] = row
+        return row
 
 
-def _matrix_operand(A: GrMatrix) -> list:
-    """The _operand of a GrMatrix; its entries' term dicts are shared."""
-    return [
-        (r, t, e.terms, {})
-        for r, row in enumerate(A.rows)
-        for t, e in enumerate(row)
-        if e.terms
-    ]
+def _operands(mats: Sequence[GrMatrix], k: int, products: int) -> Tuple[list, int, int]:
+    """(operands, W, d) for a polynomial of degree k in the x's whose
+    words are `products` matrix products long: each factor lifted to
+    integers by Ring.lift_terms, the digit width W of the width lemma
+    above, and the product d of the factors' denominators (1 outside
+    rat)."""
+    first = mats[0]
+    n, m, ring = first.n, first.m, first.ring
+    bits = [1 << j for j in range(n * n)]
+    ops, den = [], 1
+    for A in mats:
+        flat, d = ring.lift_terms([e.terms for row in A.rows for e in row])
+        ops.append(_Operand(flat, n, m, sum(compress(bits, flat))))
+        den *= d
+    if ring.kind == ZMOD:
+        c = ring.characteristic - 1
+    else:
+        values = chain.from_iterable(map(dict.values, chain.from_iterable(x.flat for x in ops)))
+        c = max(map(abs, values), default=0)
+    width = (
+        factorial(k).bit_length()
+        + products * (n << m).bit_length()
+        + len(mats) * c.bit_length()
+        + 1
+    )
+    return ops, width, den
 
 
-def _identity_state(n: int, ring) -> State:
-    return [{0: ring.one} if j % (n + 1) == 0 else None for j in range(n * n)]
+def _identity_state(n: int, m: int, width: int) -> dict:
+    return {t << m: 1 << (width * t) for t in range(n)}
 
 
-def _mul_state_into(acc: State, x: list, state: State, n: int, neg: bool = False) -> None:
-    """acc += (-1)^neg * x * state, raw; x is the _operand of the left factor."""
-    for r, t, ta, table in x:
-        rn = r * n
-        tn = t * n
-        for c in range(n):
-            tb = state[tn + c]
-            if tb is None:
-                continue
-            d = acc[rn + c]
-            if d is None:
-                d = acc[rn + c] = {}
-            get = d.get
-            for sb, cb in tb.items():
-                row = table.get(sb)
-                if row is None:
-                    row = table[sb] = signed_products(ta, sb)
-                if neg:
-                    cb = -cb
-                for u, ca in row:
-                    prev = get(u)
-                    d[u] = ca * cb if prev is None else prev + ca * cb
+def _digits(P: int, n: int, width: int) -> List[int]:
+    """The n signed digits packed in P, column 0 first."""
+    full = 1 << width
+    half = full >> 1
+    out = []
+    for _ in range(n):
+        d = P & (full - 1)
+        if d >= half:
+            d -= full
+        out.append(d)
+        P = (P - d) >> width
+    return out
 
 
-def _clean_layer(layer: dict, ring) -> dict:
-    """Clean every raw entry in place; drop the states that cancel to zero."""
-    clean = ring.clean_terms
-    dead = []
+def _mul_state_into(acc: dict, x: _Operand, state: dict, neg: bool = False) -> None:
+    """acc += (-1)^neg * x * state: one multiply-add per term pair, for
+    all n columns at once."""
+    get = acc.get
+    for key, P in state.items():
+        if neg:
+            P = -P
+        for u, ca in x[key]:
+            acc[u] = get(u, 0) + ca * P
+
+
+def _clean_layer(layer: dict) -> dict:
+    """Drop the entries that cancel to 0, then the states left empty."""
+    out = {}
     for mask, state in layer.items():
-        live = False
-        for j, d in enumerate(state):
-            if d is not None:
-                d = clean(d)
-                if d:
-                    state[j] = d
-                    live = True
-                else:
-                    state[j] = None
-        if not live:
-            dead.append(mask)
-    for mask in dead:
-        del layer[mask]
-    return layer
+        state = {key: P for key, P in state.items() if P}
+        if state:
+            out[mask] = state
+    return out
 
 
-def _dp_transition(xnz: List[list], layer: dict, k: int, n: int, ring) -> dict:
+def _dp_transition(xs: List[_Operand], layer: dict, k: int) -> dict:
     """One cardinality layer of the suffix DP, pushed from live states.
 
     Consumes layer: each live h(T) is popped and pushed into every
     superset S = T + {i}, adding (-1)^|{j in T : j < i}| x_i h(T) to
-    h(S).  xnz[i] is the _operand of x_i.
+    h(S).  A push is skipped when no column of x_i meets a row of h(T).
     """
+    n, m = xs[0].n, xs[0].m
+    spread = ((1 << (n * n)) - 1) // ((1 << n) - 1)  # bit t -> bits r*n + t
     nxt: dict = {}
     while layer:
         mask, prev = layer.popitem()
+        rows = 0
+        for key in prev:
+            rows |= 1 << (key >> m)
+        rows *= spread  # the entries (r, t) that meet a row t of prev
         for i in range(k):
             bit = 1 << i
-            if mask & bit or not xnz[i]:
+            if mask & bit or not xs[i].live & rows:
                 continue
             acc = nxt.get(mask | bit)
             if acc is None:
-                acc = nxt[mask | bit] = [None] * (n * n)
-            neg = (mask & (bit - 1)).bit_count() & 1 == 1
-            _mul_state_into(acc, xnz[i], prev, n, neg)
-    return _clean_layer(nxt, ring)
+                acc = nxt[mask | bit] = {}
+            _mul_state_into(acc, xs[i], prev, (mask & (bit - 1)).bit_count() & 1 == 1)
+    return _clean_layer(nxt)
 
 
-def _premultiply(y: GrMatrix, layer: dict, n: int, ring) -> dict:
+def _premultiply(y: _Operand, layer: dict) -> dict:
     """Replace every state h of layer by y * h."""
-    yop = _matrix_operand(y)
     for mask, state in layer.items():
-        out: State = [None] * (n * n)
-        _mul_state_into(out, yop, state, n)
+        out: dict = {}
+        _mul_state_into(out, y, state)
         layer[mask] = out
-    return _clean_layer(layer, ring)
+    return _clean_layer(layer)
 
 
-def _join(left: dict, right: dict, k: int, n: int, ring) -> Optional[State]:
+def _state_operand(state: dict, n: int, m: int, width: int) -> _Operand:
+    """A state unpacked into the _Operand of the matrix it packs."""
+    low = (1 << m) - 1
+    flat: list = [None] * (n * n)
+    live = 0
+    for key, P in state.items():
+        rn, sa = (key >> m) * n, key & low
+        for t, d in enumerate(_digits(P, n, width)):
+            if d:
+                if flat[rn + t] is None:
+                    flat[rn + t] = {sa: d}
+                    live |= 1 << (rn + t)
+                else:
+                    flat[rn + t][sa] = d
+    return _Operand(flat, n, m, live)
+
+
+def _join(left: dict, right: dict, k: int, n: int, m: int, width: int) -> dict:
     """s_k = sum over S in left of (-1)^shuffle(S) h(S) h(S^c), S^c in right.
 
     shuffle(S) counts the pairs a in S, b outside S with a > b: the
     inversions of the word that lists S, then S^c, each increasing.
-    That is the sign of v_S v_{S^c}.  None when the sum is zero.
+    That is the sign of v_S v_{S^c}.
     """
     full = (1 << k) - 1
-    acc: State = [None] * (n * n)
+    acc: dict = {}
     for mask, state in left.items():
         comp = right.get(full ^ mask)
         if comp is not None:
             ((_, sign),) = signed_products({mask: 1}, full ^ mask)
-            _mul_state_into(acc, _operand(state, n), comp, n, sign < 0)
-    return _clean_layer({full: acc}, ring).get(full)
+            _mul_state_into(acc, _state_operand(state, n, m, width), comp, sign < 0)
+    return acc
 
 
-def _wrap_state(state: Optional[State], n: int, m: int, ring) -> GrMatrix:
-    """The GrMatrix of a raw state; None is the zero matrix."""
-    if state is None:
+def _wrap_state(state: Optional[dict], n: int, m: int, ring, width: int, den: int) -> GrMatrix:
+    """The GrMatrix of a packed state over the integers, divided by den."""
+    if not state:
         return GrMatrix.zero(n, m, ring)
-    z = GrassmannElem.zero(m, ring)
+    low = (1 << m) - 1
+    terms = [[{} for _ in range(n)] for _ in range(n)]
+    for key, P in state.items():
+        row, u = terms[key >> m], key & low
+        for c, d in enumerate(_digits(P, n, width)):
+            if d:
+                row[c][u] = d
+    lower = ring.lower_terms
     make = GrassmannElem._make
     return GrMatrix._make(
         n, m, ring,
-        tuple(
-            tuple(z if d is None else make(m, ring, d) for d in state[r * n : (r + 1) * n])
-            for r in range(n)
-        ),
+        tuple(tuple(make(m, ring, lower(d, den) if d else d) for d in row) for row in terms),
     )
 
 
@@ -288,14 +379,14 @@ def standard_dp(
     _check_matrix_family(mats, "standard_dp")
     first = mats[0]
     n, m, ring = first.n, first.m, first.ring
-    xnz = [_matrix_operand(A) for A in mats]
-    layer = {0: _identity_state(n, ring)}
+    xs, width, den = _operands(mats, k, k - 1)
+    layer = {0: _identity_state(n, m, width)}
     for _ in range(k // 2):
-        layer = _dp_transition(xnz, layer, k, n, ring)
+        layer = _dp_transition(xs, layer, k)
     left = layer
     if k & 1:
-        layer = _dp_transition(xnz, dict(left), k, n, ring)
-    return _wrap_state(_join(left, layer, k, n, ring), n, m, ring)
+        layer = _dp_transition(xs, dict(left), k)
+    return _wrap_state(_join(left, layer, k, n, m, width), n, m, ring, width, den)
 
 
 def capelli_dp(
@@ -307,29 +398,30 @@ def capelli_dp(
 
     The suffix owning the x-slots k-s+1..k starts with y_{k-s+1} already
     attached to the previous layer, so each layer premultiplies its
-    fixed y once per live raw state instead of once per transition
-    term; y_0 is premultiplied last.  There is no join, since a prefix
-    and a suffix carry different y's: all k layers are built, unless one
-    comes out empty.  Only the full-mask state is wrapped into a
-    GrMatrix.
+    fixed y once per live state instead of once per transition term;
+    y_0 is premultiplied last.  There is no join, since a prefix and a
+    suffix carry different y's: all k layers are built, unless one comes
+    out empty.  Only the full-mask state is unpacked into a GrMatrix.
     """
     k = len(xs)
     if len(ys) != k + 1:
         raise LengthMismatchError(f"need {k + 1} y's for x-degree {k}, got {len(ys)}")
     if k > max_k:
         raise DegreeTooLargeError(f"DP evaluation capped at k <= {max_k}, got {k}")
-    _check_matrix_family(list(xs) + list(ys), "capelli_dp")
+    mats = list(xs) + list(ys)
+    _check_matrix_family(mats, "capelli_dp")
     first = ys[0]
     n, m, ring = first.n, first.m, first.ring
-    xnz = [_matrix_operand(A) for A in xs]
-    layer = {0: _identity_state(n, ring)}
+    ops, width, den = _operands(mats, k, 2 * k)
+    xops, yops = ops[:k], ops[k:]
+    layer = {0: _identity_state(n, m, width)}
     for s in range(1, k + 1):
         if not layer:
             break  # every later layer is empty too
-        layer = _premultiply(ys[k - s + 1], layer, n, ring)
-        layer = _dp_transition(xnz, layer, k, n, ring)
-    layer = _premultiply(ys[0], layer, n, ring)
-    return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
+        layer = _premultiply(yops[k - s + 1], layer)
+        layer = _dp_transition(xops, layer, k)
+    layer = _premultiply(yops[0], layer)
+    return _wrap_state(layer.get((1 << k) - 1), n, m, ring, width, den)
 
 
 def standard_product_eval(

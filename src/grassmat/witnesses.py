@@ -38,6 +38,7 @@ from typing import List, Optional, Tuple
 from .errors import (
     BadCharacteristicError,
     BadPartitionError,
+    DegreeTooLargeError,
     DuplicateLambdasError,
     LengthMismatchError,
 )
@@ -50,9 +51,22 @@ KIND_CAPELLI = "capelli"
 KIND_STANDARD = "standard"
 KINDS = (KIND_CH, KIND_CAPELLI, KIND_STANDARD)
 
+# Rank cap of the checks on f(A): the nilpotent part of a rank-m input
+# raised to ceil(m/2) has up to C(m/2, m/4) terms per entry, so their
+# work grows about 4x per four generators.
+MAX_CH_RANK = 24
+
 
 def ceil_half(m: int) -> int:
     return (m + 1) // 2
+
+
+def ch_exponent(m: int) -> int:
+    """c = ceil(m/2) for the checks on f(A) at rank m, which raise
+    DegreeTooLargeError above MAX_CH_RANK before any power is taken."""
+    if m > MAX_CH_RANK:
+        raise DegreeTooLargeError(f"checks on f(A) capped at rank m <= {MAX_CH_RANK}, got {m}")
+    return ceil_half(m)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -3,28 +3,26 @@
 These deliberately avoid the library's evaluation strategies: the
 characteristic polynomial comes from the Leibniz determinant expansion
 (k! terms) instead of the division-free recurrence, the open-question
-search visits every atom tuple instead of skipping pruned blocks, and
-s_k is built through all k suffix layers with mul_into instead of being
-joined at k/2 with product tables, and products of elements and matrices
+search visits every atom tuple instead of skipping pruned blocks,
+s_k and d_k are built through all k suffix layers on n*n term dicts
+over the ring's own values with mul_into, instead of on packed integer
+rows joined at k/2, and products of elements and matrices
 run the term kernel on the ring's own values (Fractions over the
 rationals) instead of on integer numerators over a common denominator,
 so agreement is meaningful evidence.
 """
 
 from itertools import combinations, permutations
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from grassmat import GrMatrix, Poly
 from grassmat.errors import DegreeTooLargeError
 from grassmat.grassmann import GrassmannElem, mul_into
 from grassmat.harness import Campaign, _Trials, atoms, degrees_for
 from grassmat.identities import (
+    DEFAULT_CAPELLI_DP_K,
     DEFAULT_STANDARD_DP_K,
-    State,
     _check_matrix_family,
-    _clean_layer,
-    _identity_state,
-    _wrap_state,
 )
 from grassmat.poly import scalar_rows
 from grassmat.report import Report
@@ -124,7 +122,12 @@ def brute_force_open_search(campaign: Campaign) -> Report:
     return t.finish(search=True)
 
 
-# ----- s_k through every suffix layer -----
+# ----- s_k and d_k through every suffix layer, on n*n term dicts -----
+
+# A state is a flat row-major list of n*n term dicts over the ring's
+# own values, None for a zero entry; a layer maps subset masks to its
+# live states only.
+State = List[Optional[dict]]
 
 
 def _nonzero_entries(A: GrMatrix) -> List[Tuple[int, int, dict]]:
@@ -135,6 +138,10 @@ def _nonzero_entries(A: GrMatrix) -> List[Tuple[int, int, dict]]:
         for t, e in enumerate(row)
         if e.terms
     ]
+
+
+def _identity_state(n: int, ring) -> State:
+    return [{0: ring.one} if j % (n + 1) == 0 else None for j in range(n * n)]
 
 
 def _mul_state_into(acc: State, xnz: list, state: State, n: int, neg: bool = False) -> None:
@@ -149,6 +156,20 @@ def _mul_state_into(acc: State, xnz: list, state: State, n: int, neg: bool = Fal
                 if d is None:
                     d = acc[rn + c] = {}
                 mul_into(d, ta, tb, neg)
+
+
+def _clean_layer(layer: dict, ring) -> dict:
+    """Clean every raw entry in place; drop the states that cancel to zero."""
+    dead = []
+    for mask, state in layer.items():
+        for j, d in enumerate(state):
+            if d is not None:
+                state[j] = ring.clean_terms(d) or None
+        if all(d is None for d in state):
+            dead.append(mask)
+    for mask in dead:
+        del layer[mask]
+    return layer
 
 
 def _dp_transition(xnz: List[list], layer: dict, k: int, n: int, ring) -> dict:
@@ -173,6 +194,28 @@ def _dp_transition(xnz: List[list], layer: dict, k: int, n: int, ring) -> dict:
     return _clean_layer(nxt, ring)
 
 
+def _premultiply(y: GrMatrix, layer: dict, n: int, ring) -> dict:
+    """Replace every state h of layer by y * h."""
+    ynz = _nonzero_entries(y)
+    for mask, state in layer.items():
+        out: State = [None] * (n * n)
+        _mul_state_into(out, ynz, state, n)
+        layer[mask] = out
+    return _clean_layer(layer, ring)
+
+
+def _wrap_state(state: Optional[State], n: int, m: int, ring) -> GrMatrix:
+    """The GrMatrix of a raw state; None is the zero matrix."""
+    if state is None:
+        return GrMatrix.zero(n, m, ring)
+    return GrMatrix(
+        [
+            [GrassmannElem._make(m, ring, d or {}) for d in state[r * n : (r + 1) * n]]
+            for r in range(n)
+        ]
+    )
+
+
 def full_layer_standard_dp(
     mats: Sequence[GrMatrix], max_k: int = DEFAULT_STANDARD_DP_K
 ) -> GrMatrix:
@@ -187,6 +230,26 @@ def full_layer_standard_dp(
     layer = {0: _identity_state(n, ring)}
     for _ in range(k):
         layer = _dp_transition(xnz, layer, k, n, ring)
+    return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
+
+
+def full_layer_capelli_dp(
+    xs: Sequence[GrMatrix], ys: Sequence[GrMatrix], max_k: int = DEFAULT_CAPELLI_DP_K
+) -> GrMatrix:
+    """d_k via the subset DP, y_{k-s+1} premultiplied before layer s;
+    agrees with capelli_naive."""
+    k = len(xs)
+    if k > max_k:
+        raise DegreeTooLargeError(f"DP evaluation capped at k <= {max_k}, got {k}")
+    _check_matrix_family(list(xs) + list(ys), "capelli_dp")
+    first = ys[0]
+    n, m, ring = first.n, first.m, first.ring
+    xnz = [_nonzero_entries(A) for A in xs]
+    layer = {0: _identity_state(n, ring)}
+    for s in range(1, k + 1):
+        layer = _premultiply(ys[k - s + 1], layer, n, ring)
+        layer = _dp_transition(xnz, layer, k, n, ring)
+    layer = _premultiply(ys[0], layer, n, ring)
     return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, replay."""
 
 import json
+import time
 
 import pytest
 
@@ -585,3 +586,36 @@ def test_replay_young_bounded_before_hypothesis_check(tmp_path, capsys, monkeypa
     assert code == EXIT_USAGE
     assert out == ""
     assert "capped at k <= 24, got 3000" in err
+
+
+@pytest.mark.parametrize("check", ["ch_sharp", "power_zero", "power_nonzero", "lemma2"])
+def test_ch_checks_past_rank_cap_fail_fast(tmp_path, capsys, check):
+    # f(A)^ceil(m/2) grows about 4x per four generators, so the checks on
+    # f(A) refuse a rank above MAX_CH_RANK, in a campaign and in a replay,
+    # before any power is taken
+    from grassmat.witnesses import MAX_CH_RANK, witness_inputs
+
+    m = 36
+    assert m > MAX_CH_RANK
+    inputs = witness_inputs(WitnessSpec(kind="ch", n=1, m=m, ring=QQ))
+    if check.startswith("power"):
+        inputs["exponent"] = (m + 1) // 2 + (check == "power_zero")
+    target = {"ch_sharp": harness.CH_SHARPNESS, "lemma2": harness.LEMMA2}.get(check, harness.THEOREM1)
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(harness._reproducer(target, check, inputs)))
+    runs = [["ch-sharp", "--replay", str(p)]]
+    if check == "ch_sharp":
+        runs.append(["ch-sharp", "-n", "1", "-m", str(m)])
+    for argv in runs:
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert f"rank m <= {MAX_CH_RANK}" in err
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("cmd", ["ch-verify", "lemma2"])
+def test_ch_campaigns_past_rank_cap_usage_error(capsys, cmd):
+    code, _, err = run(capsys, [cmd, "-n", "1", "-m", "36", "--trials", "1"])
+    assert code == EXIT_USAGE
+    assert "capped at rank" in err

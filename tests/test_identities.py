@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -15,6 +16,7 @@ from grassmat.errors import (
 from grassmat.gmatrix import GrMatrix
 from grassmat.grassmann import GrassmannElem
 from grassmat.harness import atoms
+from grassmat import identities
 from grassmat.identities import (
     YoungSpec,
     capelli_dp,
@@ -27,7 +29,7 @@ from grassmat.identities import (
 )
 from grassmat.ring import QQ, ZZ, PrimeField
 
-from oracles import full_layer_standard_dp
+from oracles import full_layer_capelli_dp, full_layer_standard_dp
 
 
 def unit(r, s, n=2, m=2, ring=ZZ):
@@ -350,6 +352,160 @@ def test_standard_dp_join_matches_full_layers():
             if not value.is_zero():
                 nonzero.add(len(spec))
     assert nonzero == set(range(1, 12))
+
+
+# ------------------------------------------------------------ packed integer DP
+
+WIDE_RINGS = (ZZ, QQ, PrimeField(2), PrimeField(7), PrimeField(1000003))
+
+
+def _wide_coeff(rng, ring):
+    """Coefficients that stress the digit width: ints near 2^62, rationals
+    with denominators up to 12, and residues over the whole field."""
+    if ring == ZZ:
+        return rng.choice((1, -1)) * (2**62 - rng.randrange(10))
+    if ring == QQ:
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 12))
+    return rng.randrange(1, ring.modulus)
+
+
+def _wide_matrix(rng, n, m, ring, kind):
+    if kind == "zero":
+        return GrMatrix.zero(n, m, ring)
+    if kind == "atom":
+        r, c = rng.randint(1, n), rng.randint(1, n)
+        e = GrassmannElem.basis(rng.randrange(1 << m), m, ring).scale(_wide_coeff(rng, ring))
+        return GrMatrix.unit(n, m, ring, r, c).scale(e)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            e = GrassmannElem.zero(m, ring)
+            for _ in range(rng.randint(0, 2)):
+                mask = rng.randrange(1 << m)
+                e = e + GrassmannElem.basis(mask, m, ring).scale(_wide_coeff(rng, ring))
+            row.append(e)
+        rows.append(row)
+    return GrMatrix(rows)
+
+
+def _wide_tuples(seed, count):
+    """(xs, ys) over every ring of WIDE_RINGS: dense matrices, atoms and the
+    odd zero matrix, n <= 3, m <= 4, odd and even k up to 10.  Dense
+    tuples stop at k = 6, where the full-layer oracle stays cheap."""
+    rng = random.Random(seed)
+    for j in range(count):
+        ring = WIDE_RINGS[j % len(WIDE_RINGS)]
+        n, m = rng.randint(1, 3), rng.randint(0, 4)
+        k = rng.randint(1, 10 if j % 3 else 6)
+        kinds = ["atom"] if k > 6 else ["dense", "atom"]
+        weights = None if k > 6 else [3, 2]
+
+        def draw():
+            if rng.random() < 0.03:
+                return _wide_matrix(rng, n, m, ring, "zero")
+            return _wide_matrix(rng, n, m, ring, rng.choices(kinds, weights)[0])
+
+        xs = [draw() for _ in range(k)]
+        ys = [GrMatrix.identity(n, m, ring) if rng.random() < 0.3 else draw() for _ in range(k + 1)]
+        yield xs, ys
+
+
+def test_packed_dp_matches_dict_oracle_and_naive():
+    # The packed integer kernel against the n*n-dict DP on the rings' own
+    # values (every k) and against the k! oracle (k <= 6).
+    compared = nonzero = 0
+    for xs, ys in _wide_tuples(21, 400):
+        k, first = len(xs), xs[0]
+        n, m, ring = first.n, first.m, first.ring
+        std = standard_dp(xs)
+        assert std == full_layer_standard_dp(xs)
+        _assert_canonical(std, n, m, ring)
+        compared += 1
+        nonzero += not std.is_zero()
+        if k <= 6:
+            assert std == standard_naive(xs)
+        cap = capelli_dp(xs, ys)
+        assert cap == full_layer_capelli_dp(xs, ys)
+        _assert_canonical(cap, n, m, ring)
+        nonzero += not cap.is_zero()
+        if k <= 6:
+            assert cap == capelli_naive(xs, ys)
+        compared += 1
+    assert compared == 800
+    assert nonzero > 150
+
+
+def _exact_layers(monkeypatch, evaluate, *args):
+    """Run evaluate with _operands and _dp_transition wrapped: returns the
+    digit width, the integer factors the DP ran on (as ZZ matrices) and a
+    copy of every layer _dp_transition returned."""
+    seen = {}
+    layers = []
+    operands, transition = identities._operands, identities._dp_transition
+
+    def spy_operands(mats, k, products):
+        ops, width, den = operands(mats, k, products)
+        n, m = mats[0].n, mats[0].m
+        seen["width"] = width
+        seen["mats"] = [
+            GrMatrix([[GrassmannElem._make(m, ZZ, dict(x.flat[r * n + t] or {})) for t in range(n)]
+                      for r in range(n)])
+            for x in ops
+        ]
+        return ops, width, den
+
+    def spy_transition(xs, layer, k):
+        out = transition(xs, layer, k)
+        layers.append({mask: dict(state) for mask, state in out.items()})
+        return out
+
+    monkeypatch.setattr(identities, "_operands", spy_operands)
+    monkeypatch.setattr(identities, "_dp_transition", spy_transition)
+    evaluate(*args)
+    monkeypatch.undo()
+    return seen["width"], seen["mats"], layers
+
+
+def _assert_packs(state, expected, width):
+    """Every digit of the exact h(S) is below 2^(W-1), and the packed
+    state holds exactly those digits."""
+    n, m = expected.n, expected.m
+    packed = {}
+    for r, row in enumerate(expected.rows):
+        for c, e in enumerate(row):
+            for u, d in e.terms.items():
+                assert abs(d) < 1 << (width - 1)
+                key = (r << m) | u
+                packed[key] = packed.get(key, 0) + (d << (width * c))
+    assert state == {key: P for key, P in packed.items() if P}
+
+
+def test_dp_digits_stay_below_half_the_width(monkeypatch):
+    # Each layer _dp_transition returns is checked against h(S) computed
+    # over ZZ from the DP's own integer factors by the k! oracle, so a
+    # digit that overflowed its field would show as a mismatch.
+    rng = random.Random(22)
+    checked = 0
+    for ring in WIDE_RINGS:
+        for n, m, k in ((1, 3, 6), (2, 2, 5), (3, 1, 4), (2, 1, 6)):
+            xs = [_wide_matrix(rng, n, m, ring, "dense") for _ in range(k)]
+            ys = [_wide_matrix(rng, n, m, ring, "dense") for _ in range(k + 1)]
+            width, mats, layers = _exact_layers(monkeypatch, standard_dp, xs)
+            for layer in layers:
+                for mask, state in layer.items():
+                    sub = [mats[i] for i in range(k) if mask >> i & 1]
+                    _assert_packs(state, standard_naive(sub), width)
+                    checked += 1
+            width, mats, layers = _exact_layers(monkeypatch, capelli_dp, xs, ys)
+            one = GrMatrix.identity(n, m, ZZ)
+            for s, layer in enumerate(layers, 1):
+                for mask, state in layer.items():
+                    sub = [mats[i] for i in range(k) if mask >> i & 1]
+                    # before y_{k-s} is premultiplied: x y_{k-s+1} ... x y_k
+                    _assert_packs(state, capelli_naive(sub, [one] + mats[2 * k + 1 - s :]), width)
+                    checked += 1
+    assert checked > 500
 
 
 # ------------------------------------------------------------ product eval
