@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields, replace
 from typing import List, Optional
 
-from .errors import GrassmatError
+from .errors import DegreeTooLargeError, GrassmatError
 from .harness import (
     AMITSUR_LEVITZKI,
     CAPELLI_BOUND,
@@ -46,16 +46,29 @@ from .harness import (
 from .report import EXIT_IO, EXIT_USAGE, Report
 from .ring import QQ, parse_ring
 
-_SUBCOMMAND_TARGETS = {
-    "ch-verify": THEOREM1,
-    "ch-sharp": CH_SHARPNESS,
-    "lemma2": LEMMA2,
-    "young": YOUNG_LEMMA,
-    "capelli-verify": CAPELLI_BOUND,
-    "capelli-sharp": CAPELLI_SHARPNESS,
-    "standard-sharp": STANDARD_SHARPNESS,
-    "al-check": AMITSUR_LEVITZKI,
-    "open-search": OPEN_QUESTION,
+# subcommand -> (target, default --ring, help).  standard-verify and grid
+# pick their target with --check and --target; the witness subcommands
+# and lemma2 need a field, so they default to rat.
+_SUBCOMMANDS = {
+    "ch-verify": (THEOREM1, "int", "characteristic polynomial power vanishes on random matrices"),
+    "ch-sharp": (CH_SHARPNESS, "rat", "explicit matrix needing the full exponent"),
+    "lemma2": (
+        LEMMA2, "rat", "degree-0/1/2 structure of f(A) for diagonal-plus-degree-1 matrices"
+    ),
+    "young": (YOUNG_LEMMA, "int", "alternating sums over product-of-symmetric-group subgroups"),
+    "capelli-verify": (
+        CAPELLI_BOUND, "int", "bridged alternating sum vanishes at degree n^2 + 2*floor(m/2) + 1"
+    ),
+    "capelli-sharp": (CAPELLI_SHARPNESS, "rat", "explicit inputs nonzero one degree lower"),
+    "standard-verify": (None, "int", "standard identity at the proved degrees"),
+    "standard-sharp": (
+        STANDARD_SHARPNESS, "rat", "staircase-plus-generators inputs nonzero one degree lower"
+    ),
+    "al-check": (AMITSUR_LEVITZKI, "int", "standard identity of degree 2n on degree-0 matrices"),
+    "open-search": (
+        OPEN_QUESTION, "int", "search for a counterexample at degree 2(n + floor(m/2)); never PASS"
+    ),
+    "grid": (None, "int", "run one target over an (n, m) grid"),
 }
 
 _STANDARD_CHECKS = {
@@ -96,17 +109,6 @@ def build_parser() -> _Parser:
     ):
         default = getattr(Campaign, flag.lstrip("-").replace("-", "_"))
         common.add_argument(flag, type=int, default=default, help=f"{what} (default %(default)s)")
-    # --ring lives in its own parent per default value: set_defaults on a
-    # subparser would mutate the action shared through parents= and
-    # silently change the default for every other subcommand.
-    ring_int = _Parser(add_help=False)
-    ring_int.add_argument(
-        "--ring", default="int", help="coefficient ring: int, rat, or zmod:<p>"
-    )
-    ring_rat = _Parser(add_help=False)
-    ring_rat.add_argument(
-        "--ring", default="rat", help="coefficient ring: int, rat, or zmod:<p>"
-    )
     common.add_argument(
         "--format", choices=("json", "table"), default="table", help="report format"
     )
@@ -118,118 +120,58 @@ def build_parser() -> _Parser:
         metavar="FILE",
         help="re-run a saved reproducer (or a report containing one) and exit",
     )
+    # absent, --ring takes the subcommand's default from _SUBCOMMANDS
+    common.add_argument(
+        "--ring",
+        help="coefficient ring: int, rat, or zmod:<p> "
+        "(default rat for lemma2 and the -sharp subcommands, else int)",
+    )
 
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
-
-    p = sub.add_parser(
-        "ch-verify",
-        parents=[common, ring_int],
-        help="characteristic polynomial power vanishes on random matrices",
-    )
-
-    p = sub.add_parser(
-        "ch-sharp",
-        parents=[common, ring_rat],
-        help="explicit matrix needing the full exponent",
-    )
-    p.add_argument(
+    p = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (_, _, text) in _SUBCOMMANDS.items()
+    }
+    p["ch-sharp"].add_argument(
         "--lambdas", metavar="LIST", help="comma-separated distinct eigenvalues"
     )
-
-    p = sub.add_parser(
-        "lemma2",
-        parents=[common, ring_rat],
-        help="degree-0/1/2 structure of f(A) for diagonal-plus-degree-1 matrices",
-    )
-    p.add_argument(
+    p["lemma2"].add_argument(
         "--lambdas", metavar="LIST", help="fix the eigenvalues instead of drawing them"
     )
-    p.add_argument(
+    p["lemma2"].add_argument(
         "--exploratory",
         action="store_true",
         help="also record (non-asserted) observations on fully random matrices",
     )
-
-    p = sub.add_parser(
-        "young",
-        parents=[common, ring_int],
-        help="alternating sums over product-of-symmetric-group subgroups",
-    )
-
-    p = sub.add_parser(
-        "capelli-verify",
-        parents=[common, ring_int],
-        help="bridged alternating sum vanishes at degree n^2 + 2*floor(m/2) + 1",
-    )
-
-    p = sub.add_parser(
-        "capelli-sharp",
-        parents=[common, ring_rat],
-        help="explicit inputs nonzero one degree lower",
-    )
-    p.add_argument(
+    p["capelli-sharp"].add_argument(
         "--parts",
         metavar="LIST",
         help="comma-separated even generator counts, one per matrix unit",
     )
-
-    p = sub.add_parser(
-        "standard-verify",
-        parents=[common, ring_int],
-        help="standard identity at the proved degrees",
-    )
-    p.add_argument(
+    p["standard-verify"].add_argument(
         "--check",
         choices=sorted(_STANDARD_CHECKS),
         default="corollary",
         help="corollary: s_k = 0; product: s_2n-block product; filtration: "
         "s_2n lands in degree >= 2",
     )
-
-    p = sub.add_parser(
-        "standard-sharp",
-        parents=[common, ring_rat],
-        help="staircase-plus-generators inputs nonzero one degree lower",
-    )
-
-    p = sub.add_parser(
-        "al-check",
-        parents=[common, ring_int],
-        help="standard identity of degree 2n on degree-0 matrices",
-    )
-
-    p = sub.add_parser(
-        "open-search",
-        parents=[common, ring_int],
-        help="search for a counterexample at degree 2(n + floor(m/2)); never PASS",
-    )
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=Campaign.budget,
-        help="max atom tuples considered (default %(default)s)",
-    )
-    p.add_argument(
+    p["open-search"].add_argument(
         "--random-samples",
         type=int,
         default=Campaign.random_samples,
         help="extra random atom tuples after the lexicographic walk (default %(default)s)",
     )
-
-    p = sub.add_parser(
-        "grid", parents=[common, ring_int], help="run one target over an (n, m) grid"
-    )
-    p.add_argument("--target", choices=TARGETS, default=THEOREM1)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=Campaign.budget,
-        help="budget for open-question rows (default %(default)s)",
-    )
-
+    p["grid"].add_argument("--target", choices=TARGETS, default=THEOREM1)
+    p["grid"].add_argument("--n-max", type=int, default=3)
+    p["grid"].add_argument("--m-max", type=int, default=5)
+    for name in ("open-search", "grid"):
+        p[name].add_argument(
+            "--budget",
+            type=int,
+            default=Campaign.budget,
+            help="max atom tuples an open-question search considers (default %(default)s)",
+        )
     return parser
 
 
@@ -242,7 +184,7 @@ def _parse_list(args, name: str, parse):
 def _campaign_from_args(args, target: str) -> Campaign:
     """The Campaign of the parsed flags; a flag the subcommand lacks keeps
     the Campaign default."""
-    ring = parse_ring(args.ring)
+    ring = parse_ring(_SUBCOMMANDS[args.command][1] if args.ring is None else args.ring)
     given = {f.name: getattr(args, f.name) for f in fields(Campaign) if hasattr(args, f.name)}
     given.update(
         target=target,
@@ -285,27 +227,23 @@ def render_table(report: Report) -> str:
     return "\n".join(lines)
 
 
-def emit_report(report: Report, fmt: str, path: Optional[str]) -> None:
-    text = report.to_json()
-    if fmt == "json":
-        print(text)
-    else:
-        print(render_table(report))
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _emit(args, text: str, table: str) -> None:
+    """Print text (the JSON) under --format json, else table; --output
+    always gets text."""
+    print(text if args.format == "json" else table)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
-def _run_replay(args) -> int:
+def _replay(args) -> Report:
     with open(args.replay, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict) and isinstance(data.get("reproducer"), dict):
         data = data["reproducer"]
     if not isinstance(data, dict) or "check" not in data:
         raise ValueError("replay file holds no reproducer")
-    report = replay_reproducer(data, max_dp_k=args.max_dp_k)
-    emit_report(report, args.format, args.output)
-    return report.exit_code()
+    return replay_reproducer(data, max_dp_k=args.max_dp_k)
 
 
 _GRID_COLUMNS = (
@@ -318,6 +256,20 @@ _GRID_COLUMNS = (
 )
 
 
+def _grid_point(campaign: Campaign) -> Optional[Report]:
+    """The report of one grid point; None if the point is past a cap."""
+    try:
+        try:
+            return run_campaign(campaign)
+        except GrassmatError:
+            if campaign.ring.is_field():
+                raise
+            # witness targets need a field; rerun the point over rat
+            return run_campaign(replace(campaign, ring=QQ))
+    except DegreeTooLargeError:
+        return None
+
+
 def _run_grid(args) -> int:
     base = _campaign_from_args(args, args.target)
     ring, target = base.ring, base.target
@@ -325,20 +277,12 @@ def _run_grid(args) -> int:
     worst = 0
     for n in range(1, args.n_max + 1):
         for m in range(0, args.m_max + 1):
-            degs = degrees_for(n, m)
-            if dp_degree(target, n, m) > args.max_dp_k:
-                rows.append({"n": n, "m": m, "degrees": degs, "verdict": "SKIP"})
-                continue
-            campaign = replace(base, n=n, m=m)
-            try:
-                report = run_campaign(campaign)
-            except GrassmatError:
-                if ring.is_field():
-                    raise
-                # witness targets need a field; rerun the point over rat
-                report = run_campaign(replace(campaign, ring=QQ))
-            rows.append({"n": n, "m": m, "degrees": degs, "verdict": report.verdict})
-            worst = max(worst, report.exit_code())
+            report = None
+            if dp_degree(target, n, m) <= args.max_dp_k:
+                report = _grid_point(replace(base, n=n, m=m))
+            verdict = "SKIP" if report is None else report.verdict
+            rows.append({"n": n, "m": m, "degrees": degrees_for(n, m), "verdict": verdict})
+            worst = max(worst, 0 if report is None else report.exit_code())
     payload = {
         "target": target,
         "ring": ring.name,
@@ -346,21 +290,14 @@ def _run_grid(args) -> int:
         "seed": args.seed,
         "rows": rows,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.format == "json":
-        print(text)
-    else:
-        print(f"grid target={target} ring={ring.name} trials={args.trials} seed={args.seed}")
-        header = "  n  m " + " ".join(f"{short:>9}" for _, short in _GRID_COLUMNS)
-        print(header + "  verdict")
-        for row in rows:
-            cells = " ".join(
-                f"{row['degrees'][key]:>9}" for key, _ in _GRID_COLUMNS
-            )
-            print(f"{row['n']:>3}{row['m']:>3} {cells}  {row['verdict']}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    table = [
+        f"grid target={target} ring={ring.name} trials={args.trials} seed={args.seed}",
+        "  n  m " + " ".join(f"{short:>9}" for _, short in _GRID_COLUMNS) + "  verdict",
+    ]
+    for row in rows:
+        cells = " ".join(f"{row['degrees'][key]:>9}" for key, _ in _GRID_COLUMNS)
+        table.append(f"{row['n']:>3}{row['m']:>3} {cells}  {row['verdict']}")
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True), "\n".join(table))
     return worst
 
 
@@ -371,17 +308,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "replay", None):
-            return _run_replay(args)
-        if args.command == "grid":
+        if args.replay:
+            report = _replay(args)
+        elif args.command == "grid":
             return _run_grid(args)
-        if args.command == "standard-verify":
-            target = _STANDARD_CHECKS[args.check]
         else:
-            target = _SUBCOMMAND_TARGETS[args.command]
-        campaign = _campaign_from_args(args, target)
-        report = run_campaign(campaign)
-        emit_report(report, args.format, args.output)
+            target = _SUBCOMMANDS[args.command][0] or _STANDARD_CHECKS[args.check]
+            report = run_campaign(_campaign_from_args(args, target))
+        _emit(args, report.to_json(), render_table(report))
         return report.exit_code()
     except OSError as exc:
         print(f"grassmat: i/o error: {exc}", file=sys.stderr)

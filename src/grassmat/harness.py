@@ -63,7 +63,7 @@ from .report import (
 from .ring import QQ, Ring, ZMOD, ZZ
 from .sampling import (
     atom,
-    atoms,
+    atoms,  # unused here; the tests' oracles take the whole pool from harness
     random_coeff,
     random_degree1_grmatrix,
     random_grmatrix,
@@ -574,8 +574,13 @@ def _random_mats(campaign: Campaign, rng: random.Random, k: int) -> List[GrMatri
     return [random_grmatrix(rng, c.n, c.m, c.ring, c.sparsity) for _ in range(k)]
 
 
-def _atom_mats(rng: random.Random, pool: List[GrMatrix], k: int) -> List[GrMatrix]:
-    return [pool[rng.randrange(len(pool))] for _ in range(k)]
+def _atom_pool(c: Campaign) -> Tuple[Callable[[int], GrMatrix], int]:
+    """atoms(n, m, ring)[i], built on first use, and the number of atoms."""
+    return lru_cache(maxsize=None)(lambda i: atom(c.n, c.m, c.ring, i)), c.n * c.n << c.m
+
+
+def _atom_mats(rng: random.Random, pool: Callable[[int], GrMatrix], total: int, k: int):
+    return [pool(rng.randrange(total)) for _ in range(k)]
 
 
 # ----- nilpotency of the characteristic polynomial -----
@@ -786,10 +791,12 @@ def verify_capelli_bound(campaign: Campaign) -> Report:
     elif t.naive and not t.failed:
         t.note("naive_cross_check", True)
 
-    pool = atoms(n, m, ring)
+    pool, total = _atom_pool(campaign)
     if not t.failed:
         draws = t.draws(
-            lambda rng: {"xs": _atom_mats(rng, pool, k), "ys": _atom_mats(rng, pool, k + 1)},
+            lambda rng: {
+                "xs": _atom_mats(rng, pool, total, k), "ys": _atom_mats(rng, pool, total, k + 1)
+            },
             campaign.structured,
             campaign.trials,
         )
@@ -818,8 +825,8 @@ def _standard_zero_pass(t: _Trials, k: int, label: str) -> None:
     naive = t.naive
     if t.failed:
         return
-    pool = atoms(c.n, c.m, c.ring)
-    draws = t.draws(lambda rng: {"mats": _atom_mats(rng, pool, k)}, c.structured, c.trials)
+    pool, total = _atom_pool(c)
+    draws = t.draws(lambda rng: {"mats": _atom_mats(rng, pool, total, k)}, c.structured, c.trials)
     t.run("standard_zero", draws, f"{label}_first_failure_structured")
     if not t.failed:
         t.note(f"{label}_trials_zero", t.trials - before)
@@ -947,8 +954,7 @@ def search_open_question(campaign: Campaign) -> Report:
     if k > c.max_dp_k:
         raise DegreeTooLargeError(f"DP evaluation capped at k <= {c.max_dp_k}, got {k}")
     w = 1 << c.m
-    total = c.n * c.n * w
-    pool = lru_cache(maxsize=None)(lambda i: atom(c.n, c.m, c.ring, i))  # atoms()[i], on first use
+    pool, total = _atom_pool(c)
     if c.random_samples and k > total:
         raise ValueError(f"cannot draw {c.random_samples} samples of k={k} of {total} atoms")
     t.note("degree", k)

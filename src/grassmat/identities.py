@@ -83,7 +83,7 @@ rely on the vanishing or factorial lemmas must check those separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, permutations, product
+from itertools import chain, permutations, product
 from math import factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -181,8 +181,8 @@ class _Operand(dict):
     """A factor held fixed for one call: an x_i, a y, or a left state.
 
     flat is its row-major list of n*n term dicts with integer
-    coefficients (None or {} for a zero entry), and bit r*n + t of live
-    is set when entry (r, t) is nonzero.  As a dict it maps a state key
+    coefficients ({} for a zero entry), and bit r*n + t of live is set
+    when entry (r, t) is nonzero.  As a dict it maps a state key
     (t << m) | sb to what that state entry sends into every row r,
     [((r << m) | u, ±ca)] over the terms of column t, from
     grassmann.signed_products; each row is filled on first lookup and
@@ -191,8 +191,13 @@ class _Operand(dict):
 
     __slots__ = ("flat", "n", "m", "live")
 
-    def __init__(self, flat: list, n: int, m: int, live: int):
-        self.flat, self.n, self.m, self.live = flat, n, m, live
+    def __init__(self, flat: list, n: int, m: int):
+        self.flat, self.n, self.m = flat, n, m
+        live = 0
+        for j, terms in enumerate(flat):
+            if terms:
+                live |= 1 << j
+        self.live = live
 
     def __missing__(self, key: int) -> list:
         m = self.m
@@ -215,11 +220,10 @@ def _operands(mats: Sequence[GrMatrix], k: int, products: int) -> Tuple[list, in
     rat)."""
     first = mats[0]
     n, m, ring = first.n, first.m, first.ring
-    bits = [1 << j for j in range(n * n)]
     ops, den = [], 1
     for A in mats:
         flat, d = ring.lift_terms([e.terms for row in A.rows for e in row])
-        ops.append(_Operand(flat, n, m, sum(compress(bits, flat))))
+        ops.append(_Operand(flat, n, m))
         den *= d
     if ring.kind == ZMOD:
         c = ring.characteristic - 1
@@ -310,21 +314,17 @@ def _premultiply(y: _Operand, layer: dict) -> dict:
     return _clean_layer(layer)
 
 
-def _state_operand(state: dict, n: int, m: int, width: int) -> _Operand:
-    """A state unpacked into the _Operand of the matrix it packs."""
+def _unpack(state: dict, n: int, m: int, width: int) -> list:
+    """A packed state as the row-major list of its n*n entries' term
+    dicts ({} for a zero entry)."""
     low = (1 << m) - 1
-    flat: list = [None] * (n * n)
-    live = 0
+    flat: list = [{} for _ in range(n * n)]
     for key, P in state.items():
-        rn, sa = (key >> m) * n, key & low
+        rn, u = (key >> m) * n, key & low
         for t, d in enumerate(_digits(P, n, width)):
             if d:
-                if flat[rn + t] is None:
-                    flat[rn + t] = {sa: d}
-                    live |= 1 << (rn + t)
-                else:
-                    flat[rn + t][sa] = d
-    return _Operand(flat, n, m, live)
+                flat[rn + t][u] = d
+    return flat
 
 
 def _join(left: dict, right: dict, k: int, n: int, m: int, width: int) -> dict:
@@ -340,7 +340,7 @@ def _join(left: dict, right: dict, k: int, n: int, m: int, width: int) -> dict:
         comp = right.get(full ^ mask)
         if comp is not None:
             ((_, sign),) = signed_products({mask: 1}, full ^ mask)
-            _mul_state_into(acc, _state_operand(state, n, m, width), comp, sign < 0)
+            _mul_state_into(acc, _Operand(_unpack(state, n, m, width), n, m), comp, sign < 0)
     return acc
 
 
@@ -348,18 +348,15 @@ def _wrap_state(state: Optional[dict], n: int, m: int, ring, width: int, den: in
     """The GrMatrix of a packed state over the integers, divided by den."""
     if not state:
         return GrMatrix.zero(n, m, ring)
-    low = (1 << m) - 1
-    terms = [[{} for _ in range(n)] for _ in range(n)]
-    for key, P in state.items():
-        row, u = terms[key >> m], key & low
-        for c, d in enumerate(_digits(P, n, width)):
-            if d:
-                row[c][u] = d
+    flat = _unpack(state, n, m, width)
     lower = ring.lower_terms
     make = GrassmannElem._make
     return GrMatrix._make(
         n, m, ring,
-        tuple(tuple(make(m, ring, lower(d, den) if d else d) for d in row) for row in terms),
+        tuple(
+            tuple(make(m, ring, lower(d, den) if d else d) for d in flat[r * n : r * n + n])
+            for r in range(n)
+        ),
     )
 
 

@@ -16,8 +16,6 @@ FAIL = "FAIL"
 COUNTEREXAMPLE_FOUND = "COUNTEREXAMPLE_FOUND"
 NO_COUNTEREXAMPLE_IN_BUDGET = "NO_COUNTEREXAMPLE_IN_BUDGET"
 
-VERDICTS = (PASS, FAIL, COUNTEREXAMPLE_FOUND, NO_COUNTEREXAMPLE_IN_BUDGET)
-
 # process exit codes for the command line
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -38,9 +36,6 @@ class Report:
     details: List[dict] = field(default_factory=list)
     reproducer: Optional[dict] = None
     elapsed_ms: int = 0
-
-    def ok(self) -> bool:
-        return self.verdict in (PASS, NO_COUNTEREXAMPLE_IN_BUDGET)
 
     def exit_code(self) -> int:
         if self.verdict == FAIL:

@@ -203,6 +203,24 @@ def test_open_search_builds_only_the_atoms_it_visits(capsys, monkeypatch):
     assert found["tuples_considered"] == 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # k = 24 over 4.2 M atoms: one structured draw needs 24 of them
+        ["standard-verify", "-n", "1", "-m", "22", "--trials", "0", "--structured", "1"],
+        ["capelli-verify", "-n", "1", "-m", "2", "--trials", "1", "--structured", "3"],
+    ],
+)
+def test_campaigns_build_only_the_atoms_they_draw(capsys, monkeypatch, argv):
+    def no_atoms(*args):
+        raise AssertionError("atoms() built for a campaign")
+
+    monkeypatch.setattr(harness, "atoms", no_atoms)
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith("PASS")
+
+
 def test_lemma2_without_trials_usage_error(capsys):
     # its control reads the trials' f(A), so a run without trials is refused
     code, out, err = run(capsys, ["lemma2", "-n", "2", "-m", "2", "--trials", "0"])
@@ -281,6 +299,17 @@ def test_grid_json_and_witness_fallback(tmp_path, capsys):
     assert data["target"] == "CHSharpness"
     assert [r["verdict"] for r in data["rows"]] == ["PASS", "PASS"]
     assert path.read_text() == out
+
+
+def test_grid_marks_a_point_past_a_cap_skip(capsys):
+    # ch_exponent refuses m = 25, over int and on the rerun over rat alike
+    argv = ["grid", "--target", "Theorem1", "--n-max", "1", "--m-max", "25",
+            "--trials", "1", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [r["m"] for r in rows] == list(range(26))
+    assert [r["verdict"] for r in rows] == ["PASS"] * 25 + ["SKIP"]
 
 
 def test_grid_includes_degree_columns(capsys):
