@@ -22,7 +22,12 @@ import sys
 from dataclasses import fields, replace
 from typing import List, Optional
 
-from .errors import DegreeTooLargeError, GrassmatError
+from .errors import (
+    BadCharacteristicError,
+    DegenerateLambdasError,
+    DegreeTooLargeError,
+    GrassmatError,
+)
 from .harness import (
     AMITSUR_LEVITZKI,
     CAPELLI_BOUND,
@@ -39,7 +44,6 @@ from .harness import (
     TARGETS,
     Campaign,
     degrees_for,
-    dp_degree,
     replay_reproducer,
     run_campaign,
 )
@@ -257,16 +261,17 @@ _GRID_COLUMNS = (
 
 
 def _grid_point(campaign: Campaign) -> Optional[Report]:
-    """The report of one grid point; None if the point is past a cap."""
+    """The report of one grid point; None (SKIP) if its campaign refuses
+    it: past a cap, or over a prime field too small for it (too small a
+    characteristic, too few distinct eigenvalues).  A point that needs a
+    field reruns over rat."""
     try:
-        try:
-            return run_campaign(campaign)
-        except GrassmatError:
-            if campaign.ring.is_field():
-                raise
-            # witness targets need a field; rerun the point over rat
-            return run_campaign(replace(campaign, ring=QQ))
-    except DegreeTooLargeError:
+        return run_campaign(campaign)
+    except BadCharacteristicError:
+        if campaign.ring.is_field():
+            return None
+        return _grid_point(replace(campaign, ring=QQ))
+    except (DegreeTooLargeError, DegenerateLambdasError):
         return None
 
 
@@ -277,9 +282,7 @@ def _run_grid(args) -> int:
     worst = 0
     for n in range(1, args.n_max + 1):
         for m in range(0, args.m_max + 1):
-            report = None
-            if dp_degree(target, n, m) <= args.max_dp_k:
-                report = _grid_point(replace(base, n=n, m=m))
+            report = _grid_point(replace(base, n=n, m=m))
             verdict = "SKIP" if report is None else report.verdict
             rows.append({"n": n, "m": m, "degrees": degrees_for(n, m), "verdict": verdict})
             worst = max(worst, 0 if report is None else report.exit_code())

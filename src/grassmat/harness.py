@@ -19,6 +19,9 @@ evaluator that silently maps everything to zero cannot pass.
 
 The open-question search never returns PASS.  It either finds a
 counterexample or reports the exact slice of the atom space it covered.
+
+A runner refuses a point past a cap (DegreeTooLargeError) before any
+evaluator returns, so a caller may take the refusal as "skip this point".
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     DegreeTooLargeError,
     DuplicateLambdasError,
     HypothesisViolationError,
+    LengthMismatchError,
 )
 from .gmatrix import GrMatrix, matrices_from_json, matrices_to_json
 from .grassmann import GrassmannElem
@@ -99,6 +103,7 @@ AMITSUR_LEVITZKI = "AmitsurLevitzki"
 
 DEFAULT_TRIALS = 50
 DEFAULT_BUDGET = 10000
+_YOUNG_MAX_K = 7  # the largest Young shape; the all-singleton shapes reach it for every m
 
 
 def degrees_for(n: int, m: int) -> Dict[str, int]:
@@ -112,21 +117,6 @@ def degrees_for(n: int, m: int) -> Dict[str, int]:
         "open_question_degree": 2 * (n + w2),
         "witness_degree": 2 * (n + w2) - 1,
     }
-
-
-def dp_degree(target: str, n: int, m: int) -> int:
-    """Largest subset-sum degree a campaign for target evaluates; 0 if none."""
-    d = degrees_for(n, m)
-    return {
-        CAPELLI_BOUND: d["capelli_x_degree"],
-        CAPELLI_SHARPNESS: d["capelli_x_degree"],
-        STANDARD_COROLLARY: max(d["standard_degree"], d["standard_product_degree"]),
-        STANDARD_PRODUCT: d["standard_product_degree"],
-        FILTRATION2: 2 * n,
-        AMITSUR_LEVITZKI: 2 * n,
-        OPEN_QUESTION: d["open_question_degree"],
-        STANDARD_SHARPNESS: d["witness_degree"],
-    }.get(target, 0)
 
 
 @dataclass
@@ -636,14 +626,16 @@ def verify_lemma2(campaign: Campaign) -> Report:
         raise BadCharacteristicError(
             f"eigenvalue differences must be invertible; {ring.name} is not a field"
         )
+    fixed = campaign.lambdas
+    if fixed is not None:
+        if len(fixed) != n:
+            raise LengthMismatchError(f"need {n} eigenvalues, got {len(fixed)}")
+        fixed = tuple(ring.coerce(x) for x in fixed)
+        if len(set(fixed)) != n:
+            raise DegenerateLambdasError("fixed eigenvalues must be distinct")
 
     def draw(rng):
-        if campaign.lambdas is not None:
-            lams = tuple(ring.coerce(x) for x in campaign.lambdas)
-            if len(set(lams)) != len(lams):
-                raise DegenerateLambdasError("fixed eigenvalues must be distinct")
-        else:
-            lams = _draw_lambdas(rng, n, ring)
+        lams = _draw_lambdas(rng, n, ring) if fixed is None else fixed
         A1 = random_degree1_grmatrix(rng, n, m, ring, campaign.sparsity)
         A0 = GrMatrix.diag([GrassmannElem.scalar(lam, m, ring) for lam in lams])
         return {"matrix": A0 + A1, "lambdas": lams}
@@ -724,12 +716,16 @@ def verify_young_lemma(campaign: Campaign) -> Report:
     (b) odd interval shapes factor as prod (size-1)! times the plain
     product; plus an all-singleton control that must be nonzero."""
     n, m, ring = campaign.n, campaign.m, campaign.ring
+    if _YOUNG_MAX_K > campaign.max_dp_k:
+        raise DegreeTooLargeError(
+            f"Young sums capped at k <= {campaign.max_dp_k}, got {_YOUNG_MAX_K}"
+        )
     t = _Trials(campaign)
 
     shapes_per_k = max(20, -(-campaign.trials // 5))
 
     def odd_shapes():
-        for k in range(3, 8):
+        for k in range(3, _YOUNG_MAX_K + 1):
             odd_sizes = list(range(1, min(k - 1, m) + 1, 2))
             for j in range(shapes_per_k):
                 rng = trial_rng(campaign.seed, (k - 3) * shapes_per_k + j)
@@ -745,7 +741,7 @@ def verify_young_lemma(campaign: Campaign) -> Report:
     skipped = []
 
     def interval_shapes():
-        for k in range(1, 8):
+        for k in range(1, _YOUNG_MAX_K + 1):
             for sizes in _odd_compositions(k):
                 if sum(s - 1 for s in sizes) > m:
                     skipped.append(sizes)
@@ -859,6 +855,10 @@ def verify_standard_bounds(campaign: Campaign) -> Report:
     degs = degrees_for(n, m)
     if target == STANDARD_COROLLARY:
         k1, k2 = degs["standard_degree"], degs["standard_product_degree"]
+        if max(k1, k2) > campaign.max_dp_k:
+            raise DegreeTooLargeError(
+                f"DP evaluation capped at k <= {campaign.max_dp_k}, got {max(k1, k2)}"
+            )
         t.note("degree", k1)
         t.note("comparison_degree", k2)
         _standard_zero_pass(t, k1, "corollary")

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from grassmat import harness
+from grassmat import cli, harness
 from grassmat.cli import main
+from grassmat.errors import HypothesisViolationError
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
 from grassmat.ring import QQ, ZZ
@@ -260,6 +261,13 @@ def test_ch_sharp_lambdas_option(capsys):
     assert data["campaign"]["lambdas"] == ["1/2", "3"]
 
 
+def test_lemma2_lambdas_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, ["lemma2", "-n", "2", "--lambdas", "1,2,3"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "need 2 eigenvalues, got 3" in err
+
+
 def test_capelli_sharp_parts_option(capsys):
     code, out, _ = run(
         capsys,
@@ -302,7 +310,8 @@ def test_grid_json_and_witness_fallback(tmp_path, capsys):
 
 
 def test_grid_marks_a_point_past_a_cap_skip(capsys):
-    # ch_exponent refuses m = 25, over int and on the rerun over rat alike
+    # the campaign refuses m = 25 (ch_exponent's rank cap) before any
+    # power, and the grid takes that refusal as SKIP
     argv = ["grid", "--target", "Theorem1", "--n-max", "1", "--m-max", "25",
             "--trials", "1", "--format", "json"]
     code, out, _ = run(capsys, argv)
@@ -310,6 +319,38 @@ def test_grid_marks_a_point_past_a_cap_skip(capsys):
     rows = json.loads(out)["rows"]
     assert [r["m"] for r in rows] == list(range(26))
     assert [r["verdict"] for r in rows] == ["PASS"] * 25 + ["SKIP"]
+
+
+def test_grid_skips_a_point_its_prime_field_cannot_carry(capsys):
+    # ch-sharp at m = 5 needs characteristic 0 or p > 3
+    argv = ["grid", "--target", "CHSharpness", "--ring", "zmod:3", "--n-max", "1",
+            "--m-max", "5", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert [r["verdict"] for r in json.loads(out)["rows"]] == ["PASS"] * 5 + ["SKIP"]
+    # three distinct eigenvalues do not fit in zmod:2
+    argv = ["grid", "--target", "Lemma2", "--ring", "zmod:2", "--n-max", "3",
+            "--m-max", "1", "--trials", "5", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code != EXIT_USAGE
+    rows = {(r["n"], r["m"]): r["verdict"] for r in json.loads(out)["rows"]}
+    assert len(rows) == 6
+    assert rows[1, 0] == rows[2, 0] == "PASS"
+    assert rows[3, 0] == rows[3, 1] == "SKIP"
+
+
+def test_grid_reruns_over_rat_only_for_a_missing_field(capsys, monkeypatch):
+    def fails_over_int(campaign):
+        if campaign.ring == ZZ:
+            raise HypothesisViolationError("broken over int")
+        return real(campaign)
+
+    real = cli.run_campaign
+    monkeypatch.setattr(cli, "run_campaign", fails_over_int)
+    code, out, err = run(capsys, ["grid", "--n-max", "1", "--m-max", "0", "--trials", "1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "broken over int" in err
 
 
 def test_grid_includes_degree_columns(capsys):

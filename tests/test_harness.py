@@ -14,6 +14,7 @@ from grassmat.errors import (
     DegenerateLambdasError,
     DegreeTooLargeError,
     HypothesisViolationError,
+    LengthMismatchError,
 )
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.grassmann import GrassmannElem
@@ -214,6 +215,17 @@ def test_lemma2_degenerate_lambdas():
         verify_lemma2(
             Campaign(target="Lemma2", n=3, m=2, ring=PrimeField(2), trials=1)
         )
+
+
+def test_lemma2_checks_fixed_lambdas_before_the_first_trial(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a trial before checking the eigenvalues")
+
+    monkeypatch.setattr(harness, "random_degree1_grmatrix", no_draw)
+    with pytest.raises(LengthMismatchError, match="need 2 eigenvalues, got 3"):
+        verify_lemma2(Campaign(target="Lemma2", n=2, ring=QQ, lambdas=(1, 2, 3)))
+    with pytest.raises(DegenerateLambdasError, match="fixed eigenvalues must be distinct"):
+        verify_lemma2(Campaign(target="Lemma2", n=2, ring=PrimeField(3), lambdas=(1, 4)))
 
 
 def test_lemma2_exploratory_records_observations():
