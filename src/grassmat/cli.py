@@ -24,8 +24,8 @@ from typing import List, Optional
 
 from .errors import (
     BadCharacteristicError,
-    DegenerateLambdasError,
     DegreeTooLargeError,
+    DuplicateLambdasError,
     GrassmatError,
 )
 from .harness import (
@@ -271,12 +271,13 @@ def _grid_point(campaign: Campaign) -> Optional[Report]:
         if campaign.ring.is_field():
             return None
         return _grid_point(replace(campaign, ring=QQ))
-    except (DegreeTooLargeError, DegenerateLambdasError):
+    except (DegreeTooLargeError, DuplicateLambdasError):
         return None
 
 
 def _run_grid(args) -> int:
     base = _campaign_from_args(args, args.target)
+    replace(base, n=args.n_max, m=args.m_max)  # refuses a bad range before the first point
     ring, target = base.ring, base.target
     rows = []
     worst = 0

@@ -47,15 +47,14 @@ class BadCharacteristicError(GrassmatError):
 
 
 class DuplicateLambdasError(GrassmatError):
-    """Eigenvalue list contains a repeated value."""
+    """Eigenvalues that must be distinct are not: given, defaulted or drawn."""
 
 
 class BadPartitionError(GrassmatError):
     """Multiplicity partition is malformed for the requested witness."""
 
 
-class DegenerateLambdasError(GrassmatError):
-    """Random eigenvalue draw failed to produce distinct values."""
+DegenerateLambdasError = DuplicateLambdasError  # the older name of the same refusal
 
 
 class HypothesisViolationError(GrassmatError):

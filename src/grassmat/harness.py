@@ -36,14 +36,13 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from .errors import (
     BadCharacteristicError,
-    DegenerateLambdasError,
     DegreeTooLargeError,
     DuplicateLambdasError,
     HypothesisViolationError,
     LengthMismatchError,
 )
 from .gmatrix import GrMatrix, matrices_from_json, matrices_to_json
-from .grassmann import GrassmannElem
+from .grassmann import GrassmannElem, _check_rank
 from .identities import (
     DEFAULT_NAIVE_K,
     DEFAULT_STANDARD_DP_K,
@@ -143,6 +142,7 @@ class Campaign:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.n < 1:
             raise ValueError(f"matrix dimension n must be >= 1, got {self.n}")
+        _check_rank(self.m)
         for name in ("trials", "structured", "sparsity", "random_samples"):
             if (count := getattr(self, name)) < 0:
                 raise ValueError(f"cannot draw {count} samples: {name} must be >= 0")
@@ -604,7 +604,7 @@ def _draw_lambdas(rng: random.Random, n: int, ring: Ring) -> Tuple:
     if ring.kind == ZMOD:
         p = ring.characteristic
         if p < n:
-            raise DegenerateLambdasError(
+            raise DuplicateLambdasError(
                 f"cannot pick {n} distinct eigenvalues in a field of size {p}"
             )
         return tuple(ring.embed(x) for x in rng.sample(range(p), n))
@@ -632,7 +632,7 @@ def verify_lemma2(campaign: Campaign) -> Report:
             raise LengthMismatchError(f"need {n} eigenvalues, got {len(fixed)}")
         fixed = tuple(ring.coerce(x) for x in fixed)
         if len(set(fixed)) != n:
-            raise DegenerateLambdasError("fixed eigenvalues must be distinct")
+            raise DuplicateLambdasError("fixed eigenvalues must be distinct")
 
     def draw(rng):
         lams = _draw_lambdas(rng, n, ring) if fixed is None else fixed

@@ -9,16 +9,19 @@ fixed y's between the alternating x's:
 
 Substituting every y_i = I recovers s_k.
 
-Both have a naive k!-term evaluator (the oracle, guarded at small k) and
-a subset dynamic program.  The DP runs over suffixes: h(S) is the signed
-sum over arrangements of S in the last |S| slots, built from
-h(S minus {i}) by placing x_i first among them, which costs
-sign (-1)^|{j in S : j < i}|.  A layer keeps only its live (nonzero)
-states.  Each layer is built by pushing every live state of the
-previous one into its supersets, consuming the previous layer as it
-goes, and skipping a push when no column of x_i meets a row of the
-state; it is cleaned once at its end.  So the work scales with the live
-states; sparse inputs such as atom tuples touch far fewer.
+Both have a subset dynamic program and a naive oracle, capped at
+k <= DEFAULT_NAIVE_K.  The naive evaluators and young_alternating_sum
+share one depth-first word enumerator: words with a common prefix share
+its products, and a zero prefix ends its whole subtree.
+
+The DP runs over suffixes: h(S) is the signed sum over arrangements of S
+in the last |S| slots, built from h(S minus {i}) by placing x_i first
+among them, which costs sign (-1)^|{j in S : j < i}|.  A layer keeps
+only its live (nonzero) states.  Each layer is built by pushing every
+live state of the previous one into its supersets, consuming the
+previous layer as it goes, and skipping a push when no column of x_i
+meets a row of the state; it is cleaned once at its end.  So the work
+scales with the live states, few on sparse inputs such as atom tuples.
 
 h(S) is s_|S| on the x's of S in increasing order, so prefixes and
 suffixes are the same family and s_k meets in the middle: the standard
@@ -83,7 +86,7 @@ rely on the vanishing or factorial lemmas must check those separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, permutations, product
+from itertools import chain
 from math import factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -126,6 +129,35 @@ def _check_matrix_family(mats: Sequence[GrMatrix], what: str) -> None:
         first._check_other(A)
 
 
+def _alternating_sum(factors: Sequence, allowed: Sequence, zero, ys: Optional[Sequence] = None):
+    """Sum of perm_sign(w) f_w[0] ... f_w[k-1] over the words w of distinct
+    sources with w[p] in allowed[p], read y_0 f_w[0] y_1 ... f_w[k-1] y_k
+    with ys, built depth first from a stack of (word, product) pairs.
+
+    One perm_sign of the whole word suffices for a Young subgroup: each
+    element is a product of permutations of the disjoint classes, so its
+    sign is the product of the signs of its restrictions to the classes.
+    """
+    k = len(allowed)
+    total = zero
+    stack = [((), ys[0] if ys else None)]
+    while stack:
+        word, w = stack.pop()
+        d = len(word)
+        if d == k:
+            total = total + w if perm_sign(word) > 0 else total - w
+            continue
+        for src in allowed[d]:
+            if src in word:
+                continue
+            v = factors[src] if w is None else w * factors[src]
+            if ys:
+                v = v * ys[d + 1]
+            if not v.is_zero():
+                stack.append((word + (src,), v))
+    return total
+
+
 def standard_naive(mats: Sequence[GrMatrix], max_k: int = DEFAULT_NAIVE_K) -> GrMatrix:
     """s_k by direct enumeration of all k! words."""
     k = len(mats)
@@ -133,17 +165,7 @@ def standard_naive(mats: Sequence[GrMatrix], max_k: int = DEFAULT_NAIVE_K) -> Gr
         raise DegreeTooLargeError(f"naive evaluation capped at k <= {max_k}, got {k}")
     _check_matrix_family(mats, "standard_naive")
     first = mats[0]
-    total = GrMatrix.zero(first.n, first.m, first.ring)
-    for p in permutations(range(k)):
-        w = mats[p[0]]
-        for idx in p[1:]:
-            if w.is_zero():
-                break
-            w = w * mats[idx]
-        if w.is_zero():
-            continue
-        total = total + w if perm_sign(p) > 0 else total - w
-    return total
+    return _alternating_sum(mats, [range(k)] * k, GrMatrix.zero(first.n, first.m, first.ring))
 
 
 def capelli_naive(
@@ -159,17 +181,7 @@ def capelli_naive(
         raise DegreeTooLargeError(f"naive evaluation capped at k <= {max_k}, got {k}")
     _check_matrix_family(list(xs) + list(ys), "capelli_naive")
     first = ys[0]
-    total = GrMatrix.zero(first.n, first.m, first.ring)
-    for p in permutations(range(k)):
-        w = ys[0]
-        for t, idx in enumerate(p):
-            if w.is_zero():
-                break
-            w = w * xs[idx] * ys[t + 1]
-        if w.is_zero():
-            continue
-        total = total + w if perm_sign(p) > 0 else total - w
-    return total
+    return _alternating_sum(xs, [range(k)] * k, GrMatrix.zero(first.n, first.m, first.ring), ys)
 
 
 # A state is one dict over the nonzero rows of h(S): key (t << m) | mask,
@@ -519,26 +531,14 @@ def young_alternating_sum(
     first = elems[0]
     if isinstance(first, GrMatrix):
         _check_matrix_family(elems, "young_alternating_sum")
-        total = GrMatrix.zero(first.n, first.m, first.ring)
+        zero = GrMatrix.zero(first.n, first.m, first.ring)
     elif isinstance(first, GrassmannElem):
         for e in elems[1:]:
             first._check_other(e)
-        total = GrassmannElem.zero(first.m, first.ring)
+        zero = GrassmannElem.zero(first.m, first.ring)
     else:
         raise TypeError("operands must be GrMatrix or GrassmannElem")
     if any(not isinstance(e, type(first)) for e in elems):
         raise ContextMismatchError("operands mix matrices and bare elements")
-
-    classes = [list(c) for c in spec.classes]
-    for choice in product(*(list(permutations(c)) for c in classes)):
-        pi = {}
-        sign = 1
-        for cls_positions, perm in zip(classes, choice):
-            for pos, src in zip(cls_positions, perm):
-                pi[pos] = src
-            sign *= perm_sign(perm)
-        w = elems[pi[1] - 1]
-        for pos in range(2, spec.k + 1):
-            w = w * elems[pi[pos] - 1]
-        total = total + w if sign > 0 else total - w
-    return total
+    allowed = [[s - 1 for s in c] for p in range(1, spec.k + 1) for c in spec.classes if p in c]
+    return _alternating_sum(elems, allowed, zero)

@@ -6,13 +6,15 @@ characteristic polynomial comes from the Leibniz determinant expansion
 search visits every atom tuple instead of skipping pruned blocks,
 s_k and d_k are built through all k suffix layers on n*n term dicts
 over the ring's own values with mul_into, instead of on packed integer
-rows joined at k/2, and products of elements and matrices
+rows joined at k/2, the k!-word sums multiply every word out on its own
+and take each sign by inversions, instead of sharing prefixes depth
+first, and products of elements and matrices
 run the term kernel on the ring's own values (Fractions over the
 rationals) instead of on integer numerators over a common denominator,
 so agreement is meaningful evidence.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import List, Optional, Sequence, Tuple
 
 from grassmat import GrMatrix, Poly
@@ -120,6 +122,61 @@ def brute_force_open_search(campaign: Campaign) -> Report:
         t.run("standard_zero", draws)
         t.note("random_samples", t.trials - evaluated)
     return t.finish(search=True)
+
+
+# ----- the alternating sums word by word -----
+
+
+def standard_by_words(mats: Sequence[GrMatrix]) -> GrMatrix:
+    """s_k with one product chain per permutation; standard_naive must agree."""
+    first = mats[0]
+    total = GrMatrix.zero(first.n, first.m, first.ring)
+    for p in permutations(range(len(mats))):
+        w = mats[p[0]]
+        for idx in p[1:]:
+            if w.is_zero():
+                break
+            w = w * mats[idx]
+        if w.is_zero():
+            continue
+        total = total + w if perm_sign_by_inversions(p) > 0 else total - w
+    return total
+
+
+def capelli_by_words(xs: Sequence[GrMatrix], ys: Sequence[GrMatrix]) -> GrMatrix:
+    """d_k with one product chain per permutation; capelli_naive must agree."""
+    first = ys[0]
+    total = GrMatrix.zero(first.n, first.m, first.ring)
+    for p in permutations(range(len(xs))):
+        w = ys[0]
+        for t, idx in enumerate(p):
+            if w.is_zero():
+                break
+            w = w * xs[idx] * ys[t + 1]
+        if w.is_zero():
+            continue
+        total = total + w if perm_sign_by_inversions(p) > 0 else total - w
+    return total
+
+
+def young_by_words(elems: Sequence, classes: Sequence[Sequence[int]], zero):
+    """The Young-subgroup sum over the product of the classes' symmetric
+    groups (1-based positions), each sign the product of the classes'
+    signs; young_alternating_sum must agree."""
+    classes = [list(c) for c in classes]
+    total = zero
+    for choice in product(*(list(permutations(c)) for c in classes)):
+        pi = {}
+        sign = 1
+        for cls_positions, perm in zip(classes, choice):
+            for pos, src in zip(cls_positions, perm):
+                pi[pos] = src
+            sign *= perm_sign_by_inversions(perm)
+        w = elems[pi[1] - 1]
+        for pos in range(2, len(elems) + 1):
+            w = w * elems[pi[pos] - 1]
+        total = total + w if sign > 0 else total - w
+    return total
 
 
 # ----- s_k and d_k through every suffix layer, on n*n term dicts -----

@@ -7,10 +7,15 @@ import pytest
 
 from grassmat import cli, harness
 from grassmat.cli import main
-from grassmat.errors import HypothesisViolationError
+from grassmat.errors import (
+    BadCharacteristicError,
+    DegenerateLambdasError,
+    DuplicateLambdasError,
+    HypothesisViolationError,
+)
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
-from grassmat.ring import QQ, ZZ
+from grassmat.ring import QQ, ZZ, PrimeField
 from grassmat.witnesses import WitnessSpec, capelli_witness, standard_witness
 
 
@@ -177,6 +182,21 @@ def test_out_of_range_counts_usage_error(capsys, argv):
     assert "must be" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["standard-verify", "-n", "1", "-m", "-1"],
+        ["open-search", "-n", "1", "-m", "-1"],
+        ["ch-verify", "-n", "1", "-m", "63"],
+    ],
+)
+def test_rank_outside_range_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"rank must satisfy 0 <= m <= 62, got {argv[-1]}" in err
+
+
 def test_open_search_past_dp_cap_fails_before_building_atoms(capsys, monkeypatch):
     # k = 2(1 + 20) = 42 > 24: the pool of 2^40 atoms must never be built
     def no_atoms(*args):
@@ -337,6 +357,49 @@ def test_grid_skips_a_point_its_prime_field_cannot_carry(capsys):
     assert len(rows) == 6
     assert rows[1, 0] == rows[2, 0] == "PASS"
     assert rows[3, 0] == rows[3, 1] == "SKIP"
+
+
+def test_grid_skips_colliding_eigenvalues(capsys):
+    # the default eigenvalues 0, 1, 2 collide mod 2, so each n = 3 point is
+    # refused before its first trial, with the same error class as a drawn
+    # collision; every other row is what the campaign alone gives
+    assert DegenerateLambdasError is DuplicateLambdasError
+    argv = ["grid", "--target", "CHSharpness", "--ring", "zmod:2", "--n-max", "3",
+            "--m-max", "2", "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_OK
+    assert err == ""
+    rows = json.loads(out)["rows"]
+    assert [(r["n"], r["m"]) for r in rows] == [(n, m) for n in (1, 2, 3) for m in (0, 1, 2)]
+    for row in rows:
+        campaign = harness.Campaign(
+            target=harness.CH_SHARPNESS, n=row["n"], m=row["m"], ring=PrimeField(2)
+        )
+        try:
+            verdict = harness.run_campaign(campaign).verdict
+        except (BadCharacteristicError, DuplicateLambdasError):
+            verdict = "SKIP"
+        assert row["verdict"] == verdict
+    assert [r["verdict"] for r in rows if r["n"] == 3] == ["SKIP"] * 3
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-max", "0"], "matrix dimension n must be >= 1, got 0"),
+        (["--m-max", "-1"], "rank must satisfy 0 <= m <= 62, got -1"),
+        (["--m-max", "63"], "rank must satisfy 0 <= m <= 62, got 63"),
+    ],
+)
+def test_grid_refuses_a_bad_range_before_any_point(capsys, monkeypatch, flags, message):
+    def unreachable(campaign):
+        raise AssertionError("grid ran a point")
+
+    monkeypatch.setattr(cli, "run_campaign", unreachable)
+    code, out, err = run(capsys, ["grid", "--target", "Theorem1", *flags])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
 
 
 def test_grid_reruns_over_rat_only_for_a_missing_field(capsys, monkeypatch):

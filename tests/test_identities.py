@@ -15,7 +15,7 @@ from grassmat.errors import (
 )
 from grassmat.gmatrix import GrMatrix
 from grassmat.grassmann import GrassmannElem
-from grassmat.harness import atoms
+from grassmat.harness import _young_inputs, _young_instance, atoms
 from grassmat import identities
 from grassmat.identities import (
     YoungSpec,
@@ -29,7 +29,13 @@ from grassmat.identities import (
 )
 from grassmat.ring import QQ, ZZ, PrimeField
 
-from oracles import full_layer_capelli_dp, full_layer_standard_dp
+from oracles import (
+    capelli_by_words,
+    full_layer_capelli_dp,
+    full_layer_standard_dp,
+    standard_by_words,
+    young_by_words,
+)
 
 
 def unit(r, s, n=2, m=2, ring=ZZ):
@@ -633,3 +639,89 @@ def test_young_matches_brute_force_symmetric_group():
         )
         mats = [_random_matrix(rng, 2, 2, ZZ) for _ in range(k)]
         assert young_alternating_sum(mats, spec) == standard_naive(mats)
+
+
+# ------------------------------------------------------------ one word enumerator
+
+ENUM_RINGS = (ZZ, QQ, PrimeField(5))
+
+
+def _enumerator_tuples(seed):
+    """(rng, xs) for each ring and k <= 6: a dense tuple, a draw from the
+    atom pool (repeats allowed) and a reduced atom tuple."""
+    rng = random.Random(seed)
+    for ring in ENUM_RINGS:
+        for k in range(1, 7):
+            n, m = rng.randint(1, 3), rng.randint(0, 3)
+            yield rng, [_random_matrix(rng, n, m, ring) for _ in range(k)]
+            yield rng, rng.choices(atoms(n, m, ring), k=k)
+            yield rng, _reduced_atoms(rng, 3, 3, ring, k)
+
+
+def test_naive_enumerator_matches_word_loop():
+    # standard_naive and capelli_naive (random ys) against the loop that
+    # multiplies out every word on its own.
+    nonzero = 0
+    for rng, xs in _enumerator_tuples(31):
+        first = xs[0]
+        std = standard_naive(xs)
+        assert std == standard_by_words(xs)
+        ys = [_random_matrix(rng, first.n, first.m, first.ring) for _ in range(len(xs) + 1)]
+        cap = capelli_naive(xs, ys)
+        assert cap == capelli_by_words(xs, ys)
+        nonzero += (not std.is_zero()) + (not cap.is_zero())
+    assert nonzero > 40
+
+
+def test_young_enumerator_matches_word_loop():
+    # young_alternating_sum against the per-class product of permutations:
+    # the campaign's odd shapes and interval shapes, on their own elements,
+    # on random matrices and on random bare elements.
+    rng = random.Random(32)
+    nonzero = 0
+    for ring in ENUM_RINGS:
+        n, m = 2, 4
+        cases = []
+        for k in range(2, 7):
+            t = rng.randint(1, min(k - 1, m))
+            cases.append(_young_instance(rng, k, t, n, m, ring))
+        for sizes in ((1, 2), (3, 1), (2, 2, 1), (1, 3, 2), (4,), (2, 4), (5, 1)):
+            spec = YoungSpec.from_interval_sizes(sizes)
+            central = lambda e11: e11  # noqa: E731
+            cases.append(
+                _young_inputs(spec.classes, spec.anticommuting, n, m, ring, central, "factorial")
+            )
+        for case in cases:
+            classes = case["classes"]
+            spec = YoungSpec(k=len(case["elems"]), classes=classes)
+            zero = GrMatrix.zero(n, m, ring)
+            dense = [_random_matrix(rng, n, m, ring) for _ in range(spec.k)]
+            for elems in (case["elems"], dense):
+                value = young_alternating_sum(elems, spec)
+                assert value == young_by_words(elems, spec.classes, zero)
+                nonzero += not value.is_zero()
+            bare = [GrassmannElem.generator(rng.randint(1, m), m, ring) for _ in range(spec.k)]
+            bare[0] = bare[0] + GrassmannElem.scalar(2, m, ring)
+            value = young_alternating_sum(bare, spec)
+            assert value == young_by_words(bare, spec.classes, GrassmannElem.zero(m, ring))
+    assert nonzero > 20
+
+
+def test_standard_naive_shares_prefix_products(monkeypatch):
+    # Every entry has a positive degree-0 part, so no prefix is zero and
+    # each prefix of length d >= 2 costs one product: the sum over d of
+    # 5!/(5 - d)! is 320, where multiplying out each word costs 5! * 4.
+    rng = random.Random(33)
+    one = GrassmannElem.one(2, ZZ)
+    mats = [
+        GrMatrix([[one.scale(rng.randint(1, 3)) + gen(rng.randint(1, 2)) for _ in range(2)]
+                  for _ in range(2)])
+        for _ in range(5)
+    ]
+    calls = []
+    mul = GrMatrix.__mul__
+    monkeypatch.setattr(GrMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    value = standard_naive(mats)
+    assert len(calls) == sum(math.perm(5, d) for d in range(2, 6)) == 320
+    monkeypatch.undo()
+    assert value == standard_by_words(mats) != GrMatrix.zero(2, 2, ZZ)
