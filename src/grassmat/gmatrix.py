@@ -8,11 +8,29 @@ respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.
 
 A product lifts each row of the left factor and each column of the
 right factor to integer numerators over one common denominator
-(Ring.lift_terms), runs the term kernel on those ints, and lowers each
-entry (i, j) once over the product of row i's and column j's
+(Ring.lift_terms).  It then packs row k of the lifted right factor into
+one term dict {sb: sum over j of b_kj[sb] << (W*j)} of signed W-bit
+digits, one per column, so grassmann.mul_into(acc, a_ik, packed row k)
+multiplies all n columns at once: one call per nonzero a_ik instead of
+one per (i, j, k), and one int multiply-add per pair of terms.  Row i's
+accumulator is decoded into its n entries (grassmann._digits), and
+entry (i, j) is lowered once over the product of row i's and column j's
 denominators (Ring.lower_terms).  Over the rationals that replaces a
 Fraction operation per term pair by an int one; over the integers and
 Z/p the lift and the lower change nothing.
+
+The width.  Let c_a and c_b be the largest |coefficient| of the lifted
+left and right factors (p - 1 for both over Z/p, with no scan), and
+W = bits(c_a) + bits(c_b) + bits(n * 2^m) + 1.  Digit j of row i's
+accumulator at mask u sums, over the n inner indices k and the 2^|u|
+splits of u into the masks of a_ik and b_kj, at most n * 2^m products,
+each of size at most c_a * c_b; partial sums add a subset of the same
+products.  So every digit is at most n 2^m c_a c_b, which is below
+2^(W-1) because x < 2^bits(x), and the decoding is exact.  On a 4x4
+rat product at m = 6 with dense entries this takes one product from
+13-16 ms to about 5 ms (2-vCPU VM, Python 3.11.7); a product of two
+2x2 atom matrices gets slower, about 7 us to 11 us, since packing a
+row costs more than the few term pairs it saves.
 
 Powers are computed by plain iterated multiplication.  Nilpotency
 degrees here stay in the single digits, and the intermediate powers are
@@ -21,11 +39,12 @@ exactly what minimality checks need to look at.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
-from .grassmann import GrassmannElem, _check_rank, mul_into
-from .ring import Ring, parse_ring
+from .grassmann import GrassmannElem, _check_rank, _digits, mul_into
+from .ring import ZMOD, Ring, parse_ring
 
 
 class GrMatrix:
@@ -147,20 +166,43 @@ class GrMatrix:
         lift = ring.lift_terms
         lower = ring.lower_terms
         make = GrassmannElem._make
+        rows = [lift([a.terms for a in arow]) for arow in self.rows]
         cols = [lift([row[j].terms for row in other.rows]) for j in range(n)]
+        if ring.kind == ZMOD:
+            ca = cb = ring.characteristic - 1
+        else:
+            ca, cb = (
+                max(map(abs, chain.from_iterable(map(dict.values, chain.from_iterable(
+                    ts for ts, _ in half)))), default=0)
+                for half in (rows, cols)
+            )
+        width = ca.bit_length() + cb.bit_length() + (n << m).bit_length() + 1
+        packed = [{} for _ in range(n)]
+        for j, (tcol, _) in enumerate(cols):
+            shift = width * j
+            for P, tb in zip(packed, tcol):
+                for sb, c in tb.items():
+                    P[sb] = P.get(sb, 0) + (c << shift)
+        zero = make(m, ring, {})
+        zeros = (zero,) * n
         out = []
-        for arow in self.rows:
-            ta, da = lift([a.terms for a in arow])
-            nz = [(k, t) for k, t in enumerate(ta) if t]
-            row = []
-            for tcol, db in cols:
-                acc: dict = {}
-                for k, t in nz:
-                    tb = tcol[k]
-                    if tb:
-                        mul_into(acc, t, tb)
-                row.append(make(m, ring, lower(acc, da * db)))
-            out.append(tuple(row))
+        for ta, da in rows:
+            acc: dict = {}
+            for t, P in zip(ta, packed):
+                if t and P:
+                    mul_into(acc, t, P)
+            if not acc:
+                out.append(zeros)
+                continue
+            entries = [{} for _ in range(n)]
+            for u, P in acc.items():
+                for d, e in zip(_digits(P, width), entries):
+                    if d:
+                        e[u] = d
+            out.append(tuple([
+                make(m, ring, lower(e, da * db)) if e else zero
+                for e, (_, db) in zip(entries, cols)
+            ]))
         return GrMatrix._make(n, m, ring, tuple(out))
 
     def __pow__(self, k: int) -> "GrMatrix":

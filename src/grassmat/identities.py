@@ -97,7 +97,7 @@ from .errors import (
     LengthMismatchError,
 )
 from .gmatrix import GrMatrix
-from .grassmann import GrassmannElem, signed_products
+from .grassmann import GrassmannElem, _digits, signed_products
 from .ring import ZMOD
 
 DEFAULT_NAIVE_K = 8
@@ -255,20 +255,6 @@ def _identity_state(n: int, m: int, width: int) -> dict:
     return {t << m: 1 << (width * t) for t in range(n)}
 
 
-def _digits(P: int, n: int, width: int) -> List[int]:
-    """The n signed digits packed in P, column 0 first."""
-    full = 1 << width
-    half = full >> 1
-    out = []
-    for _ in range(n):
-        d = P & (full - 1)
-        if d >= half:
-            d -= full
-        out.append(d)
-        P = (P - d) >> width
-    return out
-
-
 def _mul_state_into(acc: dict, x: _Operand, state: dict, neg: bool = False) -> None:
     """acc += (-1)^neg * x * state: one multiply-add per term pair, for
     all n columns at once."""
@@ -333,7 +319,7 @@ def _unpack(state: dict, n: int, m: int, width: int) -> list:
     flat: list = [{} for _ in range(n * n)]
     for key, P in state.items():
         rn, u = (key >> m) * n, key & low
-        for t, d in enumerate(_digits(P, n, width)):
+        for t, d in enumerate(_digits(P, width)):
             if d:
                 flat[rn + t][u] = d
     return flat
@@ -525,6 +511,8 @@ def young_alternating_sum(
     """
     if len(elems) != spec.k:
         raise LengthMismatchError(f"need {spec.k} operands, got {len(elems)}")
+    if not elems:
+        raise LengthMismatchError("young_alternating_sum needs at least one operand")
     order = spec.group_order()
     if order > max_order:
         raise GroupTooLargeError(f"subgroup order {order} exceeds cap {max_order}")

@@ -20,7 +20,11 @@ the rationals the lower step is Fraction(v, d) per nonzero v, which
 reduces by gcd, so the result equals the one Fraction arithmetic gives,
 term for term.  Over the integers and Z/p the values already are ints:
 the lift returns the dicts unchanged with denominator 1, and the lower
-is `clean_terms`.
+is `clean_terms`.  Between the two steps a matrix product packs the
+lifted columns of its right factor into signed W-bit digits of one int
+per row and mask, and the subset DPs pack their states the same way, so
+the ints can be wide; the widths are proved in the `gmatrix` and
+`identities` docstrings, and neither step depends on them.
 """
 
 from __future__ import annotations

@@ -627,6 +627,13 @@ def test_young_length_and_type_guards():
         young_alternating_sum([1, 2], spec)
 
 
+def test_young_empty_operand_list_is_refused():
+    # k = 0 is a valid spec, but with no operand there is no context to
+    # build the sum in; it used to fail with IndexError on elems[0]
+    with pytest.raises(LengthMismatchError, match="at least one operand"):
+        young_alternating_sum([], YoungSpec(k=0, classes=()))
+
+
 def test_young_matches_brute_force_symmetric_group():
     # Single class of size k with distinct matrices: the Young sum over
     # the full symmetric group is the standard alternating sum.

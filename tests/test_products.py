@@ -2,7 +2,9 @@
 
 GrMatrix.__mul__ and GrassmannElem.__mul__ lift their operands to
 integer numerators over a common denominator and lower each result
-once (Ring.lift_terms, Ring.lower_terms).  tests/oracles.py keeps the
+once (Ring.lift_terms, Ring.lower_terms); GrMatrix.__mul__ also packs
+each row of the right factor into signed W-bit digits, one per column.
+tests/oracles.py keeps the
 products that run the term kernel on the ring's own values; the two
 must agree term for term, and every stored coefficient must stay
 canonical: a nonzero Fraction over the rationals, a nonzero int over
@@ -16,17 +18,24 @@ import pytest
 
 from oracles import ring_value_elem_mul, ring_value_matmul
 
+from grassmat import gmatrix
 from grassmat.gmatrix import GrMatrix
-from grassmat.grassmann import GrassmannElem
+from grassmat.grassmann import GrassmannElem, _digits, _mul_sign, mul_into
 from grassmat.ring import QQ, ZMOD, ZZ, PrimeField
 
 F2 = PrimeField(2)
 F7 = PrimeField(7)
-ORACLE_RINGS = (QQ, ZZ, F2, F7)
+F1000003 = PrimeField(1000003)
+ORACLE_RINGS = (QQ, ZZ, F2, F7, F1000003)
 PROPERTY_RINGS = (ZZ, QQ, F7)
+WIDE_RINGS = (ZZ, QQ, F2, F1000003)
 
 SMALL_DENOMINATORS = (1, 2, 3, 4)
 LARGE_DENOMINATORS = (1, 3, 10**9 + 7, 2**61 - 1)
+WIDE_DENOMINATORS = (10**9 + 7, 2**61 - 1)
+# n <= 4 and m <= 6; n * 2^m is not a power of two for n = 3, so there a
+# digit of the aligned pairs below needs every bit of W
+WIDE_SHAPES = ((1, 0), (1, 4), (2, 0), (2, 3), (3, 1), (3, 2), (3, 6), (4, 2), (4, 6))
 
 
 def _assert_canonical(terms: dict, ring) -> None:
@@ -75,6 +84,65 @@ def _denominator_pools(ring):
     return (SMALL_DENOMINATORS, LARGE_DENOMINATORS) if ring == QQ else ((1,),)
 
 
+def _top(ring, rng, den=None):
+    """A coefficient whose lift is as wide as the ring allows: +-(2^62 - j)
+    over ZZ with 0 < j < 10, that over den (or a random wide denominator) over QQ, and
+    p - 1 over Z/p."""
+    if ring.kind == ZMOD:
+        return ring.modulus - 1
+    c = rng.choice((1, -1)) * (2**62 - rng.randrange(1, 10))
+    return c if ring == ZZ else Fraction(c, den or rng.choice(WIDE_DENOMINATORS))
+
+
+def _wide_elem(rng, m, ring, terms):
+    acc = {rng.randrange(1 << m): _top(ring, rng) for _ in range(terms)}
+    return GrassmannElem._make(m, ring, ring.clean_terms(acc))
+
+
+def _aligned_pair(rng, n, m, ring):
+    """A, B dense over every mask, with each term of A carrying the sign of
+    its product into the full mask: every product the entries' top digit
+    sums has one sign, so that digit nears n 2^m c_a c_b."""
+    full = (1 << m) - 1
+    den_a, den_b = WIDE_DENOMINATORS
+    a = [abs(_top(ring, rng, den_a)) for _ in range(n * n)]
+    b = [abs(_top(ring, rng, den_b)) for _ in range(n * n)]
+
+    def elem(c, signed):
+        terms = {s: ring.coerce(_mul_sign(s, full ^ s) * c if signed else c) for s in range(full + 1)}
+        return GrassmannElem._make(m, ring, ring.clean_terms(terms))
+
+    return (
+        GrMatrix([[elem(a[i * n + k], True) for k in range(n)] for i in range(n)]),
+        GrMatrix([[elem(b[k * n + j], False) for j in range(n)] for k in range(n)]),
+    )
+
+
+def _wide_pairs(seed):
+    """(A, B) over WIDE_RINGS and WIDE_SHAPES: an aligned pair, a random
+    pair with a zero row in A and a zero column in B, and a pair whose
+    entry (1, 1) cancels fully."""
+    rng = random.Random(seed)
+    for ring in WIDE_RINGS:
+        for n, m in WIDE_SHAPES:
+            yield _aligned_pair(rng, n, m, ring)
+            z = GrassmannElem.zero(m, ring)
+            A = [[_wide_elem(rng, m, ring, rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            B = [[_wide_elem(rng, m, ring, rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            A[rng.randrange(n)] = [z] * n
+            for row in B:
+                row[n - 1] = z
+            yield GrMatrix(A), GrMatrix(B)
+            if n > 1:
+                # row (a, a, ...) times column (b, -b, 0, ...)
+                a, b = _wide_elem(rng, m, ring, 2), _wide_elem(rng, m, ring, 2)
+                A[0] = [a] * n
+                B[0][0], B[1][0] = b, -b
+                for row in B[2:]:
+                    row[0] = z
+                yield GrMatrix(A), GrMatrix(B)
+
+
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
 def test_matrix_product_matches_ring_value_oracle(ring):
     rng = random.Random(6)
@@ -87,6 +155,47 @@ def test_matrix_product_matches_ring_value_oracle(ring):
                     got = A * B
                     assert got == ring_value_matmul(A, B)
                     _assert_matrix_canonical(got)
+    for A, B in _wide_pairs(6):
+        if A.ring == ring:
+            got = A * B
+            assert got == ring_value_matmul(A, B)
+            _assert_matrix_canonical(got)
+
+
+def test_product_digits_stay_below_half_the_width(monkeypatch):
+    # Each entry of each product is recomputed over ZZ from the lifted
+    # factors; every digit must stay below 2^(W-1), and the packed values
+    # the product decodes must be exactly those digits, W bits apart.
+    seen = []
+
+    def spy(P, width):
+        seen.append((P, width))
+        return _digits(P, width)
+
+    monkeypatch.setattr(gmatrix, "_digits", spy)
+    checked = 0
+    for A, B in _wide_pairs(23):
+        seen.clear()
+        A * B
+        (width,) = {w for _, w in seen} or {None}
+        n, lift = A.n, A.ring.lift_terms
+        rows = [lift([e.terms for e in row])[0] for row in A.rows]
+        cols = [lift([row[j].terms for row in B.rows])[0] for j in range(n)]
+        packed = []
+        for ta in rows:
+            entries = []
+            for tb in cols:
+                acc: dict = {}
+                for t, u in zip(ta, tb):
+                    mul_into(acc, t, u)
+                entries.append(acc)
+            for u in set().union(*entries):
+                digits = [e.get(u, 0) for e in entries]
+                assert all(abs(d) < 1 << (width - 1) for d in digits)
+                checked += len(digits)
+                packed.append(sum(d << (width * j) for j, d in enumerate(digits)))
+        assert sorted(P for P, _ in seen if P) == sorted(P for P in packed if P)
+    assert checked > 8000
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
