@@ -12,6 +12,23 @@ S | T, where inv(S, T) counts pairs s in S, t in T with s > t.  That is
 the bilinear extension of the defining relations v_k v_k = 0 and
 v_i v_j = -v_j v_i, so homogeneous elements supercommute:
 a*b = (-1)^(deg a * deg b) b*a.
+
+The sign mask.  Let G(S) be the mask whose bit j is set when an odd
+number of the bits of S lie above j.  Then for disjoint S and T,
+inv(S, T) = sum over t in T of |{s in S : s > t}|, which is
+popcount(T & G(S)) mod 2, so v_S v_T = (-1)^popcount(T & G(S)) v_(S|T).
+G(S) is the suffix parity of S >> 1, six shift-xors for a 62-bit mask;
+one G per left mask serves every right mask: _SIGN_CACHE maps each
+left mask seen to its G.
+
+The lookup bound.  Every mask of b that is disjoint from a left mask
+S is a submask of free = span(b) & ~S, where span(b) is the OR of b's
+masks.  So mul_into reaches the disjoint pairs either by walking the
+2^popcount(free) submasks of free and looking each one up in b, or by
+scanning b's terms, whichever is fewer: at most min(len(b),
+2^popcount(free)) lookups per term of a, and never a visit to an
+overlapping pair on the walk.  A right factor of at most two terms is
+scanned without computing its span.
 """
 
 from __future__ import annotations
@@ -28,18 +45,22 @@ from .ring import Ring
 
 MAX_RANK = 62
 
-# sign of a disjoint mask pair, memoized; key is sa << 62 | sb
+# G(sa) for each left mask sa that mul_into or signed_products has seen
 _SIGN_CACHE: dict = {}
 
 
-def _mul_sign(sa: int, sb: int) -> int:
-    inv = 0
-    t = sb
-    while t:
-        low = t & -t
-        inv += (sa >> low.bit_length()).bit_count()
-        t ^= low
-    return -1 if inv & 1 else 1
+def _sign_mask(s: int) -> int:
+    """G(s): bit j is set when an odd number of the bits of s lie above j,
+    so v_s v_t = (-1)^popcount(t & G(s)) v_(s|t) for disjoint s, t."""
+    # the suffix parity of s >> 1: fold every higher bit down onto bit j
+    g = s >> 1
+    g ^= g >> 1
+    g ^= g >> 2
+    g ^= g >> 4
+    g ^= g >> 8
+    g ^= g >> 16
+    g ^= g >> 32
+    return g
 
 
 def signed_products(ta: dict, sb: int) -> list:
@@ -48,37 +69,61 @@ def signed_products(ta: dict, sb: int) -> list:
     These are the terms of a * v_sb, one coefficient short, so a kernel
     that holds the operand a fixed can tabulate them once per mask sb.
     """
-    return [
-        (sa | sb, -ca if _mul_sign(sa, sb) < 0 else ca)
-        for sa, ca in ta.items()
-        if not sa & sb
-    ]
+    out = []
+    for sa, ca in ta.items():
+        if not sa & sb:
+            g = _SIGN_CACHE.get(sa)
+            if g is None:
+                g = _SIGN_CACHE[sa] = _sign_mask(sa)
+            out.append((sa | sb, -ca if (sb & g).bit_count() & 1 else ca))
+    return out
 
 
 def mul_into(acc: dict, ta: dict, tb: dict, negate: bool = False) -> None:
     """acc += (-1)^negate * a * b on raw term dicts, no normalization.
 
-    Callers clean the accumulator once at the end (ring.clean_terms);
-    skipping per-product reduction is what keeps matrix kernels fast.
+    Visits only the disjoint pairs when tb is dense over its span (see
+    the module docstring).  Callers clean the accumulator once at the
+    end (ring.clean_terms); skipping per-product reduction is what keeps
+    matrix kernels fast.
     """
-    cache = _SIGN_CACHE
     get = acc.get
+    masks = _SIGN_CACHE.get
+    # walk the submasks of free when 2^popcount(free) < len(tb), that is
+    # popcount(free) < bound; bound 0 scans a tb of at most two terms
+    span = bound = 0
+    if len(tb) > 2:
+        for sb in tb:
+            span |= sb
+        bound = (len(tb) - 1).bit_length()
     for sa, ca in ta.items():
-        shifted = sa << 62
-        for sb, cb in tb.items():
-            if sa & sb:
-                continue
-            key = shifted | sb
-            s = cache.get(key)
-            if s is None:
-                s = _mul_sign(sa, sb)
-                cache[key] = s
-            c = ca * cb
-            if (s < 0) != negate:
-                c = -c
-            u = sa | sb
-            prev = get(u)
-            acc[u] = c if prev is None else prev + c
+        g = masks(sa)
+        if g is None:
+            g = _SIGN_CACHE[sa] = _sign_mask(sa)
+        if negate:
+            ca = -ca
+        free = span & ~sa
+        if bound and free.bit_count() < bound:
+            look = tb.get
+            sb = free
+            while True:
+                cb = look(sb)
+                if cb is not None:
+                    c = (-ca if (sb & g).bit_count() & 1 else ca) * cb
+                    u = sa | sb
+                    prev = get(u)
+                    acc[u] = c if prev is None else prev + c
+                if not sb:
+                    break
+                sb = (sb - 1) & free
+        else:
+            for sb, cb in tb.items():
+                if sa & sb:
+                    continue
+                c = (-ca if (sb & g).bit_count() & 1 else ca) * cb
+                u = sa | sb
+                prev = get(u)
+                acc[u] = c if prev is None else prev + c
 
 
 def _digits(P: int, width: int) -> list:

@@ -50,23 +50,37 @@ unpacked into a GrMatrix.
 
 The width lemma.  Take c = p - 1 over Z/p, and otherwise the largest
 |coefficient| of the integer factors, and let N be the number of
-factors (k for s_k, 2k + 1 for d_k) and F the number of products in a
-word (k - 1 for s_k, 2k for d_k).  With
-W = bits(k!) + F*bits(n * 2^m) + N*bits(c) + 1, no digit ever reaches
-2^(W-1).  Proof: expand the polynomial into words, one choice of
-permutation, of the n inner indices between neighbouring factors, and
-of an ordered split of the output mask u into one mask per factor.  For
-a fixed output entry and mask there are at most k! permutations, n^F
-index choices and (F + 1)^|u| <= 2^(m*F) splits, since F + 1 <= 2^F;
-so at most k! (n 2^m)^F words, each a product of at most N
-coefficients, so of size at most 2^(N*bits(c)).  Every digit the DP
-ever holds (a state of a smaller S, a partial accumulator during a
-push, a premultiplied state, a product of two joined digits) is a
-signed sum of a subset of the words of one such expansion with at most
-as many factors, because no step reduces or cancels anything but adds
-whole words.  So its size is at most
-k! (n 2^m)^F 2^(N*bits(c)) < 2^(W-1), strictly because k! < 2^bits(k!),
-and the decoding of each digit from its W-bit field is exact.
+factors (k for s_k, 2k + 1 for d_k) and F = N - 1 the number of
+products in a word.  With W = bits(k!) + F*bits(n * 2^m) + N*bits(c),
+no digit the DP decodes reaches 2^(W-1).  Those are the digits of the
+final value and, in the join, of each left state h(S), which is s_|S|
+of fewer factors.  Digits the DP only adds up need no bound: a packed
+row is one exact int, every step is an integer multiply-add by one
+coefficient, so the final P is exactly the sum of its true digits
+shifted by W*c, and decoding it is exact as soon as those true digits
+lie below 2^(W-1).  Proof of the bound: expand the polynomial into
+words, one choice of permutation, of the n inner indices between
+neighbouring factors, and of an ordered split of the output mask u
+into one mask per factor.  Fix an output entry, a mask u, the indices
+and the split: the y's and the Grassmann sign of the split are then
+fixed, and the signed sum over the permutations is the determinant of
+the k x k matrix whose entry (i, t) is the coefficient x_i takes at
+the t-th x slot.  Its entries lie in [-c, c], so it is at most
+h_k c^k, where h_k is the largest determinant of a +-1 matrix (the
+determinant is affine in each entry), and the y's add a factor of at
+most c^(N-k).  h_k <= 2^(bits(k!) - 1):
+Hadamard's inequality gives h_k <= k^(k/2), and subtracting the
+first row from the others shows that 2^(k-1) divides the determinant
+of a +-1 matrix, so h_1 = 1, h_2 <= 2, h_3 <= 4 and h_4 <= 16; for
+k >= 5, k^(k/2) <= k!/2 < 2^(bits(k!) - 1) (true at 5, and the left
+side grows by sqrt(k+1) (1 + 1/k)^(k/2) < k + 1 per step).  There
+are n^F index choices and N^|u| <= 2^(m*F) splits, since N <= 2^F,
+so the digit is at most 2^(bits(k!) - 1) (n 2^m)^F c^N, and
+(n 2^m)^F c^N < 2^(F*bits(n 2^m) + N*bits(c)) because c >= 1 (a zero
+c leaves every digit zero).  The same holds for s_|S| in place of
+s_k, with fewer factors, so every decoded digit lies below 2^(W-1).
+The bound is sharp to one bit: s_2 at n = 3, m = 1, and d_1 at n = 3,
+m = 0, reach 2^(W-2) on sign-aligned factors near 2^62.
 
 Rings.  Over int the DP runs on the coefficients as they are.  Over
 Z/p it runs on the residues as ints, and the final state is reduced once
@@ -97,7 +111,7 @@ from .errors import (
     LengthMismatchError,
 )
 from .gmatrix import GrMatrix
-from .grassmann import GrassmannElem, _digits, signed_products
+from .grassmann import GrassmannElem, _digits, _sign_mask, signed_products
 from .ring import ZMOD
 
 DEFAULT_NAIVE_K = 8
@@ -246,7 +260,6 @@ def _operands(mats: Sequence[GrMatrix], k: int, products: int) -> Tuple[list, in
         factorial(k).bit_length()
         + products * (n << m).bit_length()
         + len(mats) * c.bit_length()
-        + 1
     )
     return ops, width, den
 
@@ -330,15 +343,16 @@ def _join(left: dict, right: dict, k: int, n: int, m: int, width: int) -> dict:
 
     shuffle(S) counts the pairs a in S, b outside S with a > b: the
     inversions of the word that lists S, then S^c, each increasing.
-    That is the sign of v_S v_{S^c}.
+    That is the sign of v_S v_{S^c}, (-1)^popcount(S^c & G(S)) with G
+    the sign mask of the grassmann docstring.
     """
     full = (1 << k) - 1
     acc: dict = {}
     for mask, state in left.items():
         comp = right.get(full ^ mask)
         if comp is not None:
-            ((_, sign),) = signed_products({mask: 1}, full ^ mask)
-            _mul_state_into(acc, _Operand(_unpack(state, n, m, width), n, m), comp, sign < 0)
+            odd = ((full ^ mask) & _sign_mask(mask)).bit_count() & 1
+            _mul_state_into(acc, _Operand(_unpack(state, n, m, width), n, m), comp, odd == 1)
     return acc
 
 

@@ -8,10 +8,13 @@ s_k and d_k are built through all k suffix layers on n*n term dicts
 over the ring's own values with mul_into, instead of on packed integer
 rows joined at k/2, the k!-word sums multiply every word out on its own
 and take each sign by inversions, instead of sharing prefixes depth
-first, and products of elements and matrices
+first, products of elements and matrices
 run the term kernel on the ring's own values (Fractions over the
 rationals) instead of on integer numerators over a common denominator,
-so agreement is meaningful evidence.
+and the term kernel itself is checked against a loop over every pair of
+terms, each signed by counting inversions, instead of walking the
+disjoint submasks with one sign mask per left term, so agreement is
+meaningful evidence.
 """
 
 from itertools import combinations, permutations, product
@@ -308,6 +311,31 @@ def full_layer_capelli_dp(
         layer = _dp_transition(xnz, layer, k, n, ring)
     layer = _premultiply(ys[0], layer, n, ring)
     return _wrap_state(layer.get((1 << k) - 1), n, m, ring)
+
+
+# ----- the term kernel, pair by pair -----
+
+
+def _mul_sign(sa: int, sb: int) -> int:
+    """The sign of v_sa v_sb for disjoint masks: (-1)^inv(sa, sb), where
+    inv counts the pairs s in sa, t in sb with s > t, one bit t at a time."""
+    inv = 0
+    t = sb
+    while t:
+        low = t & -t
+        inv += (sa >> low.bit_length()).bit_count()
+        t ^= low
+    return -1 if inv & 1 else 1
+
+
+def pairwise_mul_into(acc: dict, ta: dict, tb: dict, negate: bool = False) -> None:
+    """acc += (-1)^negate * a * b over every pair of terms, each signed by
+    _mul_sign; grassmann.mul_into must leave the same acc."""
+    for sa, ca in ta.items():
+        for sb, cb in tb.items():
+            if not sa & sb:
+                c = ca * cb if (_mul_sign(sa, sb) < 0) == negate else -(ca * cb)
+                acc[sa | sb] = acc.get(sa | sb, 0) + c
 
 
 # ----- products on the ring's own values -----

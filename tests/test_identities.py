@@ -417,11 +417,46 @@ def _wide_tuples(seed, count):
         yield xs, ys
 
 
+# Signs (even part, odd part) of x_1 and x_2 at the entries of the s_2
+# tuple below that entry (0, 1) reads through; every other entry is +c + c v1
+_S2_ALIGNED = {
+    (0, 0): ((1, 1), (1, -1)),
+    (0, 2): ((1, 1), (1, -1)),
+    (0, 1): ((1, -1), (1, 1)),
+    (2, 1): ((1, -1), (1, 1)),
+    (1, 1): ((-1, -1), (-1, 1)),
+}
+
+
+def _aligned_tuples(ring):
+    """(xs, ys) whose top digit passes 2^(W-2), so the width lemma's W is
+    the least that decodes them; c = 2^62 - 1 (over 10^9 + 7 over QQ).
+    s_2 at n = 3, m = 1: each of the 12 words of entry (0, 1) at v1, three
+    inner indices times two splits of v1 times two orders, comes to +c^2.
+    d_1 at n = 3, m = 0 with every entry c: each of the 9 words of an entry
+    comes to c^3."""
+    c = Fraction(2**62 - 1, 10**9 + 7) if ring == QQ else ring.coerce(2**62 - 1)
+
+    def matrix(m, signs):
+        return GrMatrix([
+            [GrassmannElem._make(m, ring, {u: s * c for u, s in enumerate(signs.get((r, t), (1,) * (1 << m)))})
+             for t in range(3)]
+            for r in range(3)
+        ])
+
+    x1 = matrix(1, {pos: a for pos, (a, _) in _S2_ALIGNED.items()})
+    x2 = matrix(1, {pos: b for pos, (_, b) in _S2_ALIGNED.items()})
+    yield [x1, x2], [GrMatrix.identity(3, 1, ring)] * 3
+    flat = matrix(0, {})
+    yield [flat], [flat, flat]
+
+
 def test_packed_dp_matches_dict_oracle_and_naive():
     # The packed integer kernel against the n*n-dict DP on the rings' own
     # values (every k) and against the k! oracle (k <= 6).
     compared = nonzero = 0
-    for xs, ys in _wide_tuples(21, 400):
+    aligned = [t for ring in (ZZ, QQ) for t in _aligned_tuples(ring)]
+    for xs, ys in list(_wide_tuples(21, 400)) + aligned:
         k, first = len(xs), xs[0]
         n, m, ring = first.n, first.m, first.ring
         std = standard_dp(xs)
@@ -438,17 +473,18 @@ def test_packed_dp_matches_dict_oracle_and_naive():
         if k <= 6:
             assert cap == capelli_naive(xs, ys)
         compared += 1
-    assert compared == 800
+    assert compared == 808
     assert nonzero > 150
 
 
 def _exact_layers(monkeypatch, evaluate, *args):
-    """Run evaluate with _operands and _dp_transition wrapped: returns the
-    digit width, the integer factors the DP ran on (as ZZ matrices) and a
-    copy of every layer _dp_transition returned."""
+    """Run evaluate with _operands, _dp_transition and _wrap_state wrapped:
+    returns the digit width, the integer factors the DP ran on (as ZZ
+    matrices), a copy of every layer _dp_transition returned and the
+    nonzero entries of the final packed state."""
     seen = {}
     layers = []
-    operands, transition = identities._operands, identities._dp_transition
+    operands, transition, wrap = identities._operands, identities._dp_transition, identities._wrap_state
 
     def spy_operands(mats, k, products):
         ops, width, den = operands(mats, k, products)
@@ -466,11 +502,16 @@ def _exact_layers(monkeypatch, evaluate, *args):
         layers.append({mask: dict(state) for mask, state in out.items()})
         return out
 
+    def spy_wrap(state, *rest):
+        seen["final"] = {key: P for key, P in (state or {}).items() if P}
+        return wrap(state, *rest)
+
     monkeypatch.setattr(identities, "_operands", spy_operands)
     monkeypatch.setattr(identities, "_dp_transition", spy_transition)
+    monkeypatch.setattr(identities, "_wrap_state", spy_wrap)
     evaluate(*args)
     monkeypatch.undo()
-    return seen["width"], seen["mats"], layers
+    return seen["width"], seen["mats"], layers, seen["final"]
 
 
 def _assert_packs(state, expected, width):
@@ -488,29 +529,40 @@ def _assert_packs(state, expected, width):
 
 
 def test_dp_digits_stay_below_half_the_width(monkeypatch):
-    # Each layer _dp_transition returns is checked against h(S) computed
-    # over ZZ from the DP's own integer factors by the k! oracle, so a
-    # digit that overflowed its field would show as a mismatch.
+    # Each layer _dp_transition returns, and the final state, is checked
+    # against the value computed over ZZ from the DP's own integer factors
+    # by the k! oracle, so a digit that overflowed its field would show as
+    # a mismatch.  The aligned tuples need every bit of W.
     rng = random.Random(22)
+    cases = [
+        (
+            [_wide_matrix(rng, n, m, ring, "dense") for _ in range(k)],
+            [_wide_matrix(rng, n, m, ring, "dense") for _ in range(k + 1)],
+        )
+        for ring in WIDE_RINGS
+        for n, m, k in ((1, 3, 6), (2, 2, 5), (3, 1, 4), (2, 1, 6))
+    ]
+    cases += [t for ring in (ZZ, QQ) for t in _aligned_tuples(ring)]
     checked = 0
-    for ring in WIDE_RINGS:
-        for n, m, k in ((1, 3, 6), (2, 2, 5), (3, 1, 4), (2, 1, 6)):
-            xs = [_wide_matrix(rng, n, m, ring, "dense") for _ in range(k)]
-            ys = [_wide_matrix(rng, n, m, ring, "dense") for _ in range(k + 1)]
-            width, mats, layers = _exact_layers(monkeypatch, standard_dp, xs)
-            for layer in layers:
-                for mask, state in layer.items():
-                    sub = [mats[i] for i in range(k) if mask >> i & 1]
-                    _assert_packs(state, standard_naive(sub), width)
-                    checked += 1
-            width, mats, layers = _exact_layers(monkeypatch, capelli_dp, xs, ys)
-            one = GrMatrix.identity(n, m, ZZ)
-            for s, layer in enumerate(layers, 1):
-                for mask, state in layer.items():
-                    sub = [mats[i] for i in range(k) if mask >> i & 1]
-                    # before y_{k-s} is premultiplied: x y_{k-s+1} ... x y_k
-                    _assert_packs(state, capelli_naive(sub, [one] + mats[2 * k + 1 - s :]), width)
-                    checked += 1
+    for xs, ys in cases:
+        k, n, m = len(xs), xs[0].n, xs[0].m
+        width, mats, layers, final = _exact_layers(monkeypatch, standard_dp, xs)
+        for layer in layers:
+            for mask, state in layer.items():
+                sub = [mats[i] for i in range(k) if mask >> i & 1]
+                _assert_packs(state, standard_naive(sub), width)
+                checked += 1
+        _assert_packs(final, standard_naive(mats), width)
+        width, mats, layers, final = _exact_layers(monkeypatch, capelli_dp, xs, ys)
+        one = GrMatrix.identity(n, m, ZZ)
+        for s, layer in enumerate(layers, 1):
+            for mask, state in layer.items():
+                sub = [mats[i] for i in range(k) if mask >> i & 1]
+                # before y_{k-s} is premultiplied: x y_{k-s+1} ... x y_k
+                _assert_packs(state, capelli_naive(sub, [one] + mats[2 * k + 1 - s :]), width)
+                checked += 1
+        _assert_packs(final, capelli_naive(mats[:k], mats[k:]), width)
+        checked += 2
     assert checked > 500
 
 

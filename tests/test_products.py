@@ -8,7 +8,9 @@ tests/oracles.py keeps the
 products that run the term kernel on the ring's own values; the two
 must agree term for term, and every stored coefficient must stay
 canonical: a nonzero Fraction over the rationals, a nonzero int over
-the integers, a nonzero residue in [0, p) over Z/p.
+the integers, a nonzero residue in [0, p) over Z/p.  The term kernel
+itself, grassmann.mul_into, is checked against oracles.pairwise_mul_into,
+a loop over every pair of terms signed by counting inversions.
 """
 
 import random
@@ -16,11 +18,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ring_value_elem_mul, ring_value_matmul
+from oracles import _mul_sign, pairwise_mul_into, ring_value_elem_mul, ring_value_matmul
 
 from grassmat import gmatrix
 from grassmat.gmatrix import GrMatrix
-from grassmat.grassmann import GrassmannElem, _digits, _mul_sign, mul_into
+from grassmat.grassmann import GrassmannElem, _digits, _sign_mask, mul_into, signed_products
 from grassmat.ring import QQ, ZMOD, ZZ, PrimeField
 
 F2 = PrimeField(2)
@@ -141,6 +143,86 @@ def _wide_pairs(seed):
                 for row in B[2:]:
                     row[0] = z
                 yield GrMatrix(A), GrMatrix(B)
+
+
+# ------------------------------------------------------------ term kernel
+
+
+def test_sign_mask_matches_inversion_count():
+    # every disjoint pair of masks below 2^8, then random pairs up to bit 61
+    pairs = [(sa, sb) for sa in range(1 << 8) for sb in range(1 << 8) if not sa & sb]
+    assert len(pairs) == 3**8
+    rng = random.Random(11)
+    for _ in range(3000):
+        sa = rng.getrandbits(62)
+        pairs.append((sa, rng.getrandbits(62) & ~sa))
+    pairs += [(1 << 61, (1 << 61) - 1), ((1 << 61) - 1, 1 << 61), ((1 << 62) - 1, 0)]
+    for sa, sb in pairs:
+        sign = -1 if (sb & _sign_mask(sa)).bit_count() & 1 else 1
+        assert sign == _mul_sign(sa, sb), (sa, sb)
+    for sa, sb in pairs[:: 7]:
+        assert signed_products({sa: 5}, sb) == [(sa | sb, 5 * _mul_sign(sa, sb))]
+
+
+class _CountingGets(dict):
+    """A term dict that counts the lookups the submask walk makes."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return dict.get(self, key, default)
+
+
+def _terms(rng, masks, count):
+    return {rng.choice(masks): rng.choice([c for c in range(-9, 10) if c]) for _ in range(count)}
+
+
+def _kernel_cases():
+    """(name, acc, ta, tb, negate, walks) over both branches of mul_into;
+    walks says whether the submask walk should look tb up."""
+    rng = random.Random(12)
+    six = range(1 << 6)
+    dense = {s: rng.randint(1, 9) for s in six if rng.random() < 0.9}
+    yield "dense", {}, _terms(rng, six, 30), dense, False, True
+    yield "dense-negate", {}, _terms(rng, six, 30), dense, True, True
+    yield "dense-acc", {s: 1 for s in six[::3]}, _terms(rng, six, 30), dense, False, True
+    yield "dense-fractions", {}, {s: Fraction(c, 3) for s, c in _terms(rng, six, 20).items()}, {
+        s: Fraction(c, 7) for s, c in dense.items()}, True, True
+    # three bits each out of 40: many disjoint pairs, and free is wide
+    wide = [sum(1 << b for b in rng.sample(range(40), 3)) for _ in range(40)]
+    yield "sparse", {}, _terms(rng, wide, 25), _terms(rng, wide, 25), False, False
+    yield "sparse-negate-acc", {0: 4, wide[0]: -2}, _terms(rng, wide, 25), _terms(rng, wide, 25), True, False
+    yield "empty-ta", {1: 2}, {}, dense, False, False
+    yield "empty-tb", {1: 2}, _terms(rng, six, 10), {}, True, False
+    yield "two-terms", {}, _terms(rng, six, 10), {0: 3, 0b100: -1}, False, False
+    # m = 62: right factor dense over the top five bits, left masks near bit 61
+    top = [s << 57 for s in range(32)]
+    low = [rng.getrandbits(57) for _ in range(8)]
+    yield "top-dense", {}, _terms(rng, [t | l for t in top for l in low], 40), {
+        s: rng.randint(1, 9) for s in top}, False, True
+    yield "top-sparse", {1 << 61: 5}, _terms(rng, [rng.getrandbits(62) for _ in range(30)], 20), {
+        1 << 61: 5, (1 << 61) - 1: -3, 1 << 60: 2, 3 << 58: 7, 0: 1}, True, False
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda c: c[0])
+def test_mul_into_matches_a_loop_over_every_pair(case):
+    _, acc, ta, tb, negate, walks = case
+    want = dict(acc)
+    pairwise_mul_into(want, ta, tb, negate)
+    tb = _CountingGets(tb)
+    got = dict(acc)
+    mul_into(got, ta, tb, negate)
+    assert got == want
+    assert (got != acc) == bool(ta and tb)
+    # the walk looks up at most min(len(tb), 2^|free|) masks per left term,
+    # and only when tb has more than two terms
+    span = 0
+    for sb in tb:
+        span |= sb
+    bound = sum(min(len(tb), 1 << (span & ~sa).bit_count()) for sa in ta) if len(tb) > 2 else 0
+    assert tb.gets <= bound
+    assert (tb.gets > 0) == walks
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
