@@ -51,7 +51,7 @@ from .identities import (
     standard_product_eval,
     young_alternating_sum,
 )
-from .poly import Poly, charpoly, eval_product_form
+from .poly import Poly, charpoly
 from .report import (
     COUNTEREXAMPLE_FOUND,
     FAIL,
@@ -110,7 +110,6 @@ __all__ = [
     "ch_witness",
     "charpoly",
     "degrees_for",
-    "eval_product_form",
     "matrices_from_json",
     "matrices_to_json",
     "parse_ring",

@@ -6,31 +6,70 @@ all arithmetic stays exact.  The degree-d component of a matrix is the
 matrix of entrywise degree-d components, and matrix multiplication
 respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.
 
-A product lifts each row of the left factor and each column of the
-right factor to integer numerators over one common denominator
-(Ring.lift_terms).  It then packs row k of the lifted right factor into
-one term dict {sb: sum over j of b_kj[sb] << (W*j)} of signed W-bit
-digits, one per column, so grassmann.mul_into(acc, a_ik, packed row k)
-multiplies all n columns at once: one call per nonzero a_ik instead of
-one per (i, j, k), and one int multiply-add per pair of terms.  Row i's
-accumulator is decoded into its n entries (grassmann._digits), and
-entry (i, j) is lowered once over the product of row i's and column j's
-denominators (Ring.lower_terms).  Over the rationals that replaces a
-Fraction operation per term pair by an int one; over the integers and
-Z/p the lift and the lower change nothing.
+Packed rows.  Matrix products and the subset DPs of `identities` run on
+plain ints in every ring, in one format.  _lift lifts each factor once,
+as a whole matrix, to integer numerators over one common denominator
+(Ring.lift_terms; over the integers and Z/p that changes nothing).  A
+packed matrix is one dict: its key (i << m) | u names row i at the
+Grassmann monomial u, and its value P = sum over j of d_j << (W*j)
+holds the row's n column coefficients as signed digits,
+|d_j| < 2^(W-1).  Multiplying a packed row by one coefficient
+multiplies all n digits at once, so a kernel spends one int
+multiply-add per pair of terms instead of one per column.  _wrap_state
+decodes a packed result (_unpack, _digits) and lowers each entry once
+over the product of the factors' denominators (Ring.lower_terms), which
+gives the same canonical terms as the ring's own arithmetic: by
+multilinearity the polynomial of the lifted factors is the polynomial
+of the originals times that product.
 
-The width.  Let c_a and c_b be the largest |coefficient| of the lifted
-left and right factors (p - 1 for both over Z/p, with no scan), and
-W = bits(c_a) + bits(c_b) + bits(n * 2^m) + 1.  Digit j of row i's
-accumulator at mask u sums, over the n inner indices k and the 2^|u|
-splits of u into the masks of a_ik and b_kj, at most n * 2^m products,
-each of size at most c_a * c_b; partial sums add a subset of the same
-products.  So every digit is at most n 2^m c_a c_b, which is below
-2^(W-1) because x < 2^bits(x), and the decoding is exact.  On a 4x4
-rat product at m = 6 with dense entries this takes one product from
-13-16 ms to about 5 ms (2-vCPU VM, Python 3.11.7); a product of two
-2x2 atom matrices gets slower, about 7 us to 11 us, since packing a
-row costs more than the few term pairs it saves.
+A product A*B packs row t of the lifted B into one term dict
+{sb: sum over j of b_tj[sb] << (W*j)}, so grassmann.mul_into(acc, a_it,
+packed row t) multiplies all n columns at once: one call per nonzero
+a_it instead of one per (i, j, t).  On a 4x4 rat product at m = 6 with
+dense entries this takes one product from 13-16 ms to about 5 ms
+(2-vCPU VM, Python 3.11.7); a product of two 2x2 atom matrices gets
+slower, about 7 us to 11 us, since packing a row costs more than the
+few term pairs it saves.
+
+The width lemma.  Take a polynomial whose words are products of N
+factors, F = N - 1 products each: k of the factors (the x's) are
+permuted with signs by S_k and the others (the y's) stay in place.  A
+product A*B is the case k = 1, N = 2; s_k has N = k and d_k has
+N = 2k + 1.  Let c_i be the largest |coefficient| of the i-th lifted
+factor (p - 1 over Z/p, with no scan) and
+
+    W = bits(k!) + F*bits(n * 2^m) + sum over i of bits(c_i).
+
+Then no digit of the polynomial's value reaches 2^(W-1), nor any digit
+of the same kind of polynomial on a subset of its factors, such as the
+left states h(S) = s_|S| of the standard DP's join.  Digits a kernel
+only adds up need no bound: a packed row is one exact int, every step
+is an integer multiply-add by one coefficient, so the final P is
+exactly the sum of its true digits shifted by W*j, and decoding it is
+exact as soon as those true digits lie below 2^(W-1).  Proof of the
+bound: expand the polynomial into words, one choice of permutation, of
+the n inner indices between neighbouring factors, and of an ordered
+split of the output mask u into one mask per factor.  Fix an output
+entry, a mask u, the indices and the split: the y's and the Grassmann
+sign of the split are then fixed, and the signed sum over the
+permutations is the determinant of the k x k matrix whose entry (i, t)
+is the coefficient x_i takes at the t-th x slot.  Row i lies in
+[-c_i, c_i], so scaling it by c_i shows the determinant is at most h_k
+times the product of the x's c_i, where h_k is the largest determinant
+of a +-1 matrix (the determinant is affine in each entry), and the y's
+add a factor of at most their c_i.  h_k <= 2^(bits(k!) - 1): Hadamard's
+inequality gives h_k <= k^(k/2), and subtracting the first row from the
+others shows that 2^(k-1) divides the determinant of a +-1 matrix, so
+h_1 = 1, h_2 <= 2, h_3 <= 4 and h_4 <= 16; for k >= 5,
+k^(k/2) <= k!/2 < 2^(bits(k!) - 1) (true at 5, and the left side grows
+by sqrt(k+1) (1 + 1/k)^(k/2) < k + 1 per step).  There are n^F index
+choices and N^|u| <= 2^(m*F) splits, since N <= 2^F, so the digit is at
+most 2^(bits(k!) - 1) (n 2^m)^F times the product of all N c_i, which
+is below 2^(W-1) because c_i < 2^bits(c_i) (a zero c_i leaves every
+digit zero).  On a subset of the factors k!, F and the sum only shrink.
+The bound is sharp to one bit: s_2 at n = 3, m = 1, d_1 at n = 3,
+m = 0, and a 3x3 product at m = 6 reach 2^(W-2) on sign-aligned
+factors near 2^62.
 
 Powers are computed by plain iterated multiplication.  Nilpotency
 degrees here stay in the single digits, and the intermediate powers are
@@ -39,11 +78,11 @@ exactly what minimality checks need to look at.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, List, Sequence, Tuple
+from math import factorial
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
-from .grassmann import GrassmannElem, _check_rank, _digits, mul_into
+from .grassmann import GrassmannElem, _check_rank, mul_into
 from .ring import ZMOD, Ring, parse_ring
 
 
@@ -163,47 +202,23 @@ class GrMatrix:
     def __mul__(self, other: "GrMatrix") -> "GrMatrix":
         self._check_other(other)
         n, m, ring = self.n, self.m, self.ring
-        lift = ring.lift_terms
-        lower = ring.lower_terms
-        make = GrassmannElem._make
-        rows = [lift([a.terms for a in arow]) for arow in self.rows]
-        cols = [lift([row[j].terms for row in other.rows]) for j in range(n)]
-        if ring.kind == ZMOD:
-            ca = cb = ring.characteristic - 1
-        else:
-            ca, cb = (
-                max(map(abs, chain.from_iterable(map(dict.values, chain.from_iterable(
-                    ts for ts, _ in half)))), default=0)
-                for half in (rows, cols)
-            )
-        width = ca.bit_length() + cb.bit_length() + (n << m).bit_length() + 1
+        (fa, fb), width, den = _lift((self, other), 1)
         packed = [{} for _ in range(n)]
-        for j, (tcol, _) in enumerate(cols):
-            shift = width * j
-            for P, tb in zip(packed, tcol):
+        for t, P in enumerate(packed):
+            for j, tb in enumerate(fb[t * n : t * n + n]):
+                shift = width * j
                 for sb, c in tb.items():
                     P[sb] = P.get(sb, 0) + (c << shift)
-        zero = make(m, ring, {})
-        zeros = (zero,) * n
-        out = []
-        for ta, da in rows:
+        state: dict = {}
+        for i in range(n):
             acc: dict = {}
-            for t, P in zip(ta, packed):
-                if t and P:
-                    mul_into(acc, t, P)
-            if not acc:
-                out.append(zeros)
-                continue
-            entries = [{} for _ in range(n)]
+            for ta, P in zip(fa[i * n : i * n + n], packed):
+                if ta and P:
+                    mul_into(acc, ta, P)
+            im = i << m
             for u, P in acc.items():
-                for d, e in zip(_digits(P, width), entries):
-                    if d:
-                        e[u] = d
-            out.append(tuple([
-                make(m, ring, lower(e, da * db)) if e else zero
-                for e, (_, db) in zip(entries, cols)
-            ]))
-        return GrMatrix._make(n, m, ring, tuple(out))
+                state[im | u] = P
+        return _wrap_state(state, n, m, ring, width, den)
 
     def __pow__(self, k: int) -> "GrMatrix":
         if not isinstance(k, int) or k < 0:
@@ -328,6 +343,81 @@ class GrMatrix:
         )
         return cls._make(n, m, ring, rows)
 
+
+
+# ----- packed rows (see the module docstring) -----
+
+
+def _lift(mats: Sequence[GrMatrix], k: int) -> Tuple[list, int, int]:
+    """(flats, W, D) for a polynomial in mats with k alternating factors:
+    each matrix lifted once by Ring.lift_terms to its row-major list of
+    n*n integer term dicts, the digit width W of the width lemma, and
+    the product D of the matrices' denominators (1 outside rat)."""
+    first = mats[0]
+    n, m, ring = first.n, first.m, first.ring
+    width = factorial(k).bit_length() + (len(mats) - 1) * (n << m).bit_length()
+    zmod = ring.kind == ZMOD
+    flats, den = [], 1
+    for A in mats:
+        flat, d = ring.lift_terms([e.terms for row in A.rows for e in row])
+        if zmod:
+            c = ring.characteristic - 1
+        else:  # a plain loop is fastest on factors of a few terms
+            c = 0
+            for terms in flat:
+                for v in terms.values():
+                    if v > c:
+                        c = v
+                    elif -v > c:
+                        c = -v
+        flats.append(flat)
+        width += c.bit_length()
+        den *= d
+    return flats, width, den
+
+
+def _digits(P: int, width: int) -> list:
+    """The signed digits P = sum over j of d_j << (width*j) packs, with
+    |d_j| < 2^(width-1), column 0 first and trailing zeros left out."""
+    full = 1 << width
+    low, half = full - 1, full >> 1
+    out = []
+    while P:
+        d = P & low
+        if d >= half:
+            d -= full
+        out.append(d)
+        P = (P - d) >> width
+    return out
+
+
+def _unpack(state: dict, n: int, m: int, width: int) -> list:
+    """A packed matrix as the row-major list of its n*n entries' term
+    dicts ({} for a zero entry)."""
+    low = (1 << m) - 1
+    flat: list = [{} for _ in range(n * n)]
+    for key, P in state.items():
+        rn, u = (key >> m) * n, key & low
+        for j, d in enumerate(_digits(P, width)):
+            if d:
+                flat[rn + j][u] = d
+    return flat
+
+
+def _wrap_state(state: Optional[dict], n: int, m: int, ring: Ring, width: int, den: int) -> GrMatrix:
+    """The GrMatrix of a packed matrix over the integers, divided by den."""
+    if not state:
+        return GrMatrix.zero(n, m, ring)
+    flat = _unpack(state, n, m, width)
+    lower = ring.lower_terms
+    make = GrassmannElem._make
+    return GrMatrix._make(
+        n, m, ring,
+        tuple(
+            tuple(make(m, ring, lower(d, den) if d else d) for d in flat[r * n : r * n + n])
+            for r in range(n)
+        ),
+    )
 
 def matrices_to_json(mats: Iterable[GrMatrix]) -> List[dict]:
     return [A.to_json() for A in mats]

@@ -126,21 +126,6 @@ def mul_into(acc: dict, ta: dict, tb: dict, negate: bool = False) -> None:
                 acc[u] = c if prev is None else prev + c
 
 
-def _digits(P: int, width: int) -> list:
-    """The signed digits P = sum over c of d_c << (width*c) packs, with
-    |d_c| < 2^(width-1), column 0 first and trailing zeros left out."""
-    full = 1 << width
-    low, half = full - 1, full >> 1
-    out = []
-    while P:
-        d = P & low
-        if d >= half:
-            d -= full
-        out.append(d)
-        P = (P - d) >> width
-    return out
-
-
 def _check_rank(m: int) -> None:
     if not isinstance(m, int) or not 0 <= m <= MAX_RANK:
         raise IndexOutOfRangeError(f"rank must satisfy 0 <= m <= {MAX_RANK}, got {m}")

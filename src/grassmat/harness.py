@@ -29,9 +29,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -54,7 +55,7 @@ from .identities import (
     standard_product_eval,
     young_alternating_sum,
 )
-from .poly import Poly, charpoly, eval_product_form
+from .poly import Poly, charpoly
 from .report import (
     COUNTEREXAMPLE_FOUND,
     FAIL,
@@ -271,16 +272,21 @@ def _product(inputs: dict, max_k: int) -> GrMatrix:
 
 def _ch_sharp(inputs: dict, max_k: int) -> tuple:
     """(f, f(A)^c, f(A)^(c+1), [g_i(A)]) for f = prod (x - lambda_i), c = ceil(m/2)
-    and g_i = (x - lambda_i)^c prod_{j != i} (x - lambda_j)^(c+1)."""
+    and g_i = (x - lambda_i)^c prod_{j != i} (x - lambda_j)^(c+1).
+
+    g_i = f^c prod_{j != i} (x - lambda_j), so each g_i(A) is f(A)^c times
+    n - 1 shifted matrices A - lambda_j I: 18 products for all four at
+    n = 4, m = 6.  That f(A)^c is taken from the lambdas, as the product
+    of all n shifted matrices to the c, so the g_i(A) do not depend on
+    how f was built."""
     A, lams = inputs["matrix"], inputs["lambdas"]
-    c = ch_exponent(A.m)
-    f = Poly.from_roots(A.ring, lams)
+    ring, c = A.ring, ch_exponent(A.m)
+    f = Poly.from_roots(ring, lams)
     B = f.at_matrix(A)
     Bc = B**c
-    gs = [
-        eval_product_form(A, [(lams[i], c)] + [(lams[j], c + 1) for j in range(A.n) if j != i])
-        for i in range(A.n)
-    ]
+    shifted = [A.plus_scalar(ring.neg(ring.coerce(lam))) for lam in lams]
+    fc = reduce(mul, shifted) ** c
+    gs = [reduce(mul, shifted[:i] + shifted[i + 1 :], fc) for i in range(A.n)]
     return f, Bc, Bc * B, gs
 
 

@@ -33,63 +33,18 @@ For the Capelli form, whose prefixes and suffixes carry different y's,
 every layer is built, and the layer at size s premultiplies the fixed
 y_{k-s+1} into each live state before the transition.
 
-Packed states.  The DP runs on plain ints in every ring.  A state is one
-dict: its key (t << m) | mask names row t of the matrix at the Grassmann
-monomial mask, and its value P = sum over c of d_c << (W*c) packs the n
-column coefficients of that row as signed digits, |d_c| < 2^(W-1).  An
-entry whose P is 0 is dropped, and a state with no entries is dead.
-Multiplying a packed row by one coefficient of the left factor
-multiplies all n digits at once, so the kernel spends one int
-multiply-add per pair of terms instead of one per column.  Each operand
-held fixed for a call (each x_i, each y, each left state of the join)
-keeps a table, filled lazily, from a state key (t << m) | sb to the
-signed terms its column t sends into each row r,
+Packed states.  The DP runs on the packed format of `gmatrix`: a state
+is one packed matrix, and an entry whose int is 0 is dropped, so a state
+with no entries is dead.  Each factor is lifted once (gmatrix._lift),
+which also gives the digit width W of the `gmatrix` width lemma with
+k alternating factors: N = k for s_k and N = 2k + 1 for d_k.  Each
+operand held fixed for a call (each x_i, each y, each left state of the
+join) keeps a table, filled lazily, from a state key (t << m) | sb to
+the signed terms its column t sends into each row r,
 [((r << m) | u, +-ca)], built with grassmann.signed_products, so the DP
-shares one sign rule with the products.  Only the final state is
-unpacked into a GrMatrix.
-
-The width lemma.  Take c = p - 1 over Z/p, and otherwise the largest
-|coefficient| of the integer factors, and let N be the number of
-factors (k for s_k, 2k + 1 for d_k) and F = N - 1 the number of
-products in a word.  With W = bits(k!) + F*bits(n * 2^m) + N*bits(c),
-no digit the DP decodes reaches 2^(W-1).  Those are the digits of the
-final value and, in the join, of each left state h(S), which is s_|S|
-of fewer factors.  Digits the DP only adds up need no bound: a packed
-row is one exact int, every step is an integer multiply-add by one
-coefficient, so the final P is exactly the sum of its true digits
-shifted by W*c, and decoding it is exact as soon as those true digits
-lie below 2^(W-1).  Proof of the bound: expand the polynomial into
-words, one choice of permutation, of the n inner indices between
-neighbouring factors, and of an ordered split of the output mask u
-into one mask per factor.  Fix an output entry, a mask u, the indices
-and the split: the y's and the Grassmann sign of the split are then
-fixed, and the signed sum over the permutations is the determinant of
-the k x k matrix whose entry (i, t) is the coefficient x_i takes at
-the t-th x slot.  Its entries lie in [-c, c], so it is at most
-h_k c^k, where h_k is the largest determinant of a +-1 matrix (the
-determinant is affine in each entry), and the y's add a factor of at
-most c^(N-k).  h_k <= 2^(bits(k!) - 1):
-Hadamard's inequality gives h_k <= k^(k/2), and subtracting the
-first row from the others shows that 2^(k-1) divides the determinant
-of a +-1 matrix, so h_1 = 1, h_2 <= 2, h_3 <= 4 and h_4 <= 16; for
-k >= 5, k^(k/2) <= k!/2 < 2^(bits(k!) - 1) (true at 5, and the left
-side grows by sqrt(k+1) (1 + 1/k)^(k/2) < k + 1 per step).  There
-are n^F index choices and N^|u| <= 2^(m*F) splits, since N <= 2^F,
-so the digit is at most 2^(bits(k!) - 1) (n 2^m)^F c^N, and
-(n 2^m)^F c^N < 2^(F*bits(n 2^m) + N*bits(c)) because c >= 1 (a zero
-c leaves every digit zero).  The same holds for s_|S| in place of
-s_k, with fewer factors, so every decoded digit lies below 2^(W-1).
-The bound is sharp to one bit: s_2 at n = 3, m = 1, and d_1 at n = 3,
-m = 0, reach 2^(W-2) on sign-aligned factors near 2^62.
-
-Rings.  Over int the DP runs on the coefficients as they are.  Over
-Z/p it runs on the residues as ints, and the final state is reduced once
-by Ring.lower_terms (clean_terms).  Over rat each factor is lifted once
-by Ring.lift_terms to integer numerators over its denominator d_i; by
-multilinearity the polynomial of the lifted factors is the polynomial
-of the originals times the product D of the d_i, so the final state is
-lowered once by Ring.lower_terms(terms, D), which gives the same
-canonical Fractions term for term.
+shares one sign rule with the products.  Only the final state, and in
+the join each left state, is decoded; gmatrix._wrap_state lowers the
+final one over the product of the factors' denominators.
 
 young_alternating_sum restricts the alternating sum to a Young subgroup
 (a product of symmetric groups on the classes of a set partition).  It
@@ -100,7 +55,6 @@ rely on the vanishing or factorial lemmas must check those separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -110,9 +64,8 @@ from .errors import (
     GroupTooLargeError,
     LengthMismatchError,
 )
-from .gmatrix import GrMatrix
-from .grassmann import GrassmannElem, _digits, _sign_mask, signed_products
-from .ring import ZMOD
+from .gmatrix import GrMatrix, _lift, _unpack, _wrap_state
+from .grassmann import GrassmannElem, _sign_mask, signed_products
 
 DEFAULT_NAIVE_K = 8
 DEFAULT_STANDARD_DP_K = 24
@@ -238,32 +191,6 @@ class _Operand(dict):
         return row
 
 
-def _operands(mats: Sequence[GrMatrix], k: int, products: int) -> Tuple[list, int, int]:
-    """(operands, W, d) for a polynomial of degree k in the x's whose
-    words are `products` matrix products long: each factor lifted to
-    integers by Ring.lift_terms, the digit width W of the width lemma
-    above, and the product d of the factors' denominators (1 outside
-    rat)."""
-    first = mats[0]
-    n, m, ring = first.n, first.m, first.ring
-    ops, den = [], 1
-    for A in mats:
-        flat, d = ring.lift_terms([e.terms for row in A.rows for e in row])
-        ops.append(_Operand(flat, n, m))
-        den *= d
-    if ring.kind == ZMOD:
-        c = ring.characteristic - 1
-    else:
-        values = chain.from_iterable(map(dict.values, chain.from_iterable(x.flat for x in ops)))
-        c = max(map(abs, values), default=0)
-    width = (
-        factorial(k).bit_length()
-        + products * (n << m).bit_length()
-        + len(mats) * c.bit_length()
-    )
-    return ops, width, den
-
-
 def _identity_state(n: int, m: int, width: int) -> dict:
     return {t << m: 1 << (width * t) for t in range(n)}
 
@@ -325,19 +252,6 @@ def _premultiply(y: _Operand, layer: dict) -> dict:
     return _clean_layer(layer)
 
 
-def _unpack(state: dict, n: int, m: int, width: int) -> list:
-    """A packed state as the row-major list of its n*n entries' term
-    dicts ({} for a zero entry)."""
-    low = (1 << m) - 1
-    flat: list = [{} for _ in range(n * n)]
-    for key, P in state.items():
-        rn, u = (key >> m) * n, key & low
-        for t, d in enumerate(_digits(P, width)):
-            if d:
-                flat[rn + t][u] = d
-    return flat
-
-
 def _join(left: dict, right: dict, k: int, n: int, m: int, width: int) -> dict:
     """s_k = sum over S in left of (-1)^shuffle(S) h(S) h(S^c), S^c in right.
 
@@ -356,22 +270,6 @@ def _join(left: dict, right: dict, k: int, n: int, m: int, width: int) -> dict:
     return acc
 
 
-def _wrap_state(state: Optional[dict], n: int, m: int, ring, width: int, den: int) -> GrMatrix:
-    """The GrMatrix of a packed state over the integers, divided by den."""
-    if not state:
-        return GrMatrix.zero(n, m, ring)
-    flat = _unpack(state, n, m, width)
-    lower = ring.lower_terms
-    make = GrassmannElem._make
-    return GrMatrix._make(
-        n, m, ring,
-        tuple(
-            tuple(make(m, ring, lower(d, den) if d else d) for d in flat[r * n : r * n + n])
-            for r in range(n)
-        ),
-    )
-
-
 def standard_dp(
     mats: Sequence[GrMatrix], max_k: int = DEFAULT_STANDARD_DP_K
 ) -> GrMatrix:
@@ -388,7 +286,8 @@ def standard_dp(
     _check_matrix_family(mats, "standard_dp")
     first = mats[0]
     n, m, ring = first.n, first.m, first.ring
-    xs, width, den = _operands(mats, k, k - 1)
+    flats, width, den = _lift(mats, k)
+    xs = [_Operand(flat, n, m) for flat in flats]
     layer = {0: _identity_state(n, m, width)}
     for _ in range(k // 2):
         layer = _dp_transition(xs, layer, k)
@@ -421,7 +320,8 @@ def capelli_dp(
     _check_matrix_family(mats, "capelli_dp")
     first = ys[0]
     n, m, ring = first.n, first.m, first.ring
-    ops, width, den = _operands(mats, k, 2 * k)
+    flats, width, den = _lift(mats, k)
+    ops = [_Operand(flat, n, m) for flat in flats]
     xops, yops = ops[:k], ops[k:]
     layer = {0: _identity_state(n, m, width)}
     for s in range(1, k + 1):

@@ -7,9 +7,8 @@ Berkowitz iteration, which is division-free and therefore valid over the
 plain integers as well as over the fields; tests cross-check it against
 an independent Leibniz-expansion oracle.
 
-Matrix evaluation uses Horner's scheme.  The product form
-prod (A - root*I)^mult multiplies the factors out directly, so no
-polynomial division is ever performed.
+Matrix evaluation uses Horner's scheme, so no polynomial division is
+ever performed.
 """
 
 from __future__ import annotations
@@ -226,19 +225,3 @@ def charpoly(A0: GrMatrix) -> Poly:
         p = newp
     return Poly(ring, list(reversed(p)))
 
-
-def eval_product_form(A: GrMatrix, factors: Sequence[Tuple]) -> GrMatrix:
-    """prod over (root, mult) of (A - root*I)^mult, multiplied out.
-
-    The factor order follows the input list; the factors commute anyway,
-    being polynomials in the same matrix.  An empty list gives I.
-    """
-    ring = A.ring
-    result = GrMatrix.identity(A.n, A.m, A.ring)
-    for root, mult in factors:
-        if mult < 0:
-            raise ValueError("multiplicity must be nonnegative")
-        shifted = A.plus_scalar(ring.neg(ring.coerce(root)))
-        for _ in range(mult):
-            result = result * shifted
-    return result

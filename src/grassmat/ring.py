@@ -10,21 +10,19 @@ arithmetic; see MixedRingsError.
 Ring objects compare structurally, so two PrimeField(7) instances are
 interchangeable.
 
-Products of Grassmann elements and matrices run their term kernel on
-plain ints in every ring.  `lift_terms` turns a group of term dicts
-(a matrix row, a matrix column, or one element) into integer numerators
-over one common denominator, the lcm of the group's denominators, and
-`lower_terms` turns an accumulated integer result back into canonical
-terms given the product of the denominators of its two factors.  Over
-the rationals the lower step is Fraction(v, d) per nonzero v, which
-reduces by gcd, so the result equals the one Fraction arithmetic gives,
-term for term.  Over the integers and Z/p the values already are ints:
-the lift returns the dicts unchanged with denominator 1, and the lower
-is `clean_terms`.  Between the two steps a matrix product packs the
-lifted columns of its right factor into signed W-bit digits of one int
-per row and mask, and the subset DPs pack their states the same way, so
-the ints can be wide; the widths are proved in the `gmatrix` and
-`identities` docstrings, and neither step depends on them.
+Products of Grassmann elements and matrices, and the subset DPs, run
+their term kernels on plain ints in every ring.  `lift_terms` turns a
+group of term dicts (the entries of a matrix, or one element) into
+integer numerators over one common denominator, the lcm of the group's
+denominators, and `lower_terms` turns an accumulated integer result
+back into canonical terms given the product of its factors'
+denominators.  Over the rationals the lower step is Fraction(v, d) per
+nonzero v, which reduces by gcd, so the result equals the one Fraction
+arithmetic gives, term for term.  Over the integers and Z/p the values
+already are ints: the lift returns the dicts unchanged with denominator
+1, and the lower is `clean_terms`.  Between the two steps the kernels
+pack the lifted values into signed W-bit digits of wide ints; the width
+is proved in the `gmatrix` docstring, and neither step depends on it.
 """
 
 from __future__ import annotations

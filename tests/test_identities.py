@@ -478,24 +478,25 @@ def test_packed_dp_matches_dict_oracle_and_naive():
 
 
 def _exact_layers(monkeypatch, evaluate, *args):
-    """Run evaluate with _operands, _dp_transition and _wrap_state wrapped:
-    returns the digit width, the integer factors the DP ran on (as ZZ
-    matrices), a copy of every layer _dp_transition returned and the
-    nonzero entries of the final packed state."""
+    """Run evaluate with the gmatrix helpers _lift and _wrap_state, as
+    identities binds them, and _dp_transition wrapped: returns the digit
+    width, the integer factors the DP ran on (as ZZ matrices), a copy of
+    every layer _dp_transition returned and the nonzero entries of the
+    final packed state."""
     seen = {}
     layers = []
-    operands, transition, wrap = identities._operands, identities._dp_transition, identities._wrap_state
+    lift, transition, wrap = identities._lift, identities._dp_transition, identities._wrap_state
 
-    def spy_operands(mats, k, products):
-        ops, width, den = operands(mats, k, products)
+    def spy_lift(mats, k):
+        flats, width, den = lift(mats, k)
         n, m = mats[0].n, mats[0].m
         seen["width"] = width
         seen["mats"] = [
-            GrMatrix([[GrassmannElem._make(m, ZZ, dict(x.flat[r * n + t] or {})) for t in range(n)]
+            GrMatrix([[GrassmannElem._make(m, ZZ, dict(flat[r * n + t])) for t in range(n)]
                       for r in range(n)])
-            for x in ops
+            for flat in flats
         ]
-        return ops, width, den
+        return flats, width, den
 
     def spy_transition(xs, layer, k):
         out = transition(xs, layer, k)
@@ -506,7 +507,7 @@ def _exact_layers(monkeypatch, evaluate, *args):
         seen["final"] = {key: P for key, P in (state or {}).items() if P}
         return wrap(state, *rest)
 
-    monkeypatch.setattr(identities, "_operands", spy_operands)
+    monkeypatch.setattr(identities, "_lift", spy_lift)
     monkeypatch.setattr(identities, "_dp_transition", spy_transition)
     monkeypatch.setattr(identities, "_wrap_state", spy_wrap)
     evaluate(*args)

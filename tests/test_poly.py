@@ -8,7 +8,7 @@ import pytest
 from grassmat.errors import ContextMismatchError, MixedRingsError, NonScalarEntriesError
 from grassmat.gmatrix import GrMatrix
 from grassmat.grassmann import GrassmannElem
-from grassmat.poly import Poly, charpoly, eval_product_form, scalar_rows
+from grassmat.poly import Poly, charpoly, scalar_rows
 from grassmat.ring import QQ, ZZ, PrimeField
 
 from oracles import leibniz_charpoly, perm_sign_by_inversions
@@ -172,20 +172,3 @@ def test_at_matrix_ring_mismatch():
     with pytest.raises(ContextMismatchError):
         Poly(QQ, [1]).at_matrix(A)
 
-
-# ------------------------------------------------------------ product form
-
-def test_eval_product_form_matches_expanded():
-    rng = random.Random(37)
-    for ring in (ZZ, PrimeField(7)):
-        vals = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-        A = scalar_matrix(vals, 2, ring)
-        factors = [(ring.embed(1), 2), (ring.embed(-2), 1)]
-        direct = eval_product_form(A, factors)
-        f = Poly.from_roots(ring, [1, 1, -2])
-        assert direct == f.at_matrix(A)
-
-
-def test_eval_product_form_empty_is_identity():
-    A = scalar_matrix([[3, 1], [0, 2]], 1, ZZ)
-    assert eval_product_form(A, []) == GrMatrix.identity(2, 1, ZZ)

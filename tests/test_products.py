@@ -21,8 +21,8 @@ import pytest
 from oracles import _mul_sign, pairwise_mul_into, ring_value_elem_mul, ring_value_matmul
 
 from grassmat import gmatrix
-from grassmat.gmatrix import GrMatrix
-from grassmat.grassmann import GrassmannElem, _digits, _sign_mask, mul_into, signed_products
+from grassmat.gmatrix import GrMatrix, _digits
+from grassmat.grassmann import GrassmannElem, _sign_mask, mul_into, signed_products
 from grassmat.ring import QQ, ZMOD, ZZ, PrimeField
 
 F2 = PrimeField(2)
@@ -245,9 +245,10 @@ def test_matrix_product_matches_ring_value_oracle(ring):
 
 
 def test_product_digits_stay_below_half_the_width(monkeypatch):
-    # Each entry of each product is recomputed over ZZ from the lifted
-    # factors; every digit must stay below 2^(W-1), and the packed values
-    # the product decodes must be exactly those digits, W bits apart.
+    # Each entry of each product is recomputed over ZZ from the factors
+    # lifted once each, as gmatrix._lift lifts them; every digit must stay
+    # below 2^(W-1), and the packed values the product decodes must be
+    # exactly those digits, W bits apart.
     seen = []
 
     def spy(P, width):
@@ -261,15 +262,14 @@ def test_product_digits_stay_below_half_the_width(monkeypatch):
         A * B
         (width,) = {w for _, w in seen} or {None}
         n, lift = A.n, A.ring.lift_terms
-        rows = [lift([e.terms for e in row])[0] for row in A.rows]
-        cols = [lift([row[j].terms for row in B.rows])[0] for j in range(n)]
+        fa, fb = (lift([e.terms for row in X.rows for e in row])[0] for X in (A, B))
         packed = []
-        for ta in rows:
+        for i in range(n):
             entries = []
-            for tb in cols:
+            for j in range(n):
                 acc: dict = {}
-                for t, u in zip(ta, tb):
-                    mul_into(acc, t, u)
+                for t in range(n):
+                    mul_into(acc, fa[i * n + t], fb[t * n + j])
                 entries.append(acc)
             for u in set().union(*entries):
                 digits = [e.get(u, 0) for e in entries]
