@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List
+from typing import Iterable, List
 
 from .gmatrix import GrMatrix
 from .grassmann import GrassmannElem, _check_rank
@@ -52,19 +52,21 @@ def random_coeff(rng: random.Random, ring: Ring):
     return num
 
 
-def _random_terms(rng: random.Random, m: int, ring: Ring, count: int, draw_mask) -> GrassmannElem:
-    """Sum of `count` monomials draw_mask(rng) with random coefficients."""
+def _random_terms(rng: random.Random, m: int, ring: Ring, masks: Iterable[int]) -> GrassmannElem:
+    """Sum of the monomials of masks, each with a random coefficient.
+
+    masks may be a lazy iterable that draws from rng, one mask before
+    each coefficient."""
     _check_rank(m)
     acc: dict = {}
-    for _ in range(count):
-        mask = draw_mask(rng)
+    for mask in masks:
         acc[mask] = acc.get(mask, 0) + ring.coerce(random_coeff(rng, ring))
     return GrassmannElem._make(m, ring, ring.clean_terms(acc))
 
 
 def random_grassmann(rng: random.Random, m: int, ring: Ring, sparsity: int) -> GrassmannElem:
     """Sum of `sparsity` random basis monomials with random coefficients."""
-    return _random_terms(rng, m, ring, sparsity, lambda rng: rng.randrange(1 << m))
+    return _random_terms(rng, m, ring, (rng.randrange(1 << m) for _ in range(sparsity)))
 
 
 def random_grmatrix(rng: random.Random, n: int, m: int, ring: Ring, sparsity: int) -> GrMatrix:
@@ -75,11 +77,13 @@ def random_grmatrix(rng: random.Random, n: int, m: int, ring: Ring, sparsity: in
 def random_degree1_grmatrix(
     rng: random.Random, n: int, m: int, ring: Ring, sparsity: int
 ) -> GrMatrix:
-    """Entries are sums of single generators; the zero matrix when m = 0."""
-    count = sparsity if m else 0  # no generator to draw
+    """Entries are sums of min(sparsity, m) distinct generators with random
+    coefficients, so a nonzero sparsity gives a nonzero degree-1 entry in
+    every ring; the zero matrix when m = 0."""
+    count = min(sparsity, m)
 
     def entry():
-        return _random_terms(rng, m, ring, count, lambda rng: 1 << (rng.randint(1, m) - 1))
+        return _random_terms(rng, m, ring, [1 << i for i in rng.sample(range(m), count)])
 
     return GrMatrix([[entry() for _ in range(n)] for _ in range(n)])
 

@@ -359,6 +359,24 @@ def test_grid_skips_a_point_its_prime_field_cannot_carry(capsys):
     assert rows[3, 0] == rows[3, 1] == "SKIP"
 
 
+def test_lemma2_over_zmod2_keeps_a_nonzero_degree1_part(capsys):
+    # with one generator, two draws of v1 would cancel mod 2
+    code, out, _ = run(capsys, ["lemma2", "-n", "1", "-m", "1", "--ring", "zmod:2", "--format", "json"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["verdict"] == "PASS"
+    assert report["details"] == [{"name": "control_degree1_part_nonzero", "value": True}]
+
+
+def test_grid_lemma2_over_zmod2_passes_every_point_it_runs(capsys):
+    argv = ["grid", "--target", "Lemma2", "--ring", "zmod:2", "--n-max", "3",
+            "--m-max", "3", "--trials", "1", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    rows = {(r["n"], r["m"]): r["verdict"] for r in json.loads(out)["rows"]}
+    assert rows == {(n, m): "SKIP" if n == 3 else "PASS" for n in (1, 2, 3) for m in range(4)}
+
+
 def test_grid_skips_colliding_eigenvalues(capsys):
     # the default eigenvalues 0, 1, 2 collide mod 2, so each n = 3 point is
     # refused before its first trial, with the same error class as a drawn

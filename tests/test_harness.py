@@ -113,6 +113,18 @@ def test_random_degree1_matrix_is_degree_one():
     assert random_degree1_grmatrix(trial_rng(2, 0), 2, 0, QQ, 2).is_zero()
 
 
+def test_random_degree1_entries_draw_distinct_generators():
+    # min(sparsity, m) distinct generators per entry, so no draw cancels
+    # another, even over zmod:2
+    for sparsity in range(5):
+        for m in range(4):
+            A = random_degree1_grmatrix(trial_rng(3, m), 3, m, PrimeField(2), sparsity)
+            for row in A.rows:
+                for e in row:
+                    assert len(e.terms) == min(sparsity, m)
+                    assert all(mask.bit_count() == 1 for mask in e.terms)
+
+
 # ------------------------------------------------------------ structure
 
 def test_degrees_for_frozen():
