@@ -53,11 +53,11 @@ split of the output mask u into one mask per factor.  Fix an output
 entry, a mask u, the indices and the split: the y's and the Grassmann
 sign of the split are then fixed, and the signed sum over the
 permutations is the determinant of the k x k matrix whose entry (i, t)
-is the coefficient x_i takes at the t-th x slot.  Row i lies in
-[-c_i, c_i], so scaling it by c_i shows the determinant is at most h_k
-times the product of the x's c_i, where h_k is the largest determinant
-of a +-1 matrix (the determinant is affine in each entry), and the y's
-add a factor of at most their c_i.  h_k <= 2^(bits(k!) - 1): Hadamard's
+is the coefficient x_i takes at the t-th x slot.  Row i is c_i times a
+row in [-1, 1], so the determinant is at most h_k times the product of
+the x's c_i, where h_k is the largest determinant of a +-1 matrix (the
+determinant is affine in each entry), and the y's add a factor of at
+most their c_i.  h_k <= 2^(bits(k!) - 1): Hadamard's
 inequality gives h_k <= k^(k/2), and subtracting the first row from the
 others shows that 2^(k-1) divides the determinant of a +-1 matrix, so
 h_1 = 1, h_2 <= 2, h_3 <= 4 and h_4 <= 16; for k >= 5,
