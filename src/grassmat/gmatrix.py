@@ -6,30 +6,37 @@ all arithmetic stays exact.  The degree-d component of a matrix is the
 matrix of entrywise degree-d components, and matrix multiplication
 respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.
 
-Packed rows.  Matrix products and the subset DPs of `identities` run on
+Packed matrices.  Matrix products and the subset DPs of `identities` run on
 plain ints in every ring, in one format.  _lift lifts each factor once,
 as a whole matrix, to integer numerators over one common denominator
 (Ring.lift_terms; over the integers and Z/p that changes nothing).  A
-packed matrix is one dict: its key (i << m) | u names row i at the
-Grassmann monomial u, and its value P = sum over j of d_j << (W*j)
-holds the row's n column coefficients as signed digits,
-|d_j| < 2^(W-1).  Multiplying a packed row by one coefficient
-multiplies all n digits at once, so a kernel spends one int
-multiply-add per pair of terms instead of one per column.  _wrap_state
-decodes a packed result (_unpack, _digits) and lowers each entry once
-over the product of the factors' denominators (Ring.lower_terms), which
-gives the same canonical terms as the ring's own arithmetic: by
-multilinearity the polynomial of the lifted factors is the polynomial
-of the originals times that product.
+packed matrix is one dict: its value P = sum over j of d_j << (W*j)
+under the key (i << m) | u holds coefficients of the Grassmann
+monomial u as signed digits, |d_j| < 2^(W-1), digit j for entry
+i*n + j in row-major order.  So a key with row i carries the digits
+of entries from i*n onward: the DP states key each row on its own,
+and a product keys every entry under row 0.  Multiplying a packed
+value by one coefficient multiplies all its digits at once, so a
+kernel spends one int multiply-add per pair of terms instead of one
+per digit.  _wrap_state decodes a packed result (_unpack, _digits) and
+lowers each entry once over the product of the factors' denominators
+(Ring.lower_terms), which gives the same canonical terms as the ring's
+own arithmetic: by multilinearity the polynomial of the lifted factors
+is the polynomial of the originals times that product.
 
-A product A*B packs row t of the lifted B into one term dict
-{sb: sum over j of b_tj[sb] << (W*j)}, so grassmann.mul_into(acc, a_it,
-packed row t) multiplies all n columns at once: one call per nonzero
-a_it instead of one per (i, j, t).  On a 4x4 rat product at m = 6 with
-dense entries this takes one product from 13-16 ms to about 5 ms
-(2-vCPU VM, Python 3.11.7); a product of two 2x2 atom matrices gets
-slower, about 7 us to 11 us, since packing a row costs more than the
-few term pairs it saves.
+A product A*B packs column t of the lifted A across its rows at
+stride n*W, {sa: sum over i of a_it[sa] << (n*W*i)}, and row t of the
+lifted B at stride W, {sb: sum over j of b_tj[sb] << (W*j)}.  A term
+pair of the two multiplies every a_it by every b_tj at once, and
+a_it b_tj lands on digit n*i + j, so grassmann.mul_into(acc, packed
+column t, packed row t) over t = 0..n-1 leaves in acc[u] all n^2
+entries of the product at u: n kernel calls instead of up to n^2, on
+the same W, since each digit is still one entry.  On a 4x4 rat
+product at m = 6 with dense entries this takes one product from about
+6.4 ms with packed rows alone to about 3.5 ms, and a 3x3 product over
+Z/7 at m = 2 from 76 us to 65 us (2-vCPU VM, Python 3.11.7); a product
+of two 2x2 atom matrices stays at about 12 us, since packing costs
+about what it saves on so few terms.
 
 The width lemma.  Take a polynomial whose words are products of N
 factors, F = N - 1 products each: k of the factors (the x's) are
@@ -43,7 +50,7 @@ factor (p - 1 over Z/p, with no scan) and
 Then no digit of the polynomial's value reaches 2^(W-1), nor any digit
 of the same kind of polynomial on a subset of its factors, such as the
 left states h(S) = s_|S| of the standard DP's join.  Digits a kernel
-only adds up need no bound: a packed row is one exact int, every step
+only adds up need no bound: a packed value is one exact int, every step
 is an integer multiply-add by one coefficient, so the final P is
 exactly the sum of its true digits shifted by W*j, and decoding it is
 exact as soon as those true digits lie below 2^(W-1).  Proof of the
@@ -71,9 +78,10 @@ The bound is sharp to one bit: s_2 at n = 3, m = 1, d_1 at n = 3,
 m = 0, and a 3x3 product at m = 6 reach 2^(W-2) on sign-aligned
 factors near 2^62.
 
-Powers are computed by plain iterated multiplication.  Nilpotency
-degrees here stay in the single digits, and the intermediate powers are
-exactly what minimality checks need to look at.
+Powers square and multiply: A^k runs over the bits of k below the top
+one, squaring once per bit and multiplying by A at each set bit, so it
+takes bit_length(k) + popcount(k) - 2 products for k >= 1, and A^0 is
+the identity.
 """
 
 from __future__ import annotations
@@ -203,29 +211,35 @@ class GrMatrix:
         self._check_other(other)
         n, m, ring = self.n, self.m, self.ring
         (fa, fb), width, den = _lift((self, other), 1)
-        packed = [{} for _ in range(n)]
-        for t, P in enumerate(packed):
+        stride = n * width
+        acc: dict = {}
+        for t in range(n):
+            col: dict = {}
+            for i, ta in enumerate(fa[t::n]):
+                shift = stride * i
+                for sa, c in ta.items():
+                    col[sa] = col.get(sa, 0) + (c << shift)
+            if not col:
+                continue
+            row: dict = {}
             for j, tb in enumerate(fb[t * n : t * n + n]):
                 shift = width * j
                 for sb, c in tb.items():
-                    P[sb] = P.get(sb, 0) + (c << shift)
-        state: dict = {}
-        for i in range(n):
-            acc: dict = {}
-            for ta, P in zip(fa[i * n : i * n + n], packed):
-                if ta and P:
-                    mul_into(acc, ta, P)
-            im = i << m
-            for u, P in acc.items():
-                state[im | u] = P
-        return _wrap_state(state, n, m, ring, width, den)
+                    row[sb] = row.get(sb, 0) + (c << shift)
+            if row:
+                mul_into(acc, col, row)
+        return _wrap_state(acc, n, m, ring, width, den)
 
     def __pow__(self, k: int) -> "GrMatrix":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = GrMatrix.identity(self.n, self.m, self.ring)
-        for _ in range(k):
-            result = result * self
+        if k == 0:
+            return GrMatrix.identity(self.n, self.m, self.ring)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def scale(self, g: GrassmannElem) -> "GrMatrix":
@@ -345,7 +359,7 @@ class GrMatrix:
 
 
 
-# ----- packed rows (see the module docstring) -----
+# ----- packed matrices (see the module docstring) -----
 
 
 def _lift(mats: Sequence[GrMatrix], k: int) -> Tuple[list, int, int]:

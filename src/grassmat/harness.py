@@ -275,7 +275,7 @@ def _ch_sharp(inputs: dict, max_k: int) -> tuple:
     and g_i = (x - lambda_i)^c prod_{j != i} (x - lambda_j)^(c+1).
 
     g_i = f^c prod_{j != i} (x - lambda_j), so each g_i(A) is f(A)^c times
-    n - 1 shifted matrices A - lambda_j I: 18 products for all four at
+    n - 1 shifted matrices A - lambda_j I: 17 products for all four at
     n = 4, m = 6.  That f(A)^c is taken from the lambdas, as the product
     of all n shifted matrices to the c, so the g_i(A) do not depend on
     how f was built."""

@@ -350,10 +350,9 @@ def standard_product_eval(
         raise LengthMismatchError(
             f"need {block * blocks} matrices ({blocks} blocks of {block}), got {len(mats)}"
         )
-    result = GrMatrix.identity(n, m, first.ring)
-    for b in range(blocks):
-        factor = standard_dp(mats[b * block : (b + 1) * block], max_k=max_k)
-        result = result * factor
+    result = standard_dp(mats[:block], max_k=max_k)
+    for b in range(1, blocks):
+        result = result * standard_dp(mats[b * block : (b + 1) * block], max_k=max_k)
     return result
 
 

@@ -7,8 +7,10 @@ Berkowitz iteration, which is division-free and therefore valid over the
 plain integers as well as over the fields; tests cross-check it against
 an independent Leibniz-expansion oracle.
 
-Matrix evaluation uses Horner's scheme, so no polynomial division is
-ever performed.
+Matrix evaluation uses Horner's scheme from the leading coefficient:
+it starts from A itself (times the leading coefficient unless the
+polynomial is monic), so a polynomial of degree d >= 1 costs d - 1
+matrix products and no polynomial division is ever performed.
 """
 
 from __future__ import annotations
@@ -126,13 +128,18 @@ class Poly:
         return acc
 
     def at_matrix(self, A: GrMatrix) -> GrMatrix:
-        """Evaluate at a matrix by Horner; scalars act centrally."""
+        """Evaluate at a matrix by Horner from the leading coefficient;
+        scalars act centrally.  Degree d >= 1 takes d - 1 products."""
         if A.ring != self.ring:
             raise ContextMismatchError("polynomial and matrix rings differ")
-        acc = GrMatrix.zero(A.n, A.m, A.ring)
-        for c in reversed(self.coeffs):
-            acc = (acc * A).plus_scalar(c)
-        return acc
+        coeffs = self.coeffs
+        if len(coeffs) < 2:
+            zero = GrMatrix.zero(A.n, A.m, A.ring)
+            return zero.plus_scalar(coeffs[0]) if coeffs else zero
+        acc = A if self.is_monic() else A.scale_coeff(coeffs[-1])
+        for c in reversed(coeffs[1:-1]):
+            acc = acc.plus_scalar(c) * A
+        return acc.plus_scalar(coeffs[0])
 
     def __eq__(self, other) -> bool:
         return (

@@ -39,29 +39,40 @@ def trial_rng(seed: int, stream: int) -> random.Random:
 
 
 _SMALL_NONZERO = tuple(x for x in range(-9, 10) if x != 0)
+# lcm(1, 2, 3, 4): a rat draw num/d is the integer num * (12 // d) over 12
+_RAT_DEN = 12
 
 
-def random_coeff(rng: random.Random, ring: Ring):
-    """Small nonzero coefficient: [-9,9] over int, uniform nonzero mod p,
-    small fractions over rat."""
+def _random_numerator(rng: random.Random, ring: Ring) -> int:
+    """random_coeff(rng, ring) times _RAT_DEN over rat, as an int, with the
+    same rng calls."""
     if ring.kind == ZMOD:
         return rng.randrange(1, ring.characteristic)
     num = rng.choice(_SMALL_NONZERO)
     if ring.kind == RAT:
-        return Fraction(num, rng.randint(1, 4))
+        return num * (_RAT_DEN // rng.randint(1, 4))
     return num
+
+
+def random_coeff(rng: random.Random, ring: Ring):
+    """Small nonzero coefficient: [-9,9] over int, uniform nonzero mod p,
+    num/d with num in [-9,9] and d in 1..4 over rat."""
+    num = _random_numerator(rng, ring)
+    return Fraction(num, _RAT_DEN) if ring.kind == RAT else num
 
 
 def _random_terms(rng: random.Random, m: int, ring: Ring, masks: Iterable[int]) -> GrassmannElem:
     """Sum of the monomials of masks, each with a random coefficient.
 
     masks may be a lazy iterable that draws from rng, one mask before
-    each coefficient."""
+    each coefficient.  The coefficients add up as integer numerators
+    over one denominator (_RAT_DEN over rat, 1 otherwise), lowered once
+    (Ring.lower_terms)."""
     _check_rank(m)
     acc: dict = {}
     for mask in masks:
-        acc[mask] = acc.get(mask, 0) + ring.coerce(random_coeff(rng, ring))
-    return GrassmannElem._make(m, ring, ring.clean_terms(acc))
+        acc[mask] = acc.get(mask, 0) + _random_numerator(rng, ring)
+    return GrassmannElem._make(m, ring, ring.lower_terms(acc, _RAT_DEN if ring.kind == RAT else 1))
 
 
 def random_grassmann(rng: random.Random, m: int, ring: Ring, sparsity: int) -> GrassmannElem:

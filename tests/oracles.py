@@ -11,12 +11,17 @@ and take each sign by inversions, instead of sharing prefixes depth
 first, products of elements and matrices
 run the term kernel on the ring's own values (Fractions over the
 rationals) instead of on integer numerators over a common denominator,
-and the term kernel itself is checked against a loop over every pair of
+the term kernel itself is checked against a loop over every pair of
 terms, each signed by counting inversions, instead of walking the
-disjoint submasks with one sign mask per left term, so agreement is
-meaningful evidence.
+disjoint submasks with one sign mask per left term, a polynomial at a
+matrix sums c_j A^j over powers built one product at a time instead of
+running Horner from the leading coefficient, and the random draws add
+up ring values (Fractions over the rationals) instead of integer
+numerators over one denominator, so agreement is meaningful evidence.
 """
 
+import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,6 +36,8 @@ from grassmat.identities import (
 )
 from grassmat.poly import scalar_rows
 from grassmat.report import Report
+from grassmat.ring import RAT, ZMOD
+from grassmat.sampling import _SMALL_NONZERO
 
 
 def perm_sign_by_inversions(perm):
@@ -371,3 +378,39 @@ def ring_value_matmul(self: GrMatrix, other: GrMatrix) -> GrMatrix:
             row.append(make(m, ring, clean(acc)))
         out.append(tuple(row))
     return GrMatrix._make(n, m, ring, tuple(out))
+
+
+def poly_at_matrix_by_powers(f: Poly, A: GrMatrix) -> GrMatrix:
+    """sum over j of c_j A^j, with A^j = A^(j-1) * A from the identity on
+    ring values; Poly.at_matrix must agree."""
+    ring = A.ring
+    acc = GrMatrix.zero(A.n, A.m, ring)
+    power = GrMatrix.identity(A.n, A.m, ring)
+    for c in f.coeffs:
+        acc = acc + power.scale_coeff(c)
+        power = ring_value_matmul(power, A)
+    return acc
+
+
+# ----- random draws on ring values -----
+
+
+def fraction_random_coeff(rng: random.Random, ring):
+    """A small nonzero coefficient drawn as a ring value: [-9,9] over int,
+    uniform nonzero mod p, Fraction(num, d) with d in 1..4 over rat;
+    sampling.random_coeff must agree, with the same rng calls."""
+    if ring.kind == ZMOD:
+        return rng.randrange(1, ring.characteristic)
+    num = rng.choice(_SMALL_NONZERO)
+    if ring.kind == RAT:
+        return Fraction(num, rng.randint(1, 4))
+    return num
+
+
+def fraction_random_terms(rng: random.Random, m: int, ring, masks) -> GrassmannElem:
+    """sampling._random_terms adding each draw up as a ring value and
+    cleaning once."""
+    acc: dict = {}
+    for mask in masks:
+        acc[mask] = acc.get(mask, 0) + ring.coerce(fraction_random_coeff(rng, ring))
+    return GrassmannElem._make(m, ring, ring.clean_terms(acc))

@@ -1,14 +1,15 @@
 """Campaign harness: seeding, generators, verifiers, search, replay."""
 
+import random
 from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
 
 import pytest
-from oracles import brute_force_open_search
+from oracles import brute_force_open_search, fraction_random_coeff, fraction_random_terms
 
-from grassmat import harness
+from grassmat import harness, sampling
 from grassmat.errors import (
     BadCharacteristicError,
     DegenerateLambdasError,
@@ -81,6 +82,38 @@ def test_random_coeff_never_zero():
         rng = trial_rng(3, 0)
         for _ in range(50):
             assert not ring.is_zero(ring.coerce(random_coeff(rng, ring)))
+
+
+def _typed(x):
+    """x with every coefficient paired with its type, for exact comparison."""
+    if isinstance(x, GrMatrix):
+        return tuple(_typed(e) for row in x.rows for e in row)
+    if isinstance(x, GrassmannElem):
+        return tuple(sorted((mask, type(c), c) for mask, c in x.terms.items()))
+    return type(x), x
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, PrimeField(7)), ids=str)
+def test_draws_match_the_fraction_accumulating_oracle(ring, monkeypatch):
+    # integer numerators over one denominator must give the values, types
+    # and rng stream of adding ring values up one draw at a time
+    def draws(seed):
+        rng = random.Random(seed)
+        out = [
+            sampling.random_coeff(rng, ring),
+            sampling.random_grassmann(rng, 3, ring, 12),
+            sampling.random_grmatrix(rng, 2, 3, ring, 6),
+            sampling.random_degree1_grmatrix(rng, 2, 4, ring, 2),
+        ]
+        return [_typed(x) for x in out] + [rng.random()]
+
+    got = [draws(seed) for seed in range(50)]
+    monkeypatch.setattr(sampling, "random_coeff", fraction_random_coeff)
+    monkeypatch.setattr(sampling, "_random_terms", fraction_random_terms)
+    want = [draws(seed) for seed in range(50)]
+    assert got == want
+    if ring == QQ:
+        assert any(d[0][1].denominator > 1 for d in got)
 
 
 def test_random_grmatrix_sparsity_zero_and_determinism():

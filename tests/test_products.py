@@ -3,7 +3,8 @@
 GrMatrix.__mul__ and GrassmannElem.__mul__ lift their operands to
 integer numerators over a common denominator and lower each result
 once (Ring.lift_terms, Ring.lower_terms); GrMatrix.__mul__ also packs
-each row of the right factor into signed W-bit digits, one per column.
+each column of the left factor and each row of the right factor into
+signed W-bit digits, so entry (i, j) of the product is digit n*i + j.
 tests/oracles.py keeps the
 products that run the term kernel on the ring's own values; the two
 must agree term for term, and every stored coefficient must stay
@@ -18,19 +19,28 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import _mul_sign, pairwise_mul_into, ring_value_elem_mul, ring_value_matmul
+from oracles import (
+    _mul_sign,
+    pairwise_mul_into,
+    poly_at_matrix_by_powers,
+    ring_value_elem_mul,
+    ring_value_matmul,
+)
 
 from grassmat import gmatrix
 from grassmat.gmatrix import GrMatrix, _digits
 from grassmat.grassmann import GrassmannElem, _sign_mask, mul_into, signed_products
+from grassmat.poly import Poly
 from grassmat.ring import QQ, ZMOD, ZZ, PrimeField
 
 F2 = PrimeField(2)
+F5 = PrimeField(5)
 F7 = PrimeField(7)
 F1000003 = PrimeField(1000003)
 ORACLE_RINGS = (QQ, ZZ, F2, F7, F1000003)
 PROPERTY_RINGS = (ZZ, QQ, F7)
 WIDE_RINGS = (ZZ, QQ, F2, F1000003)
+POWER_RINGS = (ZZ, QQ, F5)
 
 SMALL_DENOMINATORS = (1, 2, 3, 4)
 LARGE_DENOMINATORS = (1, 3, 10**9 + 7, 2**61 - 1)
@@ -101,10 +111,13 @@ def _wide_elem(rng, m, ring, terms):
     return GrassmannElem._make(m, ring, ring.clean_terms(acc))
 
 
-def _aligned_pair(rng, n, m, ring):
+def _aligned_pair(rng, n, m, ring, alternate=False):
     """A, B dense over every mask, with each term of A carrying the sign of
     its product into the full mask: every product the entries' top digit
-    sums has one sign, so that digit nears n 2^m c_a c_b."""
+    sums has one sign, so that digit nears n 2^m c_a c_b.  alternate
+    gives row i of A the sign (-1)^i and column j of B the sign (-1)^j,
+    so entry (i, j) of the product has the sign (-1)^(i+j): at odd n the
+    digits n*i + j of the packed product alternate in sign."""
     full = (1 << m) - 1
     den_a, den_b = WIDE_DENOMINATORS
     a = [abs(_top(ring, rng, den_a)) for _ in range(n * n)]
@@ -114,9 +127,12 @@ def _aligned_pair(rng, n, m, ring):
         terms = {s: ring.coerce(_mul_sign(s, full ^ s) * c if signed else c) for s in range(full + 1)}
         return GrassmannElem._make(m, ring, ring.clean_terms(terms))
 
+    def sign(i):
+        return -1 if alternate and i & 1 else 1
+
     return (
-        GrMatrix([[elem(a[i * n + k], True) for k in range(n)] for i in range(n)]),
-        GrMatrix([[elem(b[k * n + j], False) for j in range(n)] for k in range(n)]),
+        GrMatrix([[elem(sign(i) * a[i * n + k], True) for k in range(n)] for i in range(n)]),
+        GrMatrix([[elem(sign(j) * b[k * n + j], False) for j in range(n)] for k in range(n)]),
     )
 
 
@@ -248,7 +264,9 @@ def test_product_digits_stay_below_half_the_width(monkeypatch):
     # Each entry of each product is recomputed over ZZ from the factors
     # lifted once each, as gmatrix._lift lifts them; every digit must stay
     # below 2^(W-1), and the packed values the product decodes must be
-    # exactly those digits, W bits apart.
+    # exactly those digits, entry (i, j) at digit n*i + j of the value
+    # keyed by the mask u.  The alternating aligned pairs reach 2^(W-2),
+    # so a W one bit short fails.
     seen = []
 
     def spy(P, width):
@@ -256,27 +274,37 @@ def test_product_digits_stay_below_half_the_width(monkeypatch):
         return _digits(P, width)
 
     monkeypatch.setattr(gmatrix, "_digits", spy)
+    rng = random.Random(24)
+    cases = [(False, A, B) for A, B in _wide_pairs(23)] + [
+        (True, *_aligned_pair(rng, n, m, ring, alternate=True))
+        for ring in (ZZ, QQ)
+        for n, m in WIDE_SHAPES
+        if n == 3
+    ]
     checked = 0
-    for A, B in _wide_pairs(23):
+    for reaches, A, B in cases:
         seen.clear()
         A * B
         (width,) = {w for _, w in seen} or {None}
         n, lift = A.n, A.ring.lift_terms
         fa, fb = (lift([e.terms for row in X.rows for e in row])[0] for X in (A, B))
-        packed = []
+        entries = []
         for i in range(n):
-            entries = []
             for j in range(n):
                 acc: dict = {}
                 for t in range(n):
                     mul_into(acc, fa[i * n + t], fb[t * n + j])
                 entries.append(acc)
-            for u in set().union(*entries):
-                digits = [e.get(u, 0) for e in entries]
-                assert all(abs(d) < 1 << (width - 1) for d in digits)
-                checked += len(digits)
-                packed.append(sum(d << (width * j) for j, d in enumerate(digits)))
+        packed, top = [], 0
+        for u in set().union(*entries):
+            digits = [e.get(u, 0) for e in entries]
+            assert all(abs(d) < 1 << (width - 1) for d in digits)
+            top = max(top, *map(abs, digits))
+            checked += len(digits)
+            packed.append(sum(d << (width * k) for k, d in enumerate(digits)))
         assert sorted(P for P, _ in seen if P) == sorted(P for P in packed if P)
+        if reaches:
+            assert top >= 1 << (width - 2)
     assert checked > 8000
 
 
@@ -329,6 +357,66 @@ def test_rank_zero_and_one_by_one():
         assert got == ring_value_matmul(A, A)
         assert got.rows[0][0].coeff(0) == ring.mul(half, half)
         _assert_matrix_canonical(got)
+
+
+# ------------------------------------------------------------ powers and polynomials
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that GrMatrix.__mul__ appends to on every product."""
+    calls = []
+    mul = GrMatrix.__mul__
+
+    def spy(A, B):
+        calls.append(None)
+        return mul(A, B)
+
+    monkeypatch.setattr(GrMatrix, "__mul__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ring", POWER_RINGS, ids=str)
+def test_powers_match_a_left_fold_of_products(ring, products):
+    rng = random.Random(8)
+    for n, m in ((1, 2), (2, 2), (3, 3)):
+        A = _random_matrix(rng, n, m, ring, SMALL_DENOMINATORS)
+        fold = GrMatrix.identity(n, m, ring)
+        for k in range(7):
+            products.clear()
+            assert A**k == fold
+            assert len(products) == (k.bit_length() + k.bit_count() - 2 if k else 0)
+            fold = ring_value_matmul(fold, A)
+
+
+def test_power_product_count_by_squaring(products):
+    A = _random_matrix(random.Random(9), 2, 2, F7, (1,))
+    for e in (1, 2, 3, 7, 8, 13, 32, 33):
+        products.clear()
+        A**e
+        assert len(products) == e.bit_length() + e.bit_count() - 2
+
+
+@pytest.mark.parametrize("ring", POWER_RINGS, ids=str)
+def test_at_matrix_matches_a_sum_of_powers(ring, products):
+    rng = random.Random(10)
+    c = ring.coerce(Fraction(-3, 2) if ring == QQ else 3)
+    polys = [
+        Poly.zero(ring),
+        Poly(ring, [c]),
+        Poly(ring, [1, c]),
+        Poly(ring, [c, 0, 0, -1]),
+        Poly(ring, [c, 2, 0, c]),
+        Poly.from_roots(ring, [1, -2, 0, 5, c]),
+    ]
+    for n, m in ((1, 2), (2, 2), (3, 3)):
+        A = _random_matrix(rng, n, m, ring, SMALL_DENOMINATORS)
+        for f in polys:
+            products.clear()
+            got = f.at_matrix(A)
+            assert len(products) == max(f.degree - 1, 0)
+            assert got == poly_at_matrix_by_powers(f, A)
+            _assert_matrix_canonical(got)
 
 
 # ------------------------------------------------------------ properties
