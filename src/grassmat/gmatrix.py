@@ -4,25 +4,34 @@ A GrMatrix fixes its context (n, m, ring) at construction; arithmetic
 between different contexts raises.  Entries are GrassmannElem values and
 all arithmetic stays exact.  The degree-d component of a matrix is the
 matrix of entrywise degree-d components, and matrix multiplication
-respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.
+respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.  A matrix
+and its entries are never mutated after construction: every operation
+builds a new matrix.
 
-Packed matrices.  Matrix products and the subset DPs of `identities` run on
-plain ints in every ring, in one format.  _lift lifts each factor once,
-as a whole matrix, to integer numerators over one common denominator
-(Ring.lift_terms; over the integers and Z/p that changes nothing).  A
-packed matrix is one dict: its value P = sum over j of d_j << (W*j)
-under the key (i << m) | u holds coefficients of the Grassmann
-monomial u as signed digits, |d_j| < 2^(W-1), digit j for entry
-i*n + j in row-major order.  So a key with row i carries the digits
-of entries from i*n onward: the DP states key each row on its own,
-and a product keys every entry under row 0.  Multiplying a packed
-value by one coefficient multiplies all its digits at once, so a
-kernel spends one int multiply-add per pair of terms instead of one
-per digit.  _wrap_state decodes a packed result (_unpack, _digits) and
-lowers each entry once over the product of the factors' denominators
-(Ring.lower_terms), which gives the same canonical terms as the ring's
-own arithmetic: by multilinearity the polynomial of the lifted factors
-is the polynomial of the originals times that product.
+Packed matrices.  Matrix products and the subset DPs of `identities`
+run on plain ints in every ring, in one format.  The first time a
+matrix is a factor, _operand lifts it, as a whole matrix, to integer
+numerators over one common denominator (Ring.lift_terms; over the
+integers and Z/p that changes nothing, and the operand shares the
+entries' term dicts), and keeps the result, an _Operand, on the
+matrix.  The operand belongs to the matrix and lives as long as it
+does, so a matrix that is a factor of many products or DP calls (an
+atom of a campaign's pool, the A of a Horner chain) is lifted and
+scanned once, and the product tables the DPs fill on it serve every
+later call.  A packed matrix is one dict: its value
+P = sum over j of d_j << (W*j) under the key (i << m) | u holds
+coefficients of the Grassmann monomial u as signed digits,
+|d_j| < 2^(W-1), digit j for entry i*n + j in row-major order.  So a
+key with row i carries the digits of entries from i*n onward: the DP
+states key each row on its own, and a product keys every entry under
+row 0.  Multiplying a packed value by one coefficient multiplies all
+its digits at once, so a kernel spends one int multiply-add per pair
+of terms instead of one per digit.  _wrap_state decodes a packed
+result (_unpack, _digits) and lowers each entry once over the product
+of the factors' denominators (Ring.lower_terms), which gives the same
+canonical terms as the ring's own arithmetic: by multilinearity the
+polynomial of the lifted factors is the polynomial of the originals
+times that product.
 
 A product A*B packs column t of the lifted A across its rows at
 stride n*W, {sa: sum over i of a_it[sa] << (n*W*i)}, and row t of the
@@ -90,12 +99,12 @@ from math import factorial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
-from .grassmann import GrassmannElem, _check_rank, mul_into
+from .grassmann import GrassmannElem, _check_rank, mul_into, signed_products
 from .ring import ZMOD, Ring, parse_ring
 
 
 class GrMatrix:
-    __slots__ = ("n", "m", "ring", "rows")
+    __slots__ = ("n", "m", "ring", "rows", "_op")
 
     def __init__(self, rows: Sequence[Sequence[GrassmannElem]]):
         n = len(rows)
@@ -114,6 +123,7 @@ class GrMatrix:
         self.m = first.m
         self.ring = first.ring
         self.rows = tuple(tuple(row) for row in rows)
+        self._op = None
 
     @classmethod
     def _make(cls, n: int, m: int, ring: Ring, rows: Tuple) -> "GrMatrix":
@@ -122,6 +132,7 @@ class GrMatrix:
         self.m = m
         self.ring = ring
         self.rows = rows
+        self._op = None
         return self
 
     # ----- constructors -----
@@ -210,7 +221,8 @@ class GrMatrix:
     def __mul__(self, other: "GrMatrix") -> "GrMatrix":
         self._check_other(other)
         n, m, ring = self.n, self.m, self.ring
-        (fa, fb), width, den = _lift((self, other), 1)
+        (oa, ob), width, den = _lift((self, other), 1)
+        fa, fb = oa.flat, ob.flat
         stride = n * width
         acc: dict = {}
         for t in range(n):
@@ -362,32 +374,80 @@ class GrMatrix:
 # ----- packed matrices (see the module docstring) -----
 
 
+class _Operand(dict):
+    """A lifted factor: an x_i or a y of the DPs, a factor of a product,
+    or a left state of the standard DP's join.
+
+    flat is its row-major list of n*n term dicts with integer
+    coefficients ({} for a zero entry), den the denominator it was
+    lifted over and bits the bit count of its largest |coefficient|
+    (the c_i of the width lemma), and bit r*n + t of live is set when
+    entry (r, t) is nonzero.  As a dict it maps a state key
+    (t << m) | sb to what that state entry sends into every row r,
+    [((r << m) | u, ±ca)] over the terms of column t, from
+    grassmann.signed_products; each row is filled on first lookup and
+    kept as long as the operand.
+    """
+
+    __slots__ = ("flat", "n", "m", "live", "den", "bits")
+
+    def __init__(self, flat: list, n: int, m: int, den: int = 1, bits: int = 0):
+        self.flat, self.n, self.m, self.den, self.bits = flat, n, m, den, bits
+        live = 0
+        for j, terms in enumerate(flat):
+            if terms:
+                live |= 1 << j
+        self.live = live
+
+    def __missing__(self, key: int) -> list:
+        m = self.m
+        sb = key & ((1 << m) - 1)
+        row = []
+        for r, terms in enumerate(self.flat[key >> m :: self.n]):
+            if terms:
+                rm = r << m
+                for u, ca in signed_products(terms, sb):
+                    row.append((rm | u, ca))
+        self[key] = row
+        return row
+
+
+def _operand(A: GrMatrix) -> _Operand:
+    """Lift A by Ring.lift_terms into a new operand and keep it on A.
+
+    Over the integers and Z/p, flat holds A's own term dicts."""
+    ring = A.ring
+    flat, den = ring.lift_terms([e.terms for row in A.rows for e in row])
+    if ring.kind == ZMOD:
+        c = ring.characteristic - 1
+    else:  # a plain loop is fastest on factors of a few terms
+        c = 0
+        for terms in flat:
+            for v in terms.values():
+                if v > c:
+                    c = v
+                elif -v > c:
+                    c = -v
+    op = A._op = _Operand(flat, A.n, A.m, den, c.bit_length())
+    return op
+
+
 def _lift(mats: Sequence[GrMatrix], k: int) -> Tuple[list, int, int]:
-    """(flats, W, D) for a polynomial in mats with k alternating factors:
-    each matrix lifted once by Ring.lift_terms to its row-major list of
-    n*n integer term dicts, the digit width W of the width lemma, and
-    the product D of the matrices' denominators (1 outside rat)."""
+    """(operands, W, D) for a polynomial in mats with k alternating
+    factors: each matrix's operand, built by _operand on its first lift,
+    the digit width W of the width lemma, and the product D of the
+    matrices' denominators (1 outside rat)."""
     first = mats[0]
-    n, m, ring = first.n, first.m, first.ring
-    width = factorial(k).bit_length() + (len(mats) - 1) * (n << m).bit_length()
-    zmod = ring.kind == ZMOD
-    flats, den = [], 1
+    width = factorial(k).bit_length() + (len(mats) - 1) * (first.n << first.m).bit_length()
+    ops, den = [], 1
     for A in mats:
-        flat, d = ring.lift_terms([e.terms for row in A.rows for e in row])
-        if zmod:
-            c = ring.characteristic - 1
-        else:  # a plain loop is fastest on factors of a few terms
-            c = 0
-            for terms in flat:
-                for v in terms.values():
-                    if v > c:
-                        c = v
-                    elif -v > c:
-                        c = -v
-        flats.append(flat)
-        width += c.bit_length()
-        den *= d
-    return flats, width, den
+        op = A._op
+        if op is None:
+            op = _operand(A)
+        ops.append(op)
+        width += op.bits
+        den *= op.den
+    return ops, width, den
 
 
 def _digits(P: int, width: int) -> list:

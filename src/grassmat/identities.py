@@ -35,16 +35,19 @@ y_{k-s+1} into each live state before the transition.
 
 Packed states.  The DP runs on the packed format of `gmatrix`: a state
 is one packed matrix, and an entry whose int is 0 is dropped, so a state
-with no entries is dead.  Each factor is lifted once (gmatrix._lift),
-which also gives the digit width W of the `gmatrix` width lemma with
-k alternating factors: N = k for s_k and N = 2k + 1 for d_k.  Each
-operand held fixed for a call (each x_i, each y, each left state of the
-join) keeps a table, filled lazily, from a state key (t << m) | sb to
-the signed terms its column t sends into each row r,
-[((r << m) | u, +-ca)], built with grassmann.signed_products, so the DP
-shares one sign rule with the products.  Only the final state, and in
-the join each left state, is decoded; gmatrix._wrap_state lowers the
-final one over the product of the factors' denominators.
+with no entries is dead.  The factors come as their gmatrix._Operand,
+each lifted on first use and then kept on its matrix (gmatrix._lift),
+with the digit width W of the `gmatrix` width lemma for k alternating
+factors: N = k for s_k and N = 2k + 1 for d_k.  An operand is a table,
+filled lazily, from a state key (t << m) | sb to the signed terms its
+column t sends into each row r, [((r << m) | u, +-ca)], built with
+grassmann.signed_products, so the DP shares one sign rule with the
+products.  The rows an x_i or a y fills serve every later call on the
+same matrix, so the calls of a campaign on one atom pool tabulate each
+atom once; only the join's left-state tables are built per call.  Only
+the final state, and in the join each left state, is decoded;
+gmatrix._wrap_state lowers the final one over the product of the
+factors' denominators.
 
 young_alternating_sum restricts the alternating sum to a Young subgroup
 (a product of symmetric groups on the classes of a set partition).  It
@@ -64,8 +67,8 @@ from .errors import (
     GroupTooLargeError,
     LengthMismatchError,
 )
-from .gmatrix import GrMatrix, _lift, _unpack, _wrap_state
-from .grassmann import GrassmannElem, _sign_mask, signed_products
+from .gmatrix import GrMatrix, _lift, _Operand, _unpack, _wrap_state
+from .grassmann import GrassmannElem, _sign_mask
 
 DEFAULT_NAIVE_K = 8
 DEFAULT_STANDARD_DP_K = 24
@@ -92,8 +95,12 @@ def _check_matrix_family(mats: Sequence[GrMatrix], what: str) -> None:
     first = mats[0]
     if not isinstance(first, GrMatrix):
         raise TypeError(f"{what} expects GrMatrix arguments")
+    n, m, ring = first.n, first.m, first.ring
     for A in mats[1:]:
-        first._check_other(A)
+        # a factor on the very same ring object passes at once; any other
+        # goes through _check_other, which raises the precise error
+        if not (isinstance(A, GrMatrix) and A.ring is ring and A.n == n and A.m == m):
+            first._check_other(A)
 
 
 def _alternating_sum(factors: Sequence, allowed: Sequence, zero, ys: Optional[Sequence] = None):
@@ -154,41 +161,6 @@ def capelli_naive(
 # A state is one dict over the nonzero rows of h(S): key (t << m) | mask,
 # value P = sum_c d_c << (W*c), row t's n column digits at that mask.
 # A layer maps subset masks to its live states only.
-
-
-class _Operand(dict):
-    """A factor held fixed for one call: an x_i, a y, or a left state.
-
-    flat is its row-major list of n*n term dicts with integer
-    coefficients ({} for a zero entry), and bit r*n + t of live is set
-    when entry (r, t) is nonzero.  As a dict it maps a state key
-    (t << m) | sb to what that state entry sends into every row r,
-    [((r << m) | u, ±ca)] over the terms of column t, from
-    grassmann.signed_products; each row is filled on first lookup and
-    kept for the call.
-    """
-
-    __slots__ = ("flat", "n", "m", "live")
-
-    def __init__(self, flat: list, n: int, m: int):
-        self.flat, self.n, self.m = flat, n, m
-        live = 0
-        for j, terms in enumerate(flat):
-            if terms:
-                live |= 1 << j
-        self.live = live
-
-    def __missing__(self, key: int) -> list:
-        m = self.m
-        sb = key & ((1 << m) - 1)
-        row = []
-        for r, terms in enumerate(self.flat[key >> m :: self.n]):
-            if terms:
-                rm = r << m
-                for u, ca in signed_products(terms, sb):
-                    row.append((rm | u, ca))
-        self[key] = row
-        return row
 
 
 def _identity_state(n: int, m: int, width: int) -> dict:
@@ -286,8 +258,7 @@ def standard_dp(
     _check_matrix_family(mats, "standard_dp")
     first = mats[0]
     n, m, ring = first.n, first.m, first.ring
-    flats, width, den = _lift(mats, k)
-    xs = [_Operand(flat, n, m) for flat in flats]
+    xs, width, den = _lift(mats, k)
     layer = {0: _identity_state(n, m, width)}
     for _ in range(k // 2):
         layer = _dp_transition(xs, layer, k)
@@ -320,8 +291,7 @@ def capelli_dp(
     _check_matrix_family(mats, "capelli_dp")
     first = ys[0]
     n, m, ring = first.n, first.m, first.ring
-    flats, width, den = _lift(mats, k)
-    ops = [_Operand(flat, n, m) for flat in flats]
+    ops, width, den = _lift(mats, k)
     xops, yops = ops[:k], ops[k:]
     layer = {0: _identity_state(n, m, width)}
     for s in range(1, k + 1):

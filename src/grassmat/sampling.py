@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, List
 
+from .errors import IndexOutOfRangeError
 from .gmatrix import GrMatrix
 from .grassmann import GrassmannElem, _check_rank
 from .ring import RAT, ZMOD, Ring
@@ -102,8 +103,15 @@ def random_degree1_grmatrix(
 def atom(n: int, m: int, ring: Ring, i: int) -> GrMatrix:
     """atoms(n, m, ring)[i]: unit e_rs with (r - 1, s - 1) = divmod(i >> m, n),
     times the basis monomial of mask i % 2^m."""
-    r, s = divmod(i >> m, n)
-    return GrMatrix.unit(n, m, ring, r + 1, s + 1).scale(GrassmannElem.basis(i % (1 << m), m, ring))
+    if not 0 <= i < n * n << m:
+        raise IndexOutOfRangeError(f"atom {i} outside 0..{(n * n << m) - 1}")
+    rs = i >> m
+    z = GrassmannElem.zero(m, ring)
+    b = GrassmannElem.basis(i % (1 << m), m, ring)
+    return GrMatrix._make(
+        n, m, ring,
+        tuple(tuple(b if r * n + s == rs else z for s in range(n)) for r in range(n)),
+    )
 
 
 def atoms(n: int, m: int, ring: Ring) -> List[GrMatrix]:

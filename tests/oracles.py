@@ -392,6 +392,16 @@ def poly_at_matrix_by_powers(f: Poly, A: GrMatrix) -> GrMatrix:
     return acc
 
 
+# ----- atoms -----
+
+
+def atom_by_unit_scale(n: int, m: int, ring, i: int) -> GrMatrix:
+    """sampling.atom as the Grassmann product of the matrix unit and the
+    basis monomial, unit(r, s).scale(basis)."""
+    r, s = divmod(i >> m, n)
+    return GrMatrix.unit(n, m, ring, r + 1, s + 1).scale(GrassmannElem.basis(i % (1 << m), m, ring))
+
+
 # ----- random draws on ring values -----
 
 

@@ -7,7 +7,12 @@ from math import comb
 from operator import or_
 
 import pytest
-from oracles import brute_force_open_search, fraction_random_coeff, fraction_random_terms
+from oracles import (
+    atom_by_unit_scale,
+    brute_force_open_search,
+    fraction_random_coeff,
+    fraction_random_terms,
+)
 
 from grassmat import harness, sampling
 from grassmat.errors import (
@@ -15,6 +20,7 @@ from grassmat.errors import (
     DegenerateLambdasError,
     DegreeTooLargeError,
     HypothesisViolationError,
+    IndexOutOfRangeError,
     LengthMismatchError,
 )
 from grassmat.gmatrix import GrMatrix, matrices_to_json
@@ -181,6 +187,22 @@ def test_atoms_order_and_count():
     assert pool[3].compact_str() == "v1v2*e11"
     assert pool[4].compact_str() == "e12"
     assert pool[15].compact_str() == "v1v2*e22"
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, PrimeField(7)), ids=lambda r: r.name)
+def test_atoms_match_unit_times_basis(ring):
+    for n in (1, 2, 3):
+        for m in (0, 1, 2, 3):
+            pool = atoms(n, m, ring)
+            want = [atom_by_unit_scale(n, m, ring, i) for i in range(n * n << m)]
+            assert pool == want
+            assert [A.to_json() for A in pool] == [A.to_json() for A in want]
+            assert [type(v) for A in pool for row in A.rows for e in row for v in e.terms.values()] == [
+                type(v) for A in want for row in A.rows for e in row for v in e.terms.values()
+            ]
+            for i in (-1, n * n << m):
+                with pytest.raises(IndexOutOfRangeError):
+                    sampling.atom(n, m, ring, i)
 
 
 def test_atom_reduction_of_multilinear_sum():

@@ -1,5 +1,7 @@
 """Alternating-sum evaluators: naive, DP, block-product, Young subgroups."""
 
+import copy
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +14,9 @@ from grassmat.errors import (
     DegreeTooLargeError,
     GroupTooLargeError,
     LengthMismatchError,
+    MixedRingsError,
 )
+from grassmat import gmatrix
 from grassmat.gmatrix import GrMatrix
 from grassmat.grassmann import GrassmannElem
 from grassmat.harness import _young_inputs, _young_instance, atoms
@@ -27,7 +31,8 @@ from grassmat.identities import (
     standard_product_eval,
     young_alternating_sum,
 )
-from grassmat.ring import QQ, ZZ, PrimeField
+from grassmat.poly import Poly
+from grassmat.ring import QQ, ZZ, PrimeField, parse_ring
 
 from oracles import (
     capelli_by_words,
@@ -480,7 +485,8 @@ def test_packed_dp_matches_dict_oracle_and_naive():
 def _exact_layers(monkeypatch, evaluate, *args):
     """Run evaluate with the gmatrix helpers _lift and _wrap_state, as
     identities binds them, and _dp_transition wrapped: returns the digit
-    width, the integer factors the DP ran on (as ZZ matrices), a copy of
+    width, the integer factors the DP ran on (the flat of each operand
+    _lift returns, as ZZ matrices), a copy of
     every layer _dp_transition returned and the nonzero entries of the
     final packed state."""
     seen = {}
@@ -488,15 +494,15 @@ def _exact_layers(monkeypatch, evaluate, *args):
     lift, transition, wrap = identities._lift, identities._dp_transition, identities._wrap_state
 
     def spy_lift(mats, k):
-        flats, width, den = lift(mats, k)
+        ops, width, den = lift(mats, k)
         n, m = mats[0].n, mats[0].m
         seen["width"] = width
         seen["mats"] = [
-            GrMatrix([[GrassmannElem._make(m, ZZ, dict(flat[r * n + t])) for t in range(n)]
+            GrMatrix([[GrassmannElem._make(m, ZZ, dict(op.flat[r * n + t])) for t in range(n)]
                       for r in range(n)])
-            for flat in flats
+            for op in ops
         ]
-        return flats, width, den
+        return ops, width, den
 
     def spy_transition(xs, layer, k):
         out = transition(xs, layer, k)
@@ -565,6 +571,169 @@ def test_dp_digits_stay_below_half_the_width(monkeypatch):
         _assert_packs(final, capelli_naive(mats[:k], mats[k:]), width)
         checked += 2
     assert checked > 500
+
+
+# ------------------------------------------------------------ per-matrix operands
+
+_OPERAND_RINGS = (ZZ, QQ, PrimeField(7))
+
+
+def _draw(rng, n, m, ring, terms=3):
+    """A random matrix whose rat coefficients carry denominators 1..4."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            acc = {}
+            for _ in range(terms):
+                mask = rng.randrange(1 << m)
+                num = rng.randint(-5, 5)
+                acc[mask] = acc.get(mask, 0) + (Fraction(num, rng.randint(1, 4)) if ring is QQ else num)
+            row.append(GrassmannElem._make(m, ring, ring.clean_terms(acc)))
+        rows.append(row)
+    return GrMatrix(rows)
+
+
+def _fresh(A):
+    """An equal matrix that has never been lifted."""
+    return GrMatrix.from_json(A.to_json())
+
+
+def _terms_snapshot(mats):
+    return [copy.deepcopy([[e.terms for e in row] for row in A.rows]) for A in mats]
+
+
+@pytest.mark.parametrize("ring", _OPERAND_RINGS, ids=lambda r: r.name)
+def test_each_matrix_is_lifted_once_across_calls(monkeypatch, ring):
+    rng = random.Random(31)
+    mats = [_draw(rng, 2, 2, ring) for _ in range(6)]
+    lifted = []
+    lift = type(ring).lift_terms
+
+    def spy(self, group):
+        lifted.append(len(group))
+        return lift(self, group)
+
+    monkeypatch.setattr(type(ring), "lift_terms", spy)
+    for _ in range(3):
+        standard_dp(mats[:4])
+        standard_dp(mats[2:])
+        capelli_dp(mats[:2], mats[3:6])
+        mats[0] * mats[1]
+        mats[5] * mats[5]
+    assert lifted == [4] * len(mats)
+    product = mats[0] * mats[1]  # a new matrix is lifted on its first use
+    product * mats[2]
+    product * mats[3]
+    assert lifted == [4] * (len(mats) + 1)
+
+
+@pytest.mark.parametrize("ring", _OPERAND_RINGS, ids=lambda r: r.name)
+def test_cached_operand_equals_a_fresh_lift(ring):
+    rng = random.Random(32)
+    for n, m in ((1, 2), (2, 3), (3, 2)):
+        A = _draw(rng, n, m, ring)
+        standard_dp([A, _draw(rng, n, m, ring)])  # fills A's table rows
+        op = A._op
+        assert op is not None and gmatrix._lift([A], 1)[0][0] is op
+        flat, den = ring.lift_terms([e.terms for row in _fresh(A).rows for e in row])
+        assert op.flat == list(flat) and op.den == den
+        if ring.kind == "zmod":
+            c = ring.characteristic - 1
+        else:
+            c = max((abs(v) for terms in flat for v in terms.values()), default=0)
+        assert op.bits == c.bit_length()
+        (fresh,), width, fresh_den = gmatrix._lift([_fresh(A)], 1)
+        assert (fresh.flat, fresh.den, fresh.bits, fresh.live) == (op.flat, op.den, op.bits, op.live)
+
+
+@pytest.mark.parametrize("ring", _OPERAND_RINGS, ids=lambda r: r.name)
+def test_reused_matrices_give_the_values_of_fresh_copies(ring):
+    rng = random.Random(33)
+    n, m = 2, 3
+    pool = [_draw(rng, n, m, ring, terms=2) for _ in range(8)]
+    for trial in range(12):
+        k = rng.randint(1, 6)
+        xs = [rng.choice(pool) for _ in range(k)]
+        if trial % 3 == 0:  # mix in factors that have not been lifted yet
+            xs[rng.randrange(k)] = _draw(rng, n, m, ring, terms=2)
+        ys = [rng.choice(pool) for _ in range(k + 1)]
+        assert standard_dp(xs) == standard_dp([_fresh(A) for A in xs])
+        assert capelli_dp(xs, ys) == capelli_dp(
+            [_fresh(A) for A in xs], [_fresh(A) for A in ys]
+        )
+        A, B = xs[0], rng.choice(pool)
+        assert A * B == _fresh(A) * _fresh(B)
+        assert A * A == _fresh(A) * _fresh(A)
+        assert A ** 3 == _fresh(A) ** 3
+
+
+@pytest.mark.parametrize("ring", _OPERAND_RINGS, ids=lambda r: r.name)
+def test_operands_leave_their_matrices_unchanged(ring):
+    rng = random.Random(34)
+    n, m = 2, 2
+    mats = [_draw(rng, n, m, ring) for _ in range(5)]
+    before = _terms_snapshot(mats)
+    standard_dp(mats[:4])
+    capelli_dp(mats[:2], mats[2:5])
+    mats[0] * mats[1]
+    mats[2] ** 3
+    Poly(ring, [ring.embed(c) for c in (2, -1, 0, 1)]).at_matrix(mats[3])
+    assert _terms_snapshot(mats) == before
+    for A in mats:
+        assert A._op is not None
+        if ring is not QQ:  # the operand shares the entries' term dicts
+            assert all(t is e.terms for t, e in zip(A._op.flat, (e for row in A.rows for e in row)))
+
+
+def test_equality_and_json_ignore_the_operand():
+    rng = random.Random(35)
+    A = _draw(rng, 2, 2, QQ)
+    B = _fresh(A)
+    A * A
+    assert A._op is not None and B._op is None
+    assert A == B and B == A
+    assert json.dumps(A.to_json()) == json.dumps(B.to_json())
+
+
+# ------------------------------------------------------------ context checks
+
+_CHECKED = (
+    ("standard_dp", lambda mats: standard_dp(mats)),
+    ("standard_naive", lambda mats: standard_naive(mats)),
+    ("capelli_dp", lambda mats: capelli_dp(mats[:1], mats[1:])),
+    ("young_alternating_sum", lambda mats: young_alternating_sum(
+        mats, YoungSpec(k=len(mats), classes=(tuple(range(1, len(mats) + 1)),)))),
+)
+
+
+@pytest.mark.parametrize("evaluate", [e for _, e in _CHECKED], ids=[name for name, _ in _CHECKED])
+def test_context_check_errors_are_unchanged(evaluate):
+    z7 = PrimeField(7)
+    A = GrMatrix.identity(2, 2, z7)
+    cases = (
+        ("not a matrix", TypeError, "expected GrMatrix, got str"),
+        (GrMatrix.identity(2, 2, ZZ), MixedRingsError, "rings differ: zmod:7 vs int"),
+        (GrMatrix.identity(3, 2, z7), ContextMismatchError,
+         "contexts differ: (n=2, m=2) vs (n=3, m=2)"),
+        (GrMatrix.identity(2, 3, z7), ContextMismatchError,
+         "contexts differ: (n=2, m=2) vs (n=2, m=3)"),
+    )
+    for bad, error, message in cases:
+        with pytest.raises(error) as info:
+            evaluate([A, A, bad])
+        assert str(info.value) == message
+
+
+def test_context_check_passes_equal_ring_objects():
+    r1, r2 = parse_ring("zmod:7"), parse_ring("zmod:7")
+    assert r1 is not r2 and r1 == r2
+    xs = [GrMatrix.unit(2, 1, r1, 1, 2), GrMatrix.unit(2, 1, r2, 2, 1)]
+    assert standard_dp(xs) == standard_naive(xs) == GrMatrix.diag(
+        [GrassmannElem.scalar(1, 1, r1), GrassmannElem.scalar(-1, 1, r1)]
+    )
+    ys = [GrMatrix.identity(2, 1, r2)] * 3
+    assert capelli_dp(xs, ys) == standard_dp(xs)
 
 
 # ------------------------------------------------------------ product eval
