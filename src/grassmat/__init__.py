@@ -62,7 +62,6 @@ from .report import (
 from .ring import QQ, ZZ, PrimeField, Ring, parse_ring
 from .sampling import atoms, random_grmatrix, splitmix64, trial_rng
 from .witnesses import (
-    WitnessSpec,
     capelli_witness,
     ch_nilpotent,
     ch_witness,
@@ -99,7 +98,6 @@ __all__ = [
     "Report",
     "Ring",
     "TARGETS",
-    "WitnessSpec",
     "YoungSpec",
     "ZZ",
     "atoms",

@@ -74,18 +74,18 @@ from .sampling import (
     trial_rng,
 )
 from .witnesses import (
-    KIND_CAPELLI,
-    KIND_CH,
-    KIND_STANDARD,
-    WitnessSpec,
+    capelli_inputs,
+    capelli_parts,
     capelli_sharp_judge,
-    capelli_witness,
     ceil_half,
     ch_exponent,
+    ch_inputs,
+    ch_lambdas,
     ch_sharp_judge,
+    check_distinct,
     staircase_units,
     standard_sharp_judge,
-    witness_inputs,
+    standard_witness,
 )
 
 THEOREM1 = "Theorem1"
@@ -151,16 +151,11 @@ class Campaign:
             raise ValueError("search budget must be positive")
 
     def to_dict(self) -> dict:
-        if self.target in _SHARP:  # a witness campaign is its resolved spec
-            return {"target": self.target, **_witness_spec(self).to_dict()}
-        out = {
-            "target": self.target,
-            "n": self.n,
-            "m": self.m,
-            "ring": self.ring.name,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        out = {"target": self.target, "n": self.n, "m": self.m, "ring": self.ring.name}
+        if self.target in _SHARP:  # a witness campaign reports the witness it builds
+            row = _SHARP[self.target]
+            return {**out, "kind": row.kind, **row.params(self)}
+        out.update(trials=self.trials, seed=self.seed)
         if self.target == OPEN_QUESTION:
             del out["trials"]  # the search draws no trials
             out["budget"] = self.budget
@@ -174,18 +169,17 @@ class Campaign:
         return out
 
 
-def _field_spec(kind: str, n: int, m: int, ring: Ring, **kw) -> WitnessSpec:
-    """Witness spec over the campaign ring if it qualifies, else over rat.
+def _field_inputs(build: Callable, n: int, m: int, ring: Ring, given) -> Tuple[Ring, dict]:
+    """(ring, build(n, m, ring, given)) if the witness gate accepts the
+    campaign ring, else the same over rat.
 
     Small prime fields can fail the characteristic gate or collapse the
-    default eigenvalues; both push the control over to rat.
+    default eigenvalues; both push a witness control over to rat.
     """
-    if ring.is_field():
-        try:
-            return WitnessSpec(kind=kind, n=n, m=m, ring=ring, **kw)
-        except (BadCharacteristicError, DuplicateLambdasError):
-            pass
-    return WitnessSpec(kind=kind, n=n, m=m, ring=QQ, **kw)
+    try:
+        return ring, build(n, m, ring, given)
+    except (BadCharacteristicError, DuplicateLambdasError):
+        return QQ, build(n, m, QQ, given)
 
 
 # ----- the check registry -----
@@ -204,6 +198,7 @@ def _lemma2(inputs: dict, max_k: int) -> Tuple[GrMatrix, Dict[str, bool]]:
     A, lams = inputs["matrix"], inputs["lambdas"]
     ring, n = A.ring, A.n
     ch_exponent(A.m)  # the rank cap, before any power
+    check_distinct(lams)
     f = Poly.from_roots(ring, lams)
     fprime = f.derivative()
     B = f.at_matrix(A)
@@ -252,6 +247,10 @@ def _young(inputs: dict, max_k: int) -> GrMatrix:
         classes=tuple(tuple(c) for c in inputs["classes"]),
         anticommuting=frozenset(inputs["anticommuting"]),
     )
+    if not spec.one_central_per_class():
+        raise HypothesisViolationError(
+            f"every class needs exactly one non-anticommuting position: {inputs['classes']}"
+        )
     _young_hypothesis_check(elems, spec)
     return young_alternating_sum(elems, spec)
 
@@ -281,6 +280,7 @@ def _ch_sharp(inputs: dict, max_k: int) -> tuple:
     how f was built."""
     A, lams = inputs["matrix"], inputs["lambdas"]
     ring, c = A.ring, ch_exponent(A.m)
+    check_distinct(lams)
     f = Poly.from_roots(ring, lams)
     B = f.at_matrix(A)
     Bc = B**c
@@ -537,11 +537,16 @@ class _Trials:
                 return self.trials - before - 1
         return self.trials - before
 
-    def control(self, check: str, inputs: dict) -> bool:
-        """A mutation control; its reproducer is kept unless one came before."""
+    def control(self, check: str, inputs: dict, require: Optional[Callable] = None) -> bool:
+        """A mutation control; its reproducer is kept unless one came before.
+
+        require(value), when given, must hold as well as the judge: a
+        value the campaign knows without the product kernel the judge
+        itself uses.
+        """
         entry = CHECKS[check]
         value = entry.evaluate(inputs, self.campaign.max_dp_k)
-        holds = entry.holds(value, inputs)
+        holds = entry.holds(value, inputs) and (require is None or require(value))
         if not holds:
             self.failed = True
             self.reproducer = self.reproducer or _reproducer(
@@ -594,11 +599,11 @@ def verify_theorem1(campaign: Campaign) -> Report:
     t.run("power_zero", draws, "first_failure_trial")
     if t.failed:
         t.note("value", str(t.value))
-    spec = _field_spec(KIND_CH, n, m, ring, lambdas=campaign.lambdas)
-    control = t.control("power_nonzero", {**witness_inputs(spec), "exponent": e - 1})
+    field, witness = _field_inputs(ch_inputs, n, m, ring, campaign.lambdas)
+    control = t.control("power_nonzero", {**witness, "exponent": e - 1})
     t.note("control_lower_exponent_nonzero", control)
-    if spec.ring != ring:
-        t.note("control_ring", spec.ring.name)
+    if field != ring:
+        t.note("control_ring", field.name)
     return t.finish()
 
 
@@ -720,7 +725,7 @@ def _odd_compositions(k: int):
 def verify_young_lemma(campaign: Campaign) -> Report:
     """(a) odd anticommuting count sums to zero, random shapes, k <= 7;
     (b) odd interval shapes factor as prod (size-1)! times the plain
-    product; plus an all-singleton control that must be nonzero."""
+    product; plus an all-singleton control whose sum must be e11 itself."""
     n, m, ring = campaign.n, campaign.m, campaign.ring
     if _YOUNG_MAX_K > campaign.max_dp_k:
         raise DegreeTooLargeError(
@@ -764,11 +769,13 @@ def verify_young_lemma(campaign: Campaign) -> Report:
         if skipped:
             t.note("interval_shapes_skipped_for_rank", len(skipped))
 
-    singles = YoungSpec.from_interval_sizes((1, 1, 1))
-    e11 = GrMatrix.unit(n, m, ring, 1, 1)
-    control = young_alternating_sum([e11, e11, e11], singles) == e11
+    singles = _young_inputs(
+        [[1], [2], [3]], [], n, m, ring, lambda e11: e11, "factorial", sizes=[1, 1, 1]
+    )
+    # e11 e11 e11 = e11: the literal catches a kernel that zeroes e11 e11,
+    # which the judge's product through that same kernel would miss
+    control = t.control("young", singles, require=lambda value: value == singles["elems"][0])
     t.note("control_singleton_identity_product", control)
-    t.failed |= not control
     return t.finish()
 
 
@@ -805,13 +812,12 @@ def verify_capelli_bound(campaign: Campaign) -> Report:
         zero = t.run("capelli_zero", draws, "first_failure_structured")
         t.note("structured_trials_zero", zero)
 
-    spec = _field_spec(KIND_CAPELLI, n, m, ring, parts=campaign.parts)
-    xs_w, ys_w = capelli_witness(spec)
-    control = t.control("capelli_nonzero", {"xs": xs_w, "ys": ys_w})
-    t.note("control_witness_degree", len(xs_w))
+    field, witness = _field_inputs(capelli_inputs, n, m, ring, campaign.parts)
+    control = t.control("capelli_nonzero", {"xs": witness["xs"], "ys": witness["ys"]})
+    t.note("control_witness_degree", len(witness["xs"]))
     t.note("control_lower_degree_nonzero", control)
-    if spec.ring != ring:
-        t.note("control_ring", spec.ring.name)
+    if field != ring:
+        t.note("control_ring", field.name)
     return t.finish()
 
 
@@ -908,27 +914,40 @@ verify_amitsur_levitzki = verify_standard_bounds
 
 # ----- sharpness witnesses -----
 
-# sharpness target -> witness kind K, whose check is "K_sharp"
-_SHARP = {
-    CH_SHARPNESS: KIND_CH,
-    CAPELLI_SHARPNESS: KIND_CAPELLI,
-    STANDARD_SHARPNESS: KIND_STANDARD,
+
+class _Sharp(NamedTuple):
+    """A sharpness target: its witness kind K, whose check is "K_sharp";
+    params(campaign), the resolved witness parameters its report shows;
+    and inputs(campaign), the inputs of that check."""
+
+    kind: str
+    params: Callable[[Campaign], dict]
+    inputs: Callable[[Campaign], dict]
+
+
+_SHARP: Dict[str, _Sharp] = {
+    CH_SHARPNESS: _Sharp(
+        "ch",
+        lambda c: {"lambdas": [c.ring.format(x) for x in ch_lambdas(c.n, c.m, c.ring, c.lambdas)]},
+        lambda c: ch_inputs(c.n, c.m, c.ring, c.lambdas),
+    ),
+    CAPELLI_SHARPNESS: _Sharp(
+        "capelli",
+        lambda c: {"parts": list(capelli_parts(c.n, c.m, c.ring, c.parts))},
+        lambda c: capelli_inputs(c.n, c.m, c.ring, c.parts),
+    ),
+    STANDARD_SHARPNESS: _Sharp(
+        "standard", lambda c: {}, lambda c: {"mats": standard_witness(c.n, c.m, c.ring)}
+    ),
 }
-
-
-def _witness_spec(c: Campaign) -> WitnessSpec:
-    kind = _SHARP[c.target]
-    lambdas = c.lambdas if kind == KIND_CH else None
-    parts = c.parts if kind == KIND_CAPELLI else None
-    return WitnessSpec(kind=kind, n=c.n, m=c.m, ring=c.ring, lambdas=lambdas, parts=parts)
 
 
 def verify_sharpness(campaign: Campaign) -> Report:
     """One trial: the sharpness check of the witness one degree or
     exponent below the bound.  The report's details are the judge's,
     then the naive oracle's cross-check of a small DP value."""
-    spec = _witness_spec(campaign)
-    check, inputs = f"{spec.kind}_sharp", witness_inputs(spec)
+    row = _SHARP[campaign.target]
+    check, inputs = f"{row.kind}_sharp", row.inputs(campaign)
     t = _Trials(campaign)
 
     def note_details(index, inputs: dict, value) -> None:

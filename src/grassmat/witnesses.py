@@ -20,20 +20,26 @@ Three families, one per identity:
   also picks up harmless diagonal terms in rows 2..n whenever n >= 2,
   which the report records.
 
-Constructions demand a field whose characteristic clears the factorials
-involved; violations raise BadCharacteristicError up front.
+The builders take a campaign's own values: ch_witness(n, m, ring,
+lambdas=None), capelli_witness(n, m, ring, parts=None) and
+standard_witness(n, m, ring).  ch_lambdas and capelli_parts resolve the
+optional parameter, default or as given, and refuse a bad one.  Every
+builder first passes one gate: n >= 1, a valid rank, and a field whose
+characteristic clears the factorials involved, else
+BadCharacteristicError before any matrix is built.
 
 The sharpness targets run like every other target, through the check
 registry of the harness: it evaluates each witness and judges the value
 with the *_sharp_judge functions here, which return the verdict and name
-the details of the report in order.  A FAIL therefore carries a reproducer
-that --replay re-runs.
+the details of the report in order.  A FAIL therefore carries a
+reproducer that --replay re-runs.  ch_inputs and capelli_inputs resolve
+their parameter once and build the inputs their judges read; ch_witness
+and capelli_witness return the matrices of those inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import (
     BadCharacteristicError,
@@ -45,11 +51,6 @@ from .errors import (
 from .gmatrix import GrMatrix
 from .grassmann import GrassmannElem, _check_rank
 from .ring import Ring
-
-KIND_CH = "ch"
-KIND_CAPELLI = "capelli"
-KIND_STANDARD = "standard"
-KINDS = (KIND_CH, KIND_CAPELLI, KIND_STANDARD)
 
 # Rank cap of the checks on f(A): the nilpotent part of a rank-m input
 # raised to ceil(m/2) has up to C(m/2, m/4) terms per entry, so their
@@ -73,116 +74,78 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
-    """Parameters of one witness instance; validates on construction."""
+def _gate(n: int, m: int, ring: Ring, bound: Callable[[int, int], int]) -> None:
+    """The checks every witness shares: n >= 1, the rank, a field, and a
+    characteristic of 0 or above bound(n, m)."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"matrix dimension must be a positive integer, got {n}")
+    _check_rank(m)
+    if not ring.is_field():
+        raise BadCharacteristicError(f"witness constructions need a field, got {ring.name}")
+    p = ring.characteristic
+    if p and p <= (b := bound(n, m)):
+        raise BadCharacteristicError(f"need characteristic 0 or p > {b}, got {p}")
 
-    kind: str
-    n: int
-    m: int
-    ring: Ring
-    lambdas: Optional[Tuple] = None
-    parts: Optional[Tuple[int, ...]] = None
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"matrix dimension must be a positive integer, got {self.n}")
-        _check_rank(self.m)
-        if not self.ring.is_field():
+def check_distinct(lambdas: Tuple) -> None:
+    """DuplicateLambdasError unless the eigenvalues are pairwise distinct."""
+    for i in range(len(lambdas)):
+        for j in range(i + 1, len(lambdas)):
+            if lambdas[i] == lambdas[j]:
+                raise DuplicateLambdasError(f"eigenvalues collide at positions {i} and {j}")
+
+
+def ch_lambdas(n: int, m: int, ring: Ring, lambdas: Optional[Tuple] = None) -> Tuple:
+    """The eigenvalues of the ch witness: as given, or the embedded
+    0..n-1 default; needs p > ceil(m/2)."""
+    _gate(n, m, ring, lambda n, m: ceil_half(m))
+    if lambdas is not None:
+        if len(lambdas) != n:
+            raise LengthMismatchError(f"need {n} eigenvalues, got {len(lambdas)}")
+        vals = tuple(ring.coerce(x) for x in lambdas)
+    else:
+        vals = tuple(ring.embed(i) for i in range(n))
+    check_distinct(vals)
+    return vals
+
+
+def capelli_parts(
+    n: int, m: int, ring: Ring, parts: Optional[Tuple[int, ...]] = None
+) -> Tuple[int, ...]:
+    """Generator multiplicities per matrix unit, default or as given;
+    needs p > 2*ceil(floor(m/2) / n^2).
+
+    The default packs 2*floor(m/2) into the first unit when the
+    characteristic allows, otherwise greedily into the largest even
+    chunks below p.  A zero part is legal and inserts nothing.
+    """
+    _gate(n, m, ring, lambda n, m: 2 * _ceil_div(m // 2, n * n))
+    nn = n * n
+    w = 2 * (m // 2)
+    p = ring.characteristic
+    if parts is not None:
+        parts = tuple(int(x) for x in parts)
+        if len(parts) != nn:
+            raise BadPartitionError(f"need {nn} parts, got {len(parts)}")
+        if any(x < 0 or x % 2 for x in parts):
+            raise BadPartitionError(f"parts must be even and nonnegative: {parts}")
+        if sum(parts) != w:
+            raise BadPartitionError(f"parts must sum to {w}: {parts}")
+        if p and any(x >= p for x in parts):
             raise BadCharacteristicError(
-                f"witness constructions need a field, got {self.ring.name}"
+                f"every part must stay below the characteristic {p}: {parts}"
             )
-        p = self.ring.characteristic
-        if self.kind == KIND_CH:
-            if self.parts is not None:
-                raise ValueError("parts is a capelli-only parameter")
-            if p and p <= ceil_half(self.m):
-                raise BadCharacteristicError(
-                    f"need characteristic 0 or p > {ceil_half(self.m)}, got {p}"
-                )
-            self.resolved_lambdas()
-        elif self.kind == KIND_CAPELLI:
-            if self.lambdas is not None:
-                raise ValueError("lambdas is a ch-only parameter")
-            bound = 2 * _ceil_div(self.m // 2, self.n * self.n)
-            if p and p <= bound:
-                raise BadCharacteristicError(
-                    f"need characteristic 0 or p > {bound}, got {p}"
-                )
-            self.resolved_parts()
-        else:
-            if self.lambdas is not None or self.parts is not None:
-                raise ValueError("standard witness takes no lambdas or parts")
-            if p and p <= 2 * (self.m // 2):
-                raise BadCharacteristicError(
-                    f"need characteristic 0 or p > {2 * (self.m // 2)}, got {p}"
-                )
-
-    def resolved_lambdas(self) -> Tuple:
-        """Eigenvalue list: as given, or the embedded 0..n-1 default."""
-        ring = self.ring
-        if self.lambdas is not None:
-            if len(self.lambdas) != self.n:
-                raise LengthMismatchError(
-                    f"need {self.n} eigenvalues, got {len(self.lambdas)}"
-                )
-            vals = tuple(ring.coerce(x) for x in self.lambdas)
-        else:
-            vals = tuple(ring.embed(i) for i in range(self.n))
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[i] == vals[j]:
-                    raise DuplicateLambdasError(
-                        f"eigenvalues collide at positions {i} and {j}"
-                    )
-        return vals
-
-    def resolved_parts(self) -> Tuple[int, ...]:
-        """Generator multiplicities per matrix unit, default or as given.
-
-        The default packs 2*floor(m/2) into the first unit when the
-        characteristic allows, otherwise greedily into the largest even
-        chunks below p.  A zero part is legal and inserts nothing.
-        """
-        nn = self.n * self.n
-        w = 2 * (self.m // 2)
-        p = self.ring.characteristic
-        if self.parts is not None:
-            parts = tuple(int(x) for x in self.parts)
-            if len(parts) != nn:
-                raise BadPartitionError(f"need {nn} parts, got {len(parts)}")
-            if any(x < 0 or x % 2 for x in parts):
-                raise BadPartitionError(f"parts must be even and nonnegative: {parts}")
-            if sum(parts) != w:
-                raise BadPartitionError(f"parts must sum to {w}: {parts}")
-            if p and any(x >= p for x in parts):
-                raise BadCharacteristicError(
-                    f"every part must stay below the characteristic {p}: {parts}"
-                )
-            return parts
-        cap = w if p == 0 else p - 1 - ((p - 1) % 2)
-        out = []
-        remaining = w
-        for _ in range(nn):
-            take = min(cap, remaining)
-            out.append(take)
-            remaining -= take
-        if remaining:
-            raise BadPartitionError(
-                f"cannot split {w} generators into {nn} even parts below {p}"
-            )
-        return tuple(out)
-
-    def to_dict(self) -> dict:
-        ring = self.ring
-        out = {"kind": self.kind, "n": self.n, "m": self.m, "ring": ring.name}
-        if self.kind == KIND_CH:
-            out["lambdas"] = [ring.format(x) for x in self.resolved_lambdas()]
-        if self.kind == KIND_CAPELLI:
-            out["parts"] = list(self.resolved_parts())
-        return out
+        return parts
+    cap = w if p == 0 else p - 1 - ((p - 1) % 2)
+    out = []
+    remaining = w
+    for _ in range(nn):
+        take = min(cap, remaining)
+        out.append(take)
+        remaining -= take
+    if remaining:
+        raise BadPartitionError(f"cannot split {w} generators into {nn} even parts below {p}")
+    return tuple(out)
 
 
 # ----- common nilpotent part -----
@@ -206,14 +169,18 @@ def ch_nilpotent(m: int, ring: Ring) -> GrassmannElem:
 # ----- ch family -----
 
 
-def ch_witness(spec: WitnessSpec) -> GrMatrix:
-    """diag(lambda_i + v) with entries in spec.ring."""
-    if spec.kind != KIND_CH:
-        raise ValueError(f"expected a ch spec, got kind {spec.kind!r}")
-    v = ch_nilpotent(spec.m, spec.ring)
-    lams = spec.resolved_lambdas()
-    entries = [GrassmannElem.scalar(lam, spec.m, spec.ring) + v for lam in lams]
-    return GrMatrix.diag(entries)
+def ch_inputs(n: int, m: int, ring: Ring, lambdas: Optional[Tuple] = None) -> dict:
+    """The inputs ch_sharp_judge reads: the witness diag(lambda_i + v)
+    over ring and its eigenvalues, resolved once by ch_lambdas."""
+    lams = ch_lambdas(n, m, ring, lambdas)
+    v = ch_nilpotent(m, ring)
+    matrix = GrMatrix.diag([GrassmannElem.scalar(lam, m, ring) + v for lam in lams])
+    return {"matrix": matrix, "lambdas": lams}
+
+
+def ch_witness(n: int, m: int, ring: Ring, lambdas: Optional[Tuple] = None) -> GrMatrix:
+    """diag(lambda_i + v) over ring, lambdas resolved by ch_lambdas."""
+    return ch_inputs(n, m, ring, lambdas)["matrix"]
 
 
 def ch_sharp_judge(value, inputs: dict) -> Tuple[bool, dict]:
@@ -257,19 +224,17 @@ def ch_sharp_judge(value, inputs: dict) -> Tuple[bool, dict]:
 # ----- capelli family -----
 
 
-def capelli_witness(spec: WitnessSpec) -> Tuple[List[GrMatrix], List[GrMatrix]]:
-    """(C, B): x-arguments and the bridging y-arguments.
+def capelli_inputs(n: int, m: int, ring: Ring, parts: Optional[Tuple[int, ...]] = None) -> dict:
+    """The inputs capelli_sharp_judge reads: x-arguments xs, bridging
+    y-arguments ys, and the parts, resolved once by capelli_parts.
 
-    C walks the matrix units row-major; right after unit number r come
+    xs walks the matrix units row-major; right after unit number r come
     parts[r] copies multiplied by fresh generators, consuming the
-    generators v_1..v_{2*floor(m/2)} in order.  B_i is the unit sending
-    the column of C_i to the row of C_{i+1}; B_0 starts at row 1 and B_k
-    returns to column 1, so the bridged chain is supported at (1,1).
+    generators v_1..v_{2*floor(m/2)} in order.  ys[i] is the unit sending
+    the column of xs[i] to the row of xs[i+1]; ys[0] starts at row 1 and
+    ys[k] returns to column 1, so the bridged chain is supported at (1,1).
     """
-    if spec.kind != KIND_CAPELLI:
-        raise ValueError(f"expected a capelli spec, got kind {spec.kind!r}")
-    n, m, ring = spec.n, spec.m, spec.ring
-    parts = spec.resolved_parts()
+    parts = capelli_parts(n, m, ring, parts)
     xs: List[GrMatrix] = []
     rc: List[Tuple[int, int]] = []
     g = 1
@@ -289,7 +254,16 @@ def capelli_witness(spec: WitnessSpec) -> Tuple[List[GrMatrix], List[GrMatrix]]:
     for i in range(k - 1):
         ys.append(GrMatrix.unit(n, m, ring, rc[i][1], rc[i + 1][0]))
     ys.append(GrMatrix.unit(n, m, ring, rc[-1][1], 1))
-    return xs, ys
+    return {"xs": xs, "ys": ys, "parts": list(parts)}
+
+
+def capelli_witness(
+    n: int, m: int, ring: Ring, parts: Optional[Tuple[int, ...]] = None
+) -> Tuple[List[GrMatrix], List[GrMatrix]]:
+    """(xs, ys) of capelli_inputs: the x-arguments and the bridging
+    y-arguments."""
+    inputs = capelli_inputs(n, m, ring, parts)
+    return inputs["xs"], inputs["ys"]
 
 
 def capelli_sharp_judge(value: GrMatrix, inputs: dict) -> Tuple[bool, dict]:
@@ -327,8 +301,9 @@ def staircase_units(n: int, m: int, ring: Ring) -> List[GrMatrix]:
 
 
 def standard_witness(n: int, m: int, ring: Ring) -> List[GrMatrix]:
-    """Staircase units followed by v_i e11 for i = 1..2*floor(m/2)."""
-    WitnessSpec(kind=KIND_STANDARD, n=n, m=m, ring=ring)
+    """Staircase units followed by v_i e11 for i = 1..2*floor(m/2);
+    needs p > 2*floor(m/2)."""
+    _gate(n, m, ring, lambda n, m: 2 * (m // 2))
     mats = staircase_units(n, m, ring)
     e11 = GrMatrix.unit(n, m, ring, 1, 1)
     for i in range(1, 2 * (m // 2) + 1):
@@ -367,14 +342,3 @@ def standard_sharp_judge(value: GrMatrix, inputs: dict) -> Tuple[bool, dict]:
     if not full_match:
         named["note"] = "value carries extra diagonal terms beyond the (1,1) closed form"
     return entry_ok and nonzero, named
-
-
-def witness_inputs(spec: WitnessSpec) -> dict:
-    """The inputs of spec's sharpness check: the witness, with the
-    eigenvalues or the parts it was built from."""
-    if spec.kind == KIND_CH:
-        return {"matrix": ch_witness(spec), "lambdas": spec.resolved_lambdas()}
-    if spec.kind == KIND_CAPELLI:
-        xs, ys = capelli_witness(spec)
-        return {"xs": xs, "ys": ys, "parts": list(spec.resolved_parts())}
-    return {"mats": standard_witness(spec.n, spec.m, spec.ring)}

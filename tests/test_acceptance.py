@@ -31,7 +31,7 @@ from grassmat.identities import (
 from grassmat.report import COUNTEREXAMPLE_FOUND, NO_COUNTEREXAMPLE_IN_BUDGET, PASS
 from grassmat.ring import QQ, ZZ, PrimeField, is_prime
 from grassmat.witnesses import (
-    WitnessSpec,
+    capelli_parts,
     ceil_half,
     standard_witness,
 )
@@ -50,17 +50,17 @@ def next_prime(k):
     return p
 
 
-def first_valid_prime(kind, n, m, limit=50):
+def first_valid_prime(build, n, m, limit=50):
     p = 2
     while p <= limit:
         if is_prime(p):
             try:
-                WitnessSpec(kind, n, m, PrimeField(p))
+                build(n, m, PrimeField(p))
                 return PrimeField(p)
             except Exception:
                 pass
         p += 1
-    raise AssertionError(f"no valid prime below {limit} for {kind} at ({n},{m})")
+    raise AssertionError(f"no valid prime below {limit} for {build.__name__} at ({n},{m})")
 
 
 @pytest.fixture
@@ -174,7 +174,7 @@ def test_c05_capelli_bound(crit):
 def test_c06_capelli_sharpness(crit):
     with crit("C6 capelli sharpness grid plus worked value"):
         for n, m in GRID:
-            for ring in (QQ, first_valid_prime("capelli", n, m)):
+            for ring in (QQ, first_valid_prime(capelli_parts, n, m)):
                 rep = run_campaign(Campaign(target="CapelliSharpness", n=n, m=m, ring=ring))
                 assert rep.verdict == PASS, (n, m, ring.name)
         worked = run_campaign(Campaign(target="CapelliSharpness", n=1, m=2, ring=QQ))
@@ -245,7 +245,7 @@ def test_c08_standard_sharpness_refined_and_summary(capsys):
     t0 = time.perf_counter()
     literal_failures = []
     for n, m in GRID:
-        rings = [QQ, first_valid_prime("standard", n, m)]
+        rings = [QQ, first_valid_prime(standard_witness, n, m)]
         for ring in rings:
             rep = run_campaign(Campaign(target="StandardSharpness", n=n, m=m, ring=ring))
             assert rep.verdict == PASS, (n, m, ring.name)

@@ -16,7 +16,7 @@ from grassmat.errors import (
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
 from grassmat.ring import QQ, ZZ, PrimeField
-from grassmat.witnesses import WitnessSpec, capelli_witness, standard_witness
+from grassmat.witnesses import capelli_witness, standard_witness
 
 
 def run(capsys, argv):
@@ -677,7 +677,7 @@ def test_replay_exponent_outside_range_usage_error(tmp_path, capsys, exponent):
 def test_replay_capelli_sharp_parts_bounded_by_xs(tmp_path, capsys, parts, code):
     # parts count the generator copies among the 3 x-arguments of the
     # n = 1, m = 2 witness, which bounds the factorials the judge takes
-    xs, ys = capelli_witness(WitnessSpec("capelli", 1, 2, QQ))
+    xs, ys = capelli_witness(1, 2, QQ)
     reproducer = {
         "target": "CapelliSharpness",
         "check": "capelli_sharp",
@@ -744,11 +744,11 @@ def test_ch_checks_past_rank_cap_fail_fast(tmp_path, capsys, check):
     # f(A)^ceil(m/2) grows about 4x per four generators, so the checks on
     # f(A) refuse a rank above MAX_CH_RANK, in a campaign and in a replay,
     # before any power is taken
-    from grassmat.witnesses import MAX_CH_RANK, witness_inputs
+    from grassmat.witnesses import MAX_CH_RANK, ch_inputs
 
     m = 36
     assert m > MAX_CH_RANK
-    inputs = witness_inputs(WitnessSpec(kind="ch", n=1, m=m, ring=QQ))
+    inputs = ch_inputs(1, m, QQ)
     if check.startswith("power"):
         inputs["exponent"] = (m + 1) // 2 + (check == "power_zero")
     target = {"ch_sharp": harness.CH_SHARPNESS, "lemma2": harness.LEMMA2}.get(check, harness.THEOREM1)

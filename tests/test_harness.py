@@ -19,6 +19,7 @@ from grassmat.errors import (
     BadCharacteristicError,
     DegenerateLambdasError,
     DegreeTooLargeError,
+    DuplicateLambdasError,
     HypothesisViolationError,
     IndexOutOfRangeError,
     LengthMismatchError,
@@ -56,7 +57,7 @@ from grassmat.report import (
     PASS,
 )
 from grassmat.ring import QQ, ZZ, PrimeField
-from grassmat.witnesses import WitnessSpec, capelli_witness, ch_witness, standard_witness
+from grassmat.witnesses import capelli_witness, ch_witness, standard_witness
 
 
 def gen(i, m, ring=ZZ):
@@ -315,6 +316,69 @@ def test_young_lemma_pass():
     assert rep.find("control_singleton_identity_product") is True
 
 
+def test_young_singleton_control_fails_alone_and_replays(monkeypatch):
+    # doubling only the last Young sum of a campaign breaks the singleton
+    # control and nothing else; its reproducer then replays like any check
+    camp = Campaign(target="YoungLemma", n=1, m=2, ring=ZZ, trials=5)
+    real = harness.young_alternating_sum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "young_alternating_sum", counted)
+    clean = verify_young_lemma(camp)
+    last = len(calls)
+
+    def last_doubled(*args):
+        calls.append(args)
+        value = real(*args)
+        return value.scale_coeff(2) if len(calls) == 2 * last else value
+
+    monkeypatch.setattr(harness, "young_alternating_sum", last_doubled)
+    rep = verify_young_lemma(camp)
+    assert clean.verdict == PASS and rep.verdict == FAIL
+    assert rep.details[:-1] == clean.details[:-1]
+    assert rep.details[-1] == {"name": "control_singleton_identity_product", "value": False}
+    assert rep.reproducer["check"] == "young"
+    assert rep.reproducer["sizes"] == [1, 1, 1]
+    monkeypatch.setattr(harness, "young_alternating_sum", lambda *a: real(*a).scale_coeff(2))
+    assert replay_reproducer(rep.reproducer).verdict == FAIL
+    monkeypatch.undo()
+    assert replay_reproducer(rep.reproducer).verdict == PASS
+
+
+def test_young_singleton_control_needs_e11_not_just_the_judge(monkeypatch):
+    # a kernel sending the control's e11 e11 to zero also zeroes the
+    # judge's plain product, so only the literal e11 catches it
+    camp = Campaign(target="YoungLemma", n=1, m=2, ring=ZZ, trials=5)
+    real = harness.young_alternating_sum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "young_alternating_sum", counted)
+    clean = verify_young_lemma(camp)
+    last = len(calls)
+
+    def last_zeroed(elems, spec, *rest):
+        calls.append(elems)
+        if len(calls) < 2 * last:
+            return real(elems, spec, *rest)
+        monkeypatch.setattr(GrMatrix, "__mul__", lambda a, b: GrMatrix.zero(a.n, a.m, a.ring))
+        return GrMatrix.zero(elems[0].n, elems[0].m, elems[0].ring)
+
+    monkeypatch.setattr(harness, "young_alternating_sum", last_zeroed)
+    rep = verify_young_lemma(camp)
+    assert rep.verdict == FAIL
+    assert rep.details[:-1] == clean.details[:-1]
+    assert rep.details[-1] == {"name": "control_singleton_identity_product", "value": False}
+    assert rep.reproducer["check"] == "young"
+
+
 def test_young_lemma_rank_zero_skips_odd_shapes():
     rep = verify_young_lemma(Campaign(target="YoungLemma", n=1, m=0, ring=ZZ, trials=5))
     assert rep.verdict == PASS
@@ -531,8 +595,7 @@ def test_open_search_pruned_tuples_are_zero(n, m):
 # ------------------------------------------------------------ replay
 
 def test_replay_power_zero_pass_and_fail():
-    spec = WitnessSpec("ch", 2, 4, QQ)
-    W = ch_witness(spec)
+    W = ch_witness(2, 4, QQ)
     base = {
         "target": "Theorem1",
         "check": "power_zero",
@@ -549,8 +612,7 @@ def test_replay_power_zero_pass_and_fail():
 
 
 def test_replay_power_nonzero():
-    spec = WitnessSpec("ch", 2, 4, QQ)
-    W = ch_witness(spec)
+    W = ch_witness(2, 4, QQ)
     rep = replay_reproducer(
         {
             "target": "Theorem1",
@@ -589,14 +651,15 @@ def test_replay_lemma2_frozen():
 def test_replay_young_zero_and_factorial():
     e11 = GrMatrix.unit(1, 3, ZZ, 1, 1)
     elems = [e11.scale_coeff(2), e11.scale(gen(1, 3)), e11.scale(gen(2, 3))]
+    # one central position per class: an odd anticommuting count sums to zero
     zero_rep = replay_reproducer(
         {
             "target": "YoungLemma",
             "check": "young",
             "expect": "zero",
             "classes": [[1, 2], [3]],
-            "anticommuting": [2, 3],
-            "elems": matrices_to_json(elems),
+            "anticommuting": [2],
+            "elems": matrices_to_json(elems[:2] + [e11]),
         }
     )
     assert zero_rep.verdict == PASS
@@ -614,9 +677,50 @@ def test_replay_young_zero_and_factorial():
     assert fact_rep.find("factorial_form_matches") is True
 
 
+@pytest.mark.parametrize(
+    "classes, anti, expect",
+    [([[1, 2, 3]], [1, 2, 3], "factorial"), ([[1, 2], [3]], [2, 3], "zero")],
+)
+def test_replay_young_refuses_a_shape_outside_the_hypothesis(monkeypatch, classes, anti, expect):
+    # a class with no central position is outside the lemma, which says
+    # nothing about the sum, so the replay refuses it before evaluating
+    e11 = GrMatrix.unit(1, 3, ZZ, 1, 1)
+    monkeypatch.setattr(harness, "young_alternating_sum", None)  # must not be reached
+    with pytest.raises(HypothesisViolationError, match="exactly one non-anticommuting"):
+        replay_reproducer(
+            {
+                "target": "YoungLemma",
+                "check": "young",
+                "expect": expect,
+                "classes": classes,
+                "anticommuting": anti,
+                "elems": matrices_to_json([e11.scale(gen(i, 3)) for i in (1, 2, 3)]),
+            }
+        )
+
+
+@pytest.mark.parametrize("check", ["lemma2", "ch_sharp"])
+def test_replay_refuses_repeated_eigenvalues(monkeypatch, check):
+    # a repeated eigenvalue leaves f'(lambda) = 0 and the degree-2 formula
+    # vacuous, so both checks refuse it before any product
+    entry = GrassmannElem.scalar(3, 2, QQ) + gen(1, 2, QQ) * gen(2, 2, QQ)
+    A = GrMatrix.diag([entry, entry])
+    data = {"target": "Lemma2", "check": check, "matrix": A.to_json(), "lambdas": ["3", "3"]}
+
+    def no_product(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(GrMatrix, "__mul__", no_product)
+    with pytest.raises(DuplicateLambdasError, match="collide at positions 0 and 1"):
+        replay_reproducer(data)
+    monkeypatch.undo()
+    # the power checks keep accepting repeated roots of f
+    power = {**data, "check": "power_zero", "exponent": 2}
+    assert replay_reproducer(power).verdict == PASS
+
+
 def test_replay_capelli_both_directions():
-    spec = WitnessSpec("capelli", 1, 2, QQ)
-    xs, ys = capelli_witness(spec)
+    xs, ys = capelli_witness(1, 2, QQ)
     data = {
         "target": "CapelliBound",
         "xs": matrices_to_json(xs),

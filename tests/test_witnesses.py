@@ -18,9 +18,10 @@ from grassmat.identities import capelli_dp, standard_dp
 from grassmat.report import PASS
 from grassmat.ring import QQ, ZZ, PrimeField
 from grassmat.witnesses import (
-    WitnessSpec,
+    capelli_parts,
     capelli_witness,
     ceil_half,
+    ch_lambdas,
     ch_nilpotent,
     ch_witness,
     staircase_units,
@@ -37,65 +38,68 @@ def sharp(target, n, m, ring=QQ, **kw):
     return run_campaign(Campaign(target=target, n=n, m=m, ring=ring, **kw))
 
 
-# ------------------------------------------------------------ spec checks
+# ------------------------------------------------------------ parameter checks
 
 def test_spec_requires_field():
     with pytest.raises(BadCharacteristicError):
-        WitnessSpec("ch", 2, 2, ZZ)
+        ch_lambdas(2, 2, ZZ)
+    with pytest.raises(BadCharacteristicError):
+        capelli_parts(2, 2, ZZ)
+    with pytest.raises(BadCharacteristicError):
+        standard_witness(2, 2, ZZ)
 
 
-def test_spec_rejects_unknown_kind_and_bad_n():
+def test_witnesses_reject_bad_n():
     with pytest.raises(ValueError):
-        WitnessSpec("nope", 2, 2, QQ)
+        ch_lambdas(0, 2, QQ)
     with pytest.raises(ValueError):
-        WitnessSpec("ch", 0, 2, QQ)
+        capelli_parts(0, 2, QQ)
+    with pytest.raises(ValueError):
+        standard_witness(0, 2, QQ)
 
 
 def test_ch_characteristic_gate():
     # Exponent arithmetic needs p > ceil(m/2).
     with pytest.raises(BadCharacteristicError):
-        WitnessSpec("ch", 1, 4, PrimeField(2))
-    WitnessSpec("ch", 1, 4, PrimeField(3))
+        ch_lambdas(1, 4, PrimeField(2))
+    ch_lambdas(1, 4, PrimeField(3))
     with pytest.raises(BadCharacteristicError):
-        WitnessSpec("ch", 1, 6, PrimeField(3))
-    WitnessSpec("ch", 2, 6, PrimeField(5))
+        ch_lambdas(1, 6, PrimeField(3))
+    ch_lambdas(2, 6, PrimeField(5))
 
 
 def test_ch_lambda_validation():
     with pytest.raises(DuplicateLambdasError):
-        WitnessSpec("ch", 2, 2, QQ, lambdas=(1, 1))
+        ch_lambdas(2, 2, QQ, (1, 1))
     with pytest.raises(LengthMismatchError):
-        WitnessSpec("ch", 2, 2, QQ, lambdas=(1,))
+        ch_lambdas(2, 2, QQ, (1,))
     # Default lambdas 0..n-1 collide mod small p.
     with pytest.raises(DuplicateLambdasError):
-        WitnessSpec("ch", 4, 2, PrimeField(3))
-    spec = WitnessSpec("ch", 2, 2, QQ, lambdas=(Fraction(1, 2), 3))
-    assert spec.resolved_lambdas() == (Fraction(1, 2), Fraction(3))
-
-
-def test_ch_rejects_capelli_parameter():
-    with pytest.raises(ValueError):
-        WitnessSpec("ch", 2, 2, QQ, parts=(2, 0, 0, 0))
+        ch_lambdas(4, 2, PrimeField(3))
+    assert ch_lambdas(2, 2, QQ, (Fraction(1, 2), 3)) == (Fraction(1, 2), Fraction(3))
+    with pytest.raises(DuplicateLambdasError):
+        ch_witness(2, 2, QQ, (1, 1))
 
 
 def test_capelli_parts_validation():
     with pytest.raises(BadPartitionError):
-        WitnessSpec("capelli", 1, 2, QQ, parts=(1,))
+        capelli_parts(1, 2, QQ, (1,))
     with pytest.raises(BadPartitionError):
-        WitnessSpec("capelli", 1, 2, QQ, parts=(4,))
+        capelli_parts(1, 2, QQ, (4,))
     with pytest.raises(BadPartitionError):
-        WitnessSpec("capelli", 2, 2, QQ, parts=(2, 0, 0))
+        capelli_parts(2, 2, QQ, (2, 0, 0))
     with pytest.raises(BadCharacteristicError):
-        WitnessSpec("capelli", 1, 8, PrimeField(7), parts=(8,))
-    spec = WitnessSpec("capelli", 1, 4, QQ, parts=(4,))
-    assert spec.resolved_parts() == (4,)
+        capelli_parts(1, 8, PrimeField(7), (8,))
+    assert capelli_parts(1, 4, QQ, (4,)) == (4,)
+    with pytest.raises(BadPartitionError):
+        capelli_witness(1, 2, QQ, (4,))
 
 
 def test_capelli_default_parts_split_below_characteristic():
     # Default packs everything into one unit over the rationals.
-    assert WitnessSpec("capelli", 2, 4, QQ).resolved_parts() == (4, 0, 0, 0)
+    assert capelli_parts(2, 4, QQ) == (4, 0, 0, 0)
     # Over F3 parts must stay even and below 3, so chunks of 2.
-    assert WitnessSpec("capelli", 2, 4, PrimeField(3)).resolved_parts() == (
+    assert capelli_parts(2, 4, PrimeField(3)) == (
         2,
         2,
         0,
@@ -105,17 +109,22 @@ def test_capelli_default_parts_split_below_characteristic():
 
 def test_standard_characteristic_gate():
     with pytest.raises(BadCharacteristicError):
-        WitnessSpec("standard", 2, 2, PrimeField(2))
-    WitnessSpec("standard", 2, 2, PrimeField(3))
+        standard_witness(2, 2, PrimeField(2))
+    standard_witness(2, 2, PrimeField(3))
     with pytest.raises(BadCharacteristicError):
-        WitnessSpec("standard", 2, 4, PrimeField(3))
+        standard_witness(2, 4, PrimeField(3))
 
 
 def test_spec_to_dict():
-    d = WitnessSpec("ch", 2, 2, QQ).to_dict()
-    assert d == {"kind": "ch", "n": 2, "m": 2, "ring": "rat", "lambdas": ["0", "1"]}
-    d2 = WitnessSpec("capelli", 1, 2, QQ).to_dict()
+    d = Campaign(target="CHSharpness", n=2, m=2, ring=QQ).to_dict()
+    assert d == {
+        "target": "CHSharpness", "kind": "ch", "n": 2, "m": 2, "ring": "rat", "lambdas": ["0", "1"]
+    }
+    d2 = Campaign(target="CapelliSharpness", n=1, m=2, ring=QQ).to_dict()
+    assert d2["kind"] == "capelli"
     assert d2["parts"] == [2]
+    d3 = Campaign(target="StandardSharpness", n=1, m=2, ring=QQ).to_dict()
+    assert d3 == {"target": "StandardSharpness", "kind": "standard", "n": 1, "m": 2, "ring": "rat"}
 
 
 # ------------------------------------------------------------ nilpotent part
@@ -134,8 +143,7 @@ def test_ch_nilpotent_structure():
 # ------------------------------------------------------------ ch witness
 
 def test_ch_witness_shape():
-    spec = WitnessSpec("ch", 2, 4, QQ)
-    A = ch_witness(spec)
+    A = ch_witness(2, 4, QQ)
     v = ch_nilpotent(4, QQ)
     assert A.entry(1, 1) == v
     assert A.entry(2, 2) == GrassmannElem.scalar(1, 4, QQ) + v
@@ -175,8 +183,7 @@ def test_ch_sharpness_m_zero():
 
 def test_capelli_witness_counts():
     # x-degree n^2 + 2*floor(m/2): the largest k the bound leaves alive.
-    spec = WitnessSpec("capelli", 2, 2, QQ)
-    xs, ys = capelli_witness(spec)
+    xs, ys = capelli_witness(2, 2, QQ)
     k = 2 * 2 + 2 * (2 // 2)
     assert len(xs) == k
     assert len(ys) == k + 1
@@ -209,8 +216,7 @@ def test_capelli_witness_value_frozen_2x2():
 
 
 def test_capelli_witness_direct_evaluation_agrees():
-    spec = WitnessSpec("capelli", 1, 2, QQ)
-    xs, ys = capelli_witness(spec)
+    xs, ys = capelli_witness(1, 2, QQ)
     got = capelli_dp(xs, ys)
     e11 = GrMatrix.unit(1, 2, QQ, 1, 1)
     assert got == e11.scale(gen(1, 2) * gen(2, 2)).scale_coeff(2)
