@@ -13,7 +13,6 @@ from .errors import (
     BadCharacteristicError,
     BadPartitionError,
     ContextMismatchError,
-    DegenerateLambdasError,
     DegreeTooLargeError,
     DuplicateLambdasError,
     GrassmatError,
@@ -33,13 +32,6 @@ from .harness import (
     degrees_for,
     replay_reproducer,
     run_campaign,
-    search_open_question,
-    verify_amitsur_levitzki,
-    verify_capelli_bound,
-    verify_lemma2,
-    verify_standard_bounds,
-    verify_theorem1,
-    verify_young_lemma,
 )
 from .identities import (
     YoungSpec,
@@ -75,7 +67,6 @@ __all__ = [
     "COUNTEREXAMPLE_FOUND",
     "Campaign",
     "ContextMismatchError",
-    "DegenerateLambdasError",
     "DegreeTooLargeError",
     "DuplicateLambdasError",
     "FAIL",
@@ -115,7 +106,6 @@ __all__ = [
     "random_grmatrix",
     "replay_reproducer",
     "run_campaign",
-    "search_open_question",
     "splitmix64",
     "staircase_units",
     "standard_dp",
@@ -123,11 +113,5 @@ __all__ = [
     "standard_product_eval",
     "standard_witness",
     "trial_rng",
-    "verify_amitsur_levitzki",
-    "verify_capelli_bound",
-    "verify_lemma2",
-    "verify_standard_bounds",
-    "verify_theorem1",
-    "verify_young_lemma",
     "young_alternating_sum",
 ]

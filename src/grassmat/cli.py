@@ -242,7 +242,10 @@ def _emit(args, text: str, table: str) -> None:
 
 def _replay(args) -> Report:
     with open(args.replay, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("replay file nests too deeply") from None
     if isinstance(data, dict) and isinstance(data.get("reproducer"), dict):
         data = data["reproducer"]
     if not isinstance(data, dict) or "check" not in data:

@@ -54,8 +54,5 @@ class BadPartitionError(GrassmatError):
     """Multiplicity partition is malformed for the requested witness."""
 
 
-DegenerateLambdasError = DuplicateLambdasError  # the older name of the same refusal
-
-
 class HypothesisViolationError(GrassmatError):
     """Instance data violates a lemma hypothesis it was declared to satisfy."""

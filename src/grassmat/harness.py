@@ -20,8 +20,9 @@ evaluator that silently maps everything to zero cannot pass.
 The open-question search never returns PASS.  It either finds a
 counterexample or reports the exact slice of the atom space it covered.
 
-A runner refuses a point past a cap (DegreeTooLargeError) before any
-evaluator returns, so a caller may take the refusal as "skip this point".
+run_campaign is the one way to run a target.  It refuses a point past a
+cap (DegreeTooLargeError) before the first draw or witness build, so a
+caller may take the refusal as "skip this point".
 """
 
 from __future__ import annotations
@@ -472,7 +473,7 @@ def _decode(check: Check, data: dict) -> dict:
             raise ValueError(f"reproducer has no {key!r} field")
         try:
             inputs[key] = _READERS[key](data[key], inputs)
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed reproducer field {key!r}: {exc!r}") from None
     return inputs
 
@@ -481,9 +482,15 @@ def _decode(check: Check, data: dict) -> dict:
 
 
 class _Trials:
-    """One campaign's details, trial count, verdict and first reproducer."""
+    """One campaign's details, trial count, verdict and first reproducer.
 
-    def __init__(self, campaign: Campaign):
+    k is the largest degree the campaign hands a DP evaluator; past
+    campaign.max_dp_k it is refused here, before anything is drawn or built.
+    """
+
+    def __init__(self, campaign: Campaign, k: int = 0):
+        if k > campaign.max_dp_k:
+            raise DegreeTooLargeError(f"DP evaluation capped at k <= {campaign.max_dp_k}, got {k}")
         self.campaign = campaign
         self.start = time.perf_counter()
         self.details: List[dict] = []
@@ -587,11 +594,11 @@ def _atom_mats(rng: random.Random, pool: Callable[[int], GrMatrix], total: int, 
 # ----- nilpotency of the characteristic polynomial -----
 
 
-def verify_theorem1(campaign: Campaign) -> Report:
+def _verify_theorem1(campaign: Campaign) -> Report:
     """f(A)^(ceil(m/2)+1) = 0 for random A; control at one exponent lower."""
     n, m, ring = campaign.n, campaign.m, campaign.ring
+    e = ch_exponent(m) + 1  # the rank cap, before the first draw
     t = _Trials(campaign)
-    e = ceil_half(m) + 1
     t.note("exponent", e)
     draws = t.draws(lambda rng: {
         "matrix": random_grmatrix(rng, n, m, ring, campaign.sparsity), "exponent": e
@@ -619,10 +626,11 @@ def _draw_lambdas(rng: random.Random, n: int, ring: Ring) -> Tuple:
                 f"cannot pick {n} distinct eigenvalues in a field of size {p}"
             )
         return tuple(ring.embed(x) for x in rng.sample(range(p), n))
-    return tuple(ring.embed(x) for x in rng.sample(range(-9, 10), n))
+    h = max(9, n // 2)  # -9..9 for every n <= 19; room for n distinct values beyond
+    return tuple(ring.embed(x) for x in rng.sample(range(-h, h + 1), n))
 
 
-def verify_lemma2(campaign: Campaign) -> Report:
+def _verify_lemma2(campaign: Campaign) -> Report:
     """Degree-0/1/2 structure of f(A) for A = diag(distinct) + degree-1.
 
     Asserted only for matrices with no components of degree 2 and up;
@@ -644,6 +652,7 @@ def verify_lemma2(campaign: Campaign) -> Report:
         fixed = tuple(ring.coerce(x) for x in fixed)
         if len(set(fixed)) != n:
             raise DuplicateLambdasError("fixed eigenvalues must be distinct")
+    ch_exponent(m)  # the rank cap, before the first draw
 
     def draw(rng):
         lams = _draw_lambdas(rng, n, ring) if fixed is None else fixed
@@ -722,7 +731,7 @@ def _odd_compositions(k: int):
             yield (first,) + rest
 
 
-def verify_young_lemma(campaign: Campaign) -> Report:
+def _verify_young_lemma(campaign: Campaign) -> Report:
     """(a) odd anticommuting count sums to zero, random shapes, k <= 7;
     (b) odd interval shapes factor as prod (size-1)! times the plain
     product; plus an all-singleton control whose sum must be e11 itself."""
@@ -782,12 +791,12 @@ def verify_young_lemma(campaign: Campaign) -> Report:
 # ----- vanishing of the bridged alternating sum -----
 
 
-def verify_capelli_bound(campaign: Campaign) -> Report:
+def _verify_capelli_bound(campaign: Campaign) -> Report:
     """d_k = 0 at k = n^2 + 2*floor(m/2) + 1 on random and atom inputs;
     the explicit witness one degree lower must stay nonzero."""
     n, m, ring = campaign.n, campaign.m, campaign.ring
-    t = _Trials(campaign)
     k = degrees_for(n, m)["capelli_x_degree"]
+    t = _Trials(campaign, k)
     t.note("x_degree", k)
     draws = t.draws(lambda rng: {
         "xs": _random_mats(campaign, rng, k), "ys": _random_mats(campaign, rng, k + 1)
@@ -853,24 +862,21 @@ def _scalar_mats(campaign: Campaign, rng: random.Random, k: int) -> List[GrMatri
     return [GrMatrix([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(k)]
 
 
-def verify_standard_bounds(campaign: Campaign) -> Report:
+def _verify_standard_bounds(campaign: Campaign) -> Report:
     """StandardCorollary, StandardProduct, Filtration2 and AmitsurLevitzki.
 
     Corollary: s_k = 0 at both proved degrees.  Product: the product of
     s_2n blocks vanishes at total degree 2n(floor(m/2)+1).  Filtration2:
     each s_2n block lands in the span of degree >= 2 terms.
     Amitsur-Levitzki: s_2n = 0 on degree-0 matrices.  All four share the
-    staircase mutation control one degree lower.
+    staircase mutation control one degree lower.  The other three hand
+    the DP blocks of s_2n.
     """
     n, m, target = campaign.n, campaign.m, campaign.target
-    t = _Trials(campaign)
     degs = degrees_for(n, m)
+    k1, k2 = degs["standard_degree"], degs["standard_product_degree"]
+    t = _Trials(campaign, max(k1, k2) if target == STANDARD_COROLLARY else 2 * n)
     if target == STANDARD_COROLLARY:
-        k1, k2 = degs["standard_degree"], degs["standard_product_degree"]
-        if max(k1, k2) > campaign.max_dp_k:
-            raise DegreeTooLargeError(
-                f"DP evaluation capped at k <= {campaign.max_dp_k}, got {max(k1, k2)}"
-            )
         t.note("degree", k1)
         t.note("comparison_degree", k2)
         _standard_zero_pass(t, k1, "corollary")
@@ -885,10 +891,9 @@ def verify_standard_bounds(campaign: Campaign) -> Report:
             t.note("naive_cross_check", t.naive)
             t.failed |= not t.naive
     elif target == STANDARD_PRODUCT:
-        k = degs["standard_product_degree"]
-        t.note("degree", k)
+        t.note("degree", k2)
         t.note("blocks", m // 2 + 1)
-        draws = t.draws(lambda rng: {"mats": _random_mats(campaign, rng, k)})
+        draws = t.draws(lambda rng: {"mats": _random_mats(campaign, rng, k2)})
         t.run("product_zero", draws, "first_failure_trial")
         if not t.failed:
             t.note("trials_zero", t.trials)
@@ -909,20 +914,19 @@ def verify_standard_bounds(campaign: Campaign) -> Report:
     return t.finish()
 
 
-verify_amitsur_levitzki = verify_standard_bounds
-
-
 # ----- sharpness witnesses -----
 
 
 class _Sharp(NamedTuple):
     """A sharpness target: its witness kind K, whose check is "K_sharp";
     params(campaign), the resolved witness parameters its report shows;
-    and inputs(campaign), the inputs of that check."""
+    inputs(campaign), the inputs of that check; and degree(degrees), the
+    number of DP arguments of the witness (0 for none), from degrees_for."""
 
     kind: str
     params: Callable[[Campaign], dict]
     inputs: Callable[[Campaign], dict]
+    degree: Callable[[Dict[str, int]], int]
 
 
 _SHARP: Dict[str, _Sharp] = {
@@ -930,25 +934,30 @@ _SHARP: Dict[str, _Sharp] = {
         "ch",
         lambda c: {"lambdas": [c.ring.format(x) for x in ch_lambdas(c.n, c.m, c.ring, c.lambdas)]},
         lambda c: ch_inputs(c.n, c.m, c.ring, c.lambdas),
+        lambda degs: 0,
     ),
     CAPELLI_SHARPNESS: _Sharp(
         "capelli",
         lambda c: {"parts": list(capelli_parts(c.n, c.m, c.ring, c.parts))},
         lambda c: capelli_inputs(c.n, c.m, c.ring, c.parts),
+        lambda degs: degs["capelli_x_degree"] - 1,
     ),
     STANDARD_SHARPNESS: _Sharp(
-        "standard", lambda c: {}, lambda c: {"mats": standard_witness(c.n, c.m, c.ring)}
+        "standard",
+        lambda c: {},
+        lambda c: {"mats": standard_witness(c.n, c.m, c.ring)},
+        lambda degs: degs["witness_degree"],
     ),
 }
 
 
-def verify_sharpness(campaign: Campaign) -> Report:
+def _verify_sharpness(campaign: Campaign) -> Report:
     """One trial: the sharpness check of the witness one degree or
     exponent below the bound.  The report's details are the judge's,
     then the naive oracle's cross-check of a small DP value."""
     row = _SHARP[campaign.target]
+    t = _Trials(campaign, row.degree(degrees_for(campaign.n, campaign.m)))
     check, inputs = f"{row.kind}_sharp", row.inputs(campaign)
-    t = _Trials(campaign)
 
     def note_details(index, inputs: dict, value) -> None:
         t.details.extend(CHECKS[check].details(value, inputs))
@@ -965,7 +974,7 @@ def verify_sharpness(campaign: Campaign) -> Report:
 # ----- the open question -----
 
 
-def search_open_question(campaign: Campaign) -> Report:
+def _search_open_question(campaign: Campaign) -> Report:
     """Search s_k = 0, k = 2(n + floor(m/2)), on k-subsets of atoms().
 
     The walk is lexicographic and depth-first.  Atoms whose masks meet
@@ -974,10 +983,8 @@ def search_open_question(campaign: Campaign) -> Report:
     considered and pruned in one step.
     """
     c = campaign
-    t = _Trials(c)
     k = degrees_for(c.n, c.m)["open_question_degree"]
-    if k > c.max_dp_k:
-        raise DegreeTooLargeError(f"DP evaluation capped at k <= {c.max_dp_k}, got {k}")
+    t = _Trials(c, k)
     w = 1 << c.m
     pool, total = _atom_pool(c)
     if c.random_samples and k > total:
@@ -1023,18 +1030,18 @@ def search_open_question(campaign: Campaign) -> Report:
 
 # target -> runner, in the order the command line lists the targets
 _RUNNERS: Dict[str, Callable[[Campaign], Report]] = {
-    THEOREM1: verify_theorem1,
-    LEMMA2: verify_lemma2,
-    YOUNG_LEMMA: verify_young_lemma,
-    CAPELLI_BOUND: verify_capelli_bound,
-    STANDARD_COROLLARY: verify_standard_bounds,
-    STANDARD_PRODUCT: verify_standard_bounds,
-    FILTRATION2: verify_standard_bounds,
-    CH_SHARPNESS: verify_sharpness,
-    CAPELLI_SHARPNESS: verify_sharpness,
-    STANDARD_SHARPNESS: verify_sharpness,
-    OPEN_QUESTION: search_open_question,
-    AMITSUR_LEVITZKI: verify_standard_bounds,
+    THEOREM1: _verify_theorem1,
+    LEMMA2: _verify_lemma2,
+    YOUNG_LEMMA: _verify_young_lemma,
+    CAPELLI_BOUND: _verify_capelli_bound,
+    STANDARD_COROLLARY: _verify_standard_bounds,
+    STANDARD_PRODUCT: _verify_standard_bounds,
+    FILTRATION2: _verify_standard_bounds,
+    CH_SHARPNESS: _verify_sharpness,
+    CAPELLI_SHARPNESS: _verify_sharpness,
+    STANDARD_SHARPNESS: _verify_sharpness,
+    OPEN_QUESTION: _search_open_question,
+    AMITSUR_LEVITZKI: _verify_standard_bounds,
 }
 TARGETS = tuple(_RUNNERS)
 

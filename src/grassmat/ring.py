@@ -184,7 +184,10 @@ class RationalRing(Ring):
         return {k: Fraction(v, den) for k, v in terms.items() if v}
 
     def parse(self, s: str) -> Fraction:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
 
 
 class PrimeField(Ring):

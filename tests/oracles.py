@@ -77,7 +77,7 @@ def brute_force_open_search(campaign: Campaign) -> Report:
     """The open-question search as a flat walk over combinations().
 
     Every k-subset is built, and the walk recomputes its mask union and
-    degree sum.  harness.search_open_question must give the same report.
+    degree sum.  run_campaign must give the same report.
 
     Atom tuples with a repeated generator across masks evaluate to zero
     term by term, so the pruned slice cannot hide a counterexample;

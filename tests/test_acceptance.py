@@ -19,7 +19,6 @@ from grassmat.harness import (
     atoms,
     random_grmatrix,
     run_campaign,
-    search_open_question,
     trial_rng,
 )
 from grassmat.identities import (
@@ -294,12 +293,12 @@ def test_c09_oracle_equivalence(crit):
 def test_c10_open_search(crit):
     with crit("C10 open search: exhaustive small grid, budgeted (3,2)"):
         for n, m in ((1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2)):
-            rep = search_open_question(
+            rep = run_campaign(
                 Campaign(target="OpenQuestion", n=n, m=m, ring=ZZ, seed=1)
             )
             assert rep.verdict == NO_COUNTEREXAMPLE_IN_BUDGET, (n, m)
             assert rep.find("exhausted") is True, (n, m)
-        big = search_open_question(
+        big = run_campaign(
             Campaign(target="OpenQuestion", n=3, m=2, ring=ZZ, budget=10**5, seed=1)
         )
         # Reported, not asserted: the n = 3 answer is the open part.

@@ -9,7 +9,6 @@ from grassmat import cli, harness
 from grassmat.cli import main
 from grassmat.errors import (
     BadCharacteristicError,
-    DegenerateLambdasError,
     DuplicateLambdasError,
     HypothesisViolationError,
 )
@@ -288,6 +287,16 @@ def test_lemma2_lambdas_of_the_wrong_length(capsys):
     assert "need 2 eigenvalues, got 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["ch-sharp", "--lambdas", "1/0,1"], ["lemma2", "-n", "2", "--lambdas", "1/0,2"]]
+)
+def test_zero_denominator_lambdas_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "zero denominator in '1/0'" in err
+
+
 def test_capelli_sharp_parts_option(capsys):
     code, out, _ = run(
         capsys,
@@ -381,7 +390,6 @@ def test_grid_skips_colliding_eigenvalues(capsys):
     # the default eigenvalues 0, 1, 2 collide mod 2, so each n = 3 point is
     # refused before its first trial, with the same error class as a drawn
     # collision; every other row is what the campaign alone gives
-    assert DegenerateLambdasError is DuplicateLambdasError
     argv = ["grid", "--target", "CHSharpness", "--ring", "zmod:2", "--n-max", "3",
             "--m-max", "2", "--format", "json"]
     code, out, err = run(capsys, argv)
@@ -486,6 +494,16 @@ def test_replay_file_not_json_usage_error(tmp_path, capsys):
     p.write_text("not json at all")
     code, _, _ = run(capsys, ["ch-verify", "--replay", str(p)])
     assert code == EXIT_USAGE
+
+
+def test_replay_file_nested_too_deeply_usage_error(tmp_path, capsys):
+    # json.load recurses once per array, so 100,000 levels overflow the stack
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["ch-verify", "--replay", str(p)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "nests too deeply" in err
 
 
 def test_replay_file_without_reproducer(tmp_path, capsys):

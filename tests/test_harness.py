@@ -17,7 +17,6 @@ from oracles import (
 from grassmat import harness, sampling
 from grassmat.errors import (
     BadCharacteristicError,
-    DegenerateLambdasError,
     DegreeTooLargeError,
     DuplicateLambdasError,
     HypothesisViolationError,
@@ -32,13 +31,6 @@ from grassmat.harness import (
     degrees_for,
     replay_reproducer,
     run_campaign,
-    search_open_question,
-    verify_amitsur_levitzki,
-    verify_capelli_bound,
-    verify_lemma2,
-    verify_standard_bounds,
-    verify_theorem1,
-    verify_young_lemma,
 )
 from grassmat.identities import standard_dp, standard_naive
 from grassmat.sampling import (
@@ -244,7 +236,7 @@ def test_campaign_validation_and_to_dict():
 # ------------------------------------------------------------ verifiers
 
 def test_theorem1_pass_and_control():
-    rep = verify_theorem1(Campaign(target="Theorem1", n=2, m=2, ring=ZZ, trials=5))
+    rep = run_campaign(Campaign(target="Theorem1", n=2, m=2, ring=ZZ, trials=5))
     assert rep.verdict == PASS
     assert rep.find("exponent") == 2
     assert rep.find("control_lower_exponent_nonzero") is True
@@ -255,7 +247,7 @@ def test_theorem1_pass_and_control():
 
 
 def test_theorem1_field_control_stays_native():
-    rep = verify_theorem1(
+    rep = run_campaign(
         Campaign(target="Theorem1", n=2, m=2, ring=PrimeField(7), trials=3)
     )
     assert rep.verdict == PASS
@@ -263,24 +255,32 @@ def test_theorem1_field_control_stays_native():
 
 
 def test_lemma2_pass_over_field():
-    rep = verify_lemma2(Campaign(target="Lemma2", n=2, m=3, ring=QQ, trials=5))
+    rep = run_campaign(Campaign(target="Lemma2", n=2, m=3, ring=QQ, trials=5))
     assert rep.verdict == PASS
     assert rep.find("control_degree1_part_nonzero") is True
 
 
+def test_lemma2_draws_distinct_lambdas_past_nineteen():
+    # -9..9 holds only 19 values; n = 20 draws from -10..10
+    rep = run_campaign(Campaign(target="Lemma2", n=20, m=2, ring=QQ, trials=1))
+    assert rep.verdict == PASS
+    lams = harness._draw_lambdas(random.Random(0), 20, QQ)
+    assert len(set(lams)) == 20 and max(map(abs, lams)) <= 10
+
+
 def test_lemma2_requires_field():
     with pytest.raises(BadCharacteristicError):
-        verify_lemma2(Campaign(target="Lemma2", n=2, m=2, ring=ZZ, trials=1))
+        run_campaign(Campaign(target="Lemma2", n=2, m=2, ring=ZZ, trials=1))
 
 
 def test_lemma2_degenerate_lambdas():
-    with pytest.raises(DegenerateLambdasError):
-        verify_lemma2(
+    with pytest.raises(DuplicateLambdasError):
+        run_campaign(
             Campaign(target="Lemma2", n=2, m=2, ring=QQ, trials=1, lambdas=(1, 1))
         )
     # A field with fewer elements than eigenvalues cannot separate them.
-    with pytest.raises(DegenerateLambdasError):
-        verify_lemma2(
+    with pytest.raises(DuplicateLambdasError):
+        run_campaign(
             Campaign(target="Lemma2", n=3, m=2, ring=PrimeField(2), trials=1)
         )
 
@@ -291,13 +291,13 @@ def test_lemma2_checks_fixed_lambdas_before_the_first_trial(monkeypatch):
 
     monkeypatch.setattr(harness, "random_degree1_grmatrix", no_draw)
     with pytest.raises(LengthMismatchError, match="need 2 eigenvalues, got 3"):
-        verify_lemma2(Campaign(target="Lemma2", n=2, ring=QQ, lambdas=(1, 2, 3)))
-    with pytest.raises(DegenerateLambdasError, match="fixed eigenvalues must be distinct"):
-        verify_lemma2(Campaign(target="Lemma2", n=2, ring=PrimeField(3), lambdas=(1, 4)))
+        run_campaign(Campaign(target="Lemma2", n=2, ring=QQ, lambdas=(1, 2, 3)))
+    with pytest.raises(DuplicateLambdasError, match="fixed eigenvalues must be distinct"):
+        run_campaign(Campaign(target="Lemma2", n=2, ring=PrimeField(3), lambdas=(1, 4)))
 
 
 def test_lemma2_exploratory_records_observations():
-    rep = verify_lemma2(
+    rep = run_campaign(
         Campaign(target="Lemma2", n=2, m=2, ring=QQ, trials=3, exploratory=True)
     )
     assert rep.verdict == PASS
@@ -306,7 +306,7 @@ def test_lemma2_exploratory_records_observations():
 
 
 def test_young_lemma_pass():
-    rep = verify_young_lemma(
+    rep = run_campaign(
         Campaign(target="YoungLemma", n=1, m=3, ring=ZZ, trials=5)
     )
     assert rep.verdict == PASS
@@ -328,7 +328,7 @@ def test_young_singleton_control_fails_alone_and_replays(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(harness, "young_alternating_sum", counted)
-    clean = verify_young_lemma(camp)
+    clean = run_campaign(camp)
     last = len(calls)
 
     def last_doubled(*args):
@@ -337,7 +337,7 @@ def test_young_singleton_control_fails_alone_and_replays(monkeypatch):
         return value.scale_coeff(2) if len(calls) == 2 * last else value
 
     monkeypatch.setattr(harness, "young_alternating_sum", last_doubled)
-    rep = verify_young_lemma(camp)
+    rep = run_campaign(camp)
     assert clean.verdict == PASS and rep.verdict == FAIL
     assert rep.details[:-1] == clean.details[:-1]
     assert rep.details[-1] == {"name": "control_singleton_identity_product", "value": False}
@@ -361,7 +361,7 @@ def test_young_singleton_control_needs_e11_not_just_the_judge(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(harness, "young_alternating_sum", counted)
-    clean = verify_young_lemma(camp)
+    clean = run_campaign(camp)
     last = len(calls)
 
     def last_zeroed(elems, spec, *rest):
@@ -372,7 +372,7 @@ def test_young_singleton_control_needs_e11_not_just_the_judge(monkeypatch):
         return GrMatrix.zero(elems[0].n, elems[0].m, elems[0].ring)
 
     monkeypatch.setattr(harness, "young_alternating_sum", last_zeroed)
-    rep = verify_young_lemma(camp)
+    rep = run_campaign(camp)
     assert rep.verdict == FAIL
     assert rep.details[:-1] == clean.details[:-1]
     assert rep.details[-1] == {"name": "control_singleton_identity_product", "value": False}
@@ -380,13 +380,13 @@ def test_young_singleton_control_needs_e11_not_just_the_judge(monkeypatch):
 
 
 def test_young_lemma_rank_zero_skips_odd_shapes():
-    rep = verify_young_lemma(Campaign(target="YoungLemma", n=1, m=0, ring=ZZ, trials=5))
+    rep = run_campaign(Campaign(target="YoungLemma", n=1, m=0, ring=ZZ, trials=5))
     assert rep.verdict == PASS
     assert rep.find("odd_shapes_skipped_no_generators") is True
 
 
 def test_capelli_bound_pass_with_naive_cross_check():
-    rep = verify_capelli_bound(
+    rep = run_campaign(
         Campaign(target="CapelliBound", n=1, m=2, ring=ZZ, trials=3, structured=5)
     )
     assert rep.verdict == PASS
@@ -399,7 +399,7 @@ def test_capelli_bound_pass_with_naive_cross_check():
 
 def test_capelli_bound_control_ring_fallback():
     # p = 2 fails the witness gate at m = 4, so the control runs over rat.
-    rep = verify_capelli_bound(
+    rep = run_campaign(
         Campaign(target="CapelliBound", n=1, m=4, ring=PrimeField(2), trials=2, structured=2)
     )
     assert rep.verdict == PASS
@@ -407,7 +407,7 @@ def test_capelli_bound_control_ring_fallback():
 
 
 def test_standard_corollary_pass():
-    rep = verify_standard_bounds(
+    rep = run_campaign(
         Campaign(target="StandardCorollary", n=1, m=2, ring=ZZ, trials=3, structured=5)
     )
     assert rep.verdict == PASS
@@ -418,7 +418,7 @@ def test_standard_corollary_pass():
 
 
 def test_standard_product_pass():
-    rep = verify_standard_bounds(
+    rep = run_campaign(
         Campaign(target="StandardProduct", n=1, m=2, ring=ZZ, trials=4)
     )
     assert rep.verdict == PASS
@@ -427,7 +427,7 @@ def test_standard_product_pass():
 
 
 def test_filtration2_pass():
-    rep = verify_standard_bounds(
+    rep = run_campaign(
         Campaign(target="Filtration2", n=2, m=2, ring=ZZ, trials=3)
     )
     assert rep.verdict == PASS
@@ -437,7 +437,7 @@ def test_filtration2_pass():
 
 
 def test_amitsur_levitzki_pass():
-    rep = verify_amitsur_levitzki(
+    rep = run_campaign(
         Campaign(target="AmitsurLevitzki", n=2, m=0, ring=ZZ, trials=4)
     )
     assert rep.verdict == PASS
@@ -449,7 +449,7 @@ def test_amitsur_levitzki_pass():
 def test_run_campaign_dispatch_matches_direct_call():
     camp = Campaign(target="Theorem1", n=1, m=2, ring=ZZ, trials=2)
     a = run_campaign(camp).to_dict(include_elapsed=False)
-    b = verify_theorem1(camp).to_dict(include_elapsed=False)
+    b = harness._RUNNERS["Theorem1"](camp).to_dict(include_elapsed=False)
     assert a == b
 
 
@@ -499,7 +499,7 @@ def test_young_hypothesis_violation_raises():
 # ------------------------------------------------------------ open search
 
 def test_open_search_exhausts_tiny_grid():
-    rep = search_open_question(Campaign(target="OpenQuestion", n=1, m=2, ring=ZZ))
+    rep = run_campaign(Campaign(target="OpenQuestion", n=1, m=2, ring=ZZ))
     assert rep.verdict == NO_COUNTEREXAMPLE_IN_BUDGET
     assert rep.find("exhausted") is True
     assert rep.find("degree") == 4
@@ -512,7 +512,7 @@ def test_open_search_exhausts_tiny_grid():
 
 
 def test_open_search_budget_cuts_off():
-    rep = search_open_question(
+    rep = run_campaign(
         Campaign(target="OpenQuestion", n=2, m=2, ring=ZZ, budget=5)
     )
     assert rep.verdict == NO_COUNTEREXAMPLE_IN_BUDGET
@@ -521,7 +521,7 @@ def test_open_search_budget_cuts_off():
 
 
 def test_open_search_random_samples_recorded():
-    rep = search_open_question(
+    rep = run_campaign(
         Campaign(
             target="OpenQuestion", n=1, m=2, ring=ZZ, budget=1, random_samples=3
         )
@@ -532,7 +532,7 @@ def test_open_search_random_samples_recorded():
 
 def test_open_search_rejects_bad_budget():
     with pytest.raises(ValueError):
-        search_open_question(Campaign(target="OpenQuestion", n=1, m=2, budget=0))
+        run_campaign(Campaign(target="OpenQuestion", n=1, m=2, budget=0))
 
 
 def _fail_at(call):
@@ -563,7 +563,7 @@ def test_open_search_matches_brute_force_walk(monkeypatch, n, m):
     for budget in _open_budgets(n, m):
         for fail in (None, 1, 3):
             reports = []
-            for search in (brute_force_open_search, search_open_question):
+            for search in (brute_force_open_search, run_campaign):
                 if fail is not None:
                     monkeypatch.setattr(harness, "standard_dp", _fail_at(fail))
                 campaign = Campaign(target="OpenQuestion", n=n, m=m, ring=ZZ, budget=budget)
@@ -587,7 +587,7 @@ def test_open_search_pruned_tuples_are_zero(n, m):
             assert standard_dp([pool[i] for i in combo]).is_zero(), combo
     # and these are exactly the tuples an exhaustive walk skips
     budget = max(1, comb(len(pool), k))
-    rep = search_open_question(Campaign(target="OpenQuestion", n=n, m=m, budget=budget))
+    rep = run_campaign(Campaign(target="OpenQuestion", n=n, m=m, budget=budget))
     assert rep.find("exhausted") is True
     assert rep.find("tuples_pruned") == overlapping
 
