@@ -54,9 +54,9 @@ from .report import (
 from .ring import QQ, ZZ, PrimeField, Ring, parse_ring
 from .sampling import atoms, random_grmatrix, splitmix64, trial_rng
 from .witnesses import (
-    capelli_witness,
+    capelli_inputs,
+    ch_inputs,
     ch_nilpotent,
-    ch_witness,
     staircase_units,
     standard_witness,
 )
@@ -93,10 +93,10 @@ __all__ = [
     "ZZ",
     "atoms",
     "capelli_dp",
+    "capelli_inputs",
     "capelli_naive",
-    "capelli_witness",
+    "ch_inputs",
     "ch_nilpotent",
-    "ch_witness",
     "charpoly",
     "degrees_for",
     "matrices_from_json",

@@ -79,8 +79,8 @@ def signed_products(ta: dict, sb: int) -> list:
     return out
 
 
-def mul_into(acc: dict, ta: dict, tb: dict, negate: bool = False) -> None:
-    """acc += (-1)^negate * a * b on raw term dicts, no normalization.
+def mul_into(acc: dict, ta: dict, tb: dict) -> None:
+    """acc += a * b on raw term dicts, no normalization.
 
     Visits only the disjoint pairs when tb is dense over its span (see
     the module docstring).  Callers clean the accumulator once at the
@@ -100,8 +100,6 @@ def mul_into(acc: dict, ta: dict, tb: dict, negate: bool = False) -> None:
         g = masks(sa)
         if g is None:
             g = _SIGN_CACHE[sa] = _sign_mask(sa)
-        if negate:
-            ca = -ca
         free = span & ~sa
         if bound and free.bit_count() < bound:
             look = tb.get

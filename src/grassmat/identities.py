@@ -62,7 +62,6 @@ from math import factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
-    ContextMismatchError,
     DegreeTooLargeError,
     GroupTooLargeError,
     LengthMismatchError,
@@ -409,7 +408,5 @@ def young_alternating_sum(
         zero = GrassmannElem.zero(first.m, first.ring)
     else:
         raise TypeError("operands must be GrMatrix or GrassmannElem")
-    if any(not isinstance(e, type(first)) for e in elems):
-        raise ContextMismatchError("operands mix matrices and bare elements")
     allowed = [[s - 1 for s in c] for p in range(1, spec.k + 1) for c in spec.classes if p in c]
     return _alternating_sum(elems, allowed, zero)

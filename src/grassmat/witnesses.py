@@ -20,21 +20,21 @@ Three families, one per identity:
   also picks up harmless diagonal terms in rows 2..n whenever n >= 2,
   which the report records.
 
-The builders take a campaign's own values: ch_witness(n, m, ring,
-lambdas=None), capelli_witness(n, m, ring, parts=None) and
-standard_witness(n, m, ring).  ch_lambdas and capelli_parts resolve the
-optional parameter, default or as given, and refuse a bad one.  Every
-builder first passes one gate: n >= 1, a valid rank, and a field whose
-characteristic clears the factorials involved, else
-BadCharacteristicError before any matrix is built.
+One builder per family takes a campaign's own values and returns what
+the family's judge reads: ch_inputs(n, m, ring, lambdas=None) gives the
+matrix and its eigenvalues, capelli_inputs(n, m, ring, parts=None) the
+x-arguments, the bridging y-arguments and the parts, and
+standard_witness(n, m, ring) the staircase matrices.  ch_lambdas and
+capelli_parts resolve the optional parameter, default or as given, and
+refuse a bad one.  Every builder first passes one gate: n >= 1, a valid
+rank, and a field whose characteristic clears the factorials involved,
+else BadCharacteristicError before any matrix is built.
 
 The sharpness targets run like every other target, through the check
 registry of the harness: it evaluates each witness and judges the value
 with the *_sharp_judge functions here, which return the verdict and name
 the details of the report in order.  A FAIL therefore carries a
-reproducer that --replay re-runs.  ch_inputs and capelli_inputs resolve
-their parameter once and build the inputs their judges read; ch_witness
-and capelli_witness return the matrices of those inputs.
+reproducer that --replay re-runs.
 """
 
 from __future__ import annotations
@@ -178,11 +178,6 @@ def ch_inputs(n: int, m: int, ring: Ring, lambdas: Optional[Tuple] = None) -> di
     return {"matrix": matrix, "lambdas": lams}
 
 
-def ch_witness(n: int, m: int, ring: Ring, lambdas: Optional[Tuple] = None) -> GrMatrix:
-    """diag(lambda_i + v) over ring, lambdas resolved by ch_lambdas."""
-    return ch_inputs(n, m, ring, lambdas)["matrix"]
-
-
 def ch_sharp_judge(value, inputs: dict) -> Tuple[bool, dict]:
     """Whether f(A)^(c+1) = 0 and no smaller power of f annihilates.
 
@@ -255,15 +250,6 @@ def capelli_inputs(n: int, m: int, ring: Ring, parts: Optional[Tuple[int, ...]] 
         ys.append(GrMatrix.unit(n, m, ring, rc[i][1], rc[i + 1][0]))
     ys.append(GrMatrix.unit(n, m, ring, rc[-1][1], 1))
     return {"xs": xs, "ys": ys, "parts": list(parts)}
-
-
-def capelli_witness(
-    n: int, m: int, ring: Ring, parts: Optional[Tuple[int, ...]] = None
-) -> Tuple[List[GrMatrix], List[GrMatrix]]:
-    """(xs, ys) of capelli_inputs: the x-arguments and the bridging
-    y-arguments."""
-    inputs = capelli_inputs(n, m, ring, parts)
-    return inputs["xs"], inputs["ys"]
 
 
 def capelli_sharp_judge(value: GrMatrix, inputs: dict) -> Tuple[bool, dict]:

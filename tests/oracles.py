@@ -214,6 +214,8 @@ def _identity_state(n: int, ring) -> State:
 def _mul_state_into(acc: State, xnz: list, state: State, n: int, neg: bool = False) -> None:
     """acc += (-1)^neg * x * state, raw; xnz holds x's nonzero entries."""
     for r, t, ta in xnz:
+        if neg:
+            ta = {s: -c for s, c in ta.items()}
         rn = r * n
         tn = t * n
         for c in range(n):
@@ -222,7 +224,7 @@ def _mul_state_into(acc: State, xnz: list, state: State, n: int, neg: bool = Fal
                 d = acc[rn + c]
                 if d is None:
                     d = acc[rn + c] = {}
-                mul_into(d, ta, tb, neg)
+                mul_into(d, ta, tb)
 
 
 def _clean_layer(layer: dict, ring) -> dict:
@@ -335,13 +337,13 @@ def _mul_sign(sa: int, sb: int) -> int:
     return -1 if inv & 1 else 1
 
 
-def pairwise_mul_into(acc: dict, ta: dict, tb: dict, negate: bool = False) -> None:
-    """acc += (-1)^negate * a * b over every pair of terms, each signed by
-    _mul_sign; grassmann.mul_into must leave the same acc."""
+def pairwise_mul_into(acc: dict, ta: dict, tb: dict) -> None:
+    """acc += a * b over every pair of terms, each signed by _mul_sign;
+    grassmann.mul_into must leave the same acc."""
     for sa, ca in ta.items():
         for sb, cb in tb.items():
             if not sa & sb:
-                c = ca * cb if (_mul_sign(sa, sb) < 0) == negate else -(ca * cb)
+                c = ca * cb if _mul_sign(sa, sb) > 0 else -(ca * cb)
                 acc[sa | sb] = acc.get(sa | sb, 0) + c
 
 

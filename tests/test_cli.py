@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from grassmat import cli, harness
+from grassmat import cli, harness, sampling
 from grassmat.cli import main
 from grassmat.errors import (
     BadCharacteristicError,
@@ -15,7 +15,7 @@ from grassmat.errors import (
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
 from grassmat.ring import QQ, ZZ, PrimeField
-from grassmat.witnesses import capelli_witness, standard_witness
+from grassmat.witnesses import capelli_inputs, standard_witness
 
 
 def run(capsys, argv):
@@ -196,31 +196,51 @@ def test_rank_outside_range_usage_error(capsys, argv):
     assert f"rank must satisfy 0 <= m <= 62, got {argv[-1]}" in err
 
 
-def test_open_search_past_dp_cap_fails_before_building_atoms(capsys, monkeypatch):
-    # k = 2(1 + 20) = 42 > 24: the pool of 2^40 atoms must never be built
-    def no_atoms(*args):
-        raise AssertionError("atoms() built past the DP cap")
+def count_atom_builds(monkeypatch, bound):
+    """Count every atom a campaign builds, through harness.atom and
+    sampling.atom alike, and fail as soon as more than bound are built;
+    sampling.atoms, which builds a whole pool, must never run."""
+    built = []
 
+    def counted(real):
+        def atom(*args):
+            built.append(args[-1])
+            if len(built) > bound:
+                raise AssertionError(f"more than {bound} atoms built")
+            return real(*args)
+
+        return atom
+
+    def no_atoms(*args):
+        raise AssertionError("atoms() built a whole pool")
+
+    monkeypatch.setattr(harness, "atom", counted(harness.atom))
+    monkeypatch.setattr(sampling, "atom", counted(sampling.atom))
     monkeypatch.setattr(harness, "atoms", no_atoms)
+    return built
+
+
+def test_open_search_past_dp_cap_fails_before_building_atoms(capsys, monkeypatch):
+    # k = 2(1 + 20) = 42 > 24: no atom of the 2^40 may be built
+    built = count_atom_builds(monkeypatch, 0)
     code, out, err = run(capsys, ["open-search", "-n", "1", "-m", "40", "--budget", "10"])
     assert code == EXIT_USAGE
     assert out == ""
     assert "capped at k <= 24, got 42" in err
+    assert built == []
 
 
 def test_open_search_builds_only_the_atoms_it_visits(capsys, monkeypatch):
     # k = 2(1 + 11) = 24 is allowed over 4.2 M atoms; the walk reaches its
     # budget after three of them, so no pool may be built up front
-    def no_atoms(*args):
-        raise AssertionError("atoms() built for the search")
-
-    monkeypatch.setattr(harness, "atoms", no_atoms)
+    built = count_atom_builds(monkeypatch, 3)
     argv = ["open-search", "-n", "1", "-m", "22", "--budget", "10", "--format", "json"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
     found = {d["name"]: d["value"] for d in json.loads(out)["details"]}
     assert found["atoms"] == 1 << 22
     assert found["tuples_considered"] == 10
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize(
@@ -232,13 +252,11 @@ def test_open_search_builds_only_the_atoms_it_visits(capsys, monkeypatch):
     ],
 )
 def test_campaigns_build_only_the_atoms_they_draw(capsys, monkeypatch, argv):
-    def no_atoms(*args):
-        raise AssertionError("atoms() built for a campaign")
-
-    monkeypatch.setattr(harness, "atoms", no_atoms)
+    built = count_atom_builds(monkeypatch, {"standard-verify": 24, "capelli-verify": 4}[argv[0]])
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
     assert out.splitlines()[0].endswith("PASS")
+    assert built
 
 
 def test_lemma2_without_trials_usage_error(capsys):
@@ -695,12 +713,12 @@ def test_replay_exponent_outside_range_usage_error(tmp_path, capsys, exponent):
 def test_replay_capelli_sharp_parts_bounded_by_xs(tmp_path, capsys, parts, code):
     # parts count the generator copies among the 3 x-arguments of the
     # n = 1, m = 2 witness, which bounds the factorials the judge takes
-    xs, ys = capelli_witness(1, 2, QQ)
+    inputs = capelli_inputs(1, 2, QQ)
     reproducer = {
         "target": "CapelliSharpness",
         "check": "capelli_sharp",
-        "xs": matrices_to_json(xs),
-        "ys": matrices_to_json(ys),
+        "xs": matrices_to_json(inputs["xs"]),
+        "ys": matrices_to_json(inputs["ys"]),
         "parts": parts,
     }
     p = tmp_path / "rep.json"

@@ -49,7 +49,7 @@ from grassmat.report import (
     PASS,
 )
 from grassmat.ring import QQ, ZZ, PrimeField
-from grassmat.witnesses import capelli_witness, ch_witness, standard_witness
+from grassmat.witnesses import capelli_inputs, ch_inputs, standard_witness
 
 
 def gen(i, m, ring=ZZ):
@@ -595,7 +595,7 @@ def test_open_search_pruned_tuples_are_zero(n, m):
 # ------------------------------------------------------------ replay
 
 def test_replay_power_zero_pass_and_fail():
-    W = ch_witness(2, 4, QQ)
+    W = ch_inputs(2, 4, QQ)["matrix"]
     base = {
         "target": "Theorem1",
         "check": "power_zero",
@@ -612,7 +612,7 @@ def test_replay_power_zero_pass_and_fail():
 
 
 def test_replay_power_nonzero():
-    W = ch_witness(2, 4, QQ)
+    W = ch_inputs(2, 4, QQ)["matrix"]
     rep = replay_reproducer(
         {
             "target": "Theorem1",
@@ -720,11 +720,11 @@ def test_replay_refuses_repeated_eigenvalues(monkeypatch, check):
 
 
 def test_replay_capelli_both_directions():
-    xs, ys = capelli_witness(1, 2, QQ)
+    inputs = capelli_inputs(1, 2, QQ)
     data = {
         "target": "CapelliBound",
-        "xs": matrices_to_json(xs),
-        "ys": matrices_to_json(ys),
+        "xs": matrices_to_json(inputs["xs"]),
+        "ys": matrices_to_json(inputs["ys"]),
     }
     nz = replay_reproducer({**data, "check": "capelli_nonzero"})
     assert nz.verdict == PASS

@@ -195,40 +195,40 @@ def _terms(rng, masks, count):
 
 
 def _kernel_cases():
-    """(name, acc, ta, tb, negate, walks) over both branches of mul_into;
+    """(name, acc, ta, tb, walks) over both branches of mul_into;
     walks says whether the submask walk should look tb up."""
     rng = random.Random(12)
     six = range(1 << 6)
     dense = {s: rng.randint(1, 9) for s in six if rng.random() < 0.9}
-    yield "dense", {}, _terms(rng, six, 30), dense, False, True
-    yield "dense-negate", {}, _terms(rng, six, 30), dense, True, True
-    yield "dense-acc", {s: 1 for s in six[::3]}, _terms(rng, six, 30), dense, False, True
+    yield "dense", {}, _terms(rng, six, 30), dense, True
+    yield "dense-other", {}, _terms(rng, six, 30), dense, True
+    yield "dense-acc", {s: 1 for s in six[::3]}, _terms(rng, six, 30), dense, True
     yield "dense-fractions", {}, {s: Fraction(c, 3) for s, c in _terms(rng, six, 20).items()}, {
-        s: Fraction(c, 7) for s, c in dense.items()}, True, True
+        s: Fraction(c, 7) for s, c in dense.items()}, True
     # three bits each out of 40: many disjoint pairs, and free is wide
     wide = [sum(1 << b for b in rng.sample(range(40), 3)) for _ in range(40)]
-    yield "sparse", {}, _terms(rng, wide, 25), _terms(rng, wide, 25), False, False
-    yield "sparse-negate-acc", {0: 4, wide[0]: -2}, _terms(rng, wide, 25), _terms(rng, wide, 25), True, False
-    yield "empty-ta", {1: 2}, {}, dense, False, False
-    yield "empty-tb", {1: 2}, _terms(rng, six, 10), {}, True, False
-    yield "two-terms", {}, _terms(rng, six, 10), {0: 3, 0b100: -1}, False, False
+    yield "sparse", {}, _terms(rng, wide, 25), _terms(rng, wide, 25), False
+    yield "sparse-acc", {0: 4, wide[0]: -2}, _terms(rng, wide, 25), _terms(rng, wide, 25), False
+    yield "empty-ta", {1: 2}, {}, dense, False
+    yield "empty-tb", {1: 2}, _terms(rng, six, 10), {}, False
+    yield "two-terms", {}, _terms(rng, six, 10), {0: 3, 0b100: -1}, False
     # m = 62: right factor dense over the top five bits, left masks near bit 61
     top = [s << 57 for s in range(32)]
     low = [rng.getrandbits(57) for _ in range(8)]
     yield "top-dense", {}, _terms(rng, [t | l for t in top for l in low], 40), {
-        s: rng.randint(1, 9) for s in top}, False, True
+        s: rng.randint(1, 9) for s in top}, True
     yield "top-sparse", {1 << 61: 5}, _terms(rng, [rng.getrandbits(62) for _ in range(30)], 20), {
-        1 << 61: 5, (1 << 61) - 1: -3, 1 << 60: 2, 3 << 58: 7, 0: 1}, True, False
+        1 << 61: 5, (1 << 61) - 1: -3, 1 << 60: 2, 3 << 58: 7, 0: 1}, False
 
 
 @pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda c: c[0])
 def test_mul_into_matches_a_loop_over_every_pair(case):
-    _, acc, ta, tb, negate, walks = case
+    _, acc, ta, tb, walks = case
     want = dict(acc)
-    pairwise_mul_into(want, ta, tb, negate)
+    pairwise_mul_into(want, ta, tb)
     tb = _CountingGets(tb)
     got = dict(acc)
-    mul_into(got, ta, tb, negate)
+    mul_into(got, ta, tb)
     assert got == want
     assert (got != acc) == bool(ta and tb)
     # the walk looks up at most min(len(tb), 2^|free|) masks per left term,

@@ -18,12 +18,12 @@ from grassmat.identities import capelli_dp, standard_dp
 from grassmat.report import PASS
 from grassmat.ring import QQ, ZZ, PrimeField
 from grassmat.witnesses import (
+    capelli_inputs,
     capelli_parts,
-    capelli_witness,
     ceil_half,
+    ch_inputs,
     ch_lambdas,
     ch_nilpotent,
-    ch_witness,
     staircase_units,
     standard_witness,
 )
@@ -78,7 +78,7 @@ def test_ch_lambda_validation():
         ch_lambdas(4, 2, PrimeField(3))
     assert ch_lambdas(2, 2, QQ, (Fraction(1, 2), 3)) == (Fraction(1, 2), Fraction(3))
     with pytest.raises(DuplicateLambdasError):
-        ch_witness(2, 2, QQ, (1, 1))
+        ch_inputs(2, 2, QQ, (1, 1))
 
 
 def test_capelli_parts_validation():
@@ -92,7 +92,7 @@ def test_capelli_parts_validation():
         capelli_parts(1, 8, PrimeField(7), (8,))
     assert capelli_parts(1, 4, QQ, (4,)) == (4,)
     with pytest.raises(BadPartitionError):
-        capelli_witness(1, 2, QQ, (4,))
+        capelli_inputs(1, 2, QQ, (4,))
 
 
 def test_capelli_default_parts_split_below_characteristic():
@@ -143,7 +143,7 @@ def test_ch_nilpotent_structure():
 # ------------------------------------------------------------ ch witness
 
 def test_ch_witness_shape():
-    A = ch_witness(2, 4, QQ)
+    A = ch_inputs(2, 4, QQ)["matrix"]
     v = ch_nilpotent(4, QQ)
     assert A.entry(1, 1) == v
     assert A.entry(2, 2) == GrassmannElem.scalar(1, 4, QQ) + v
@@ -183,7 +183,8 @@ def test_ch_sharpness_m_zero():
 
 def test_capelli_witness_counts():
     # x-degree n^2 + 2*floor(m/2): the largest k the bound leaves alive.
-    xs, ys = capelli_witness(2, 2, QQ)
+    inputs = capelli_inputs(2, 2, QQ)
+    xs, ys = inputs["xs"], inputs["ys"]
     k = 2 * 2 + 2 * (2 // 2)
     assert len(xs) == k
     assert len(ys) == k + 1
@@ -216,8 +217,8 @@ def test_capelli_witness_value_frozen_2x2():
 
 
 def test_capelli_witness_direct_evaluation_agrees():
-    xs, ys = capelli_witness(1, 2, QQ)
-    got = capelli_dp(xs, ys)
+    inputs = capelli_inputs(1, 2, QQ)
+    got = capelli_dp(inputs["xs"], inputs["ys"])
     e11 = GrMatrix.unit(1, 2, QQ, 1, 1)
     assert got == e11.scale(gen(1, 2) * gen(2, 2)).scale_coeff(2)
 
