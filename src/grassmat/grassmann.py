@@ -295,30 +295,7 @@ class GrassmannElem:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        parts = []
-        for mask, c in self.sorted_terms():
-            cs = ring.format(c)
-            if mask == 0:
-                s = cs
-            else:
-                mono = monomial_str(mask)
-                if cs == "1":
-                    s = mono
-                elif cs == "-1":
-                    s = "-" + mono
-                else:
-                    s = f"{cs}*{mono}"
-            parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out
+        return signed_sum(self.ring, [(c, monomial_str(mask)) for mask, c in self.sorted_terms()])
 
     def __repr__(self) -> str:
         return f"<{self.ring.name}, m={self.m}: {self}>"
@@ -340,6 +317,25 @@ class GrassmannElem:
             c = ring.parse(cs)
             acc[mask] = acc.get(mask, ring.zero) + c
         return cls._make(m, ring, ring.clean_terms(acc))
+
+
+def signed_sum(ring: Ring, terms: Iterable[Tuple[object, str]]) -> str:
+    """Text of a sum of (coefficient, monomial) terms, "0" for none: c*mono,
+    or c alone for the empty monomial; a coefficient of 1 or -1 shows only
+    its sign, and a term with a leading minus joins the sum as " - "."""
+    shown = []
+    for c, mono in terms:
+        cs = ring.format(c)
+        if not mono:
+            shown.append(cs)
+        elif cs == "1":
+            shown.append(mono)
+        elif cs == "-1":
+            shown.append("-" + mono)
+        else:
+            shown.append(f"{cs}*{mono}")
+    # no coefficient or monomial text holds " + -", so this only rejoins terms
+    return " + ".join(shown).replace(" + -", " - ") or "0"
 
 
 def monomial_str(mask: int) -> str:

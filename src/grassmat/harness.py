@@ -76,12 +76,10 @@ from .sampling import (
 )
 from .witnesses import (
     capelli_inputs,
-    capelli_parts,
     capelli_sharp_judge,
     ceil_half,
     ch_exponent,
     ch_inputs,
-    ch_lambdas,
     ch_sharp_judge,
     check_distinct,
     staircase_units,
@@ -150,12 +148,13 @@ class Campaign:
                 raise ValueError(f"cannot draw {count} samples: {name} must be >= 0")
         if self.budget <= 0:
             raise ValueError("search budget must be positive")
+        if self.max_dp_k < 0:
+            raise ValueError(f"DP degree cap max_dp_k must be >= 0, got {self.max_dp_k}")
 
     def to_dict(self) -> dict:
         out = {"target": self.target, "n": self.n, "m": self.m, "ring": self.ring.name}
-        if self.target in _SHARP:  # a witness campaign reports the witness it builds
-            row = _SHARP[self.target]
-            return {**out, "kind": row.kind, **row.params(self)}
+        if self.target in _SHARP:  # the runner adds the witness parameters it resolved
+            return {**out, "kind": _SHARP[self.target].kind}
         out.update(trials=self.trials, seed=self.seed)
         if self.target == OPEN_QUESTION:
             del out["trials"]  # the search draws no trials
@@ -356,11 +355,15 @@ class Check(NamedTuple):
     negate: bool = False
     optional: Tuple[str, ...] = ()
 
-    def holds(self, value, inputs: dict) -> bool:
-        return self.judge(value, inputs)[0] != self.negate
+    def verdict(self, value, inputs: dict) -> Tuple[bool, dict]:
+        """(whether the check holds, the judge's named details), one judge call."""
+        holds, named = self.judge(value, inputs)
+        return holds != self.negate, named
 
-    def details(self, value, inputs: dict) -> List[dict]:
-        return [detail(name, v) for name, v in self.judge(value, inputs)[1].items()]
+
+def _details(named: dict) -> List[dict]:
+    """A judge's named details as report details, in order."""
+    return [detail(name, v) for name, v in named.items()]
 
 
 _POWER = ("matrix", "exponent")
@@ -449,18 +452,19 @@ _READERS = {
 }
 
 
+def _encode(key: str, inputs: dict):
+    """inputs[key] in the JSON form that _READERS[key] reads."""
+    value = inputs[key]
+    if key == "lambdas":
+        return [inputs["matrix"].ring.format(x) for x in value]
+    if _READERS[key] is _read_matrices:
+        return matrices_to_json(value)
+    return value.to_json() if isinstance(value, GrMatrix) else value
+
+
 def _reproducer(target: str, check: str, inputs: dict) -> dict:
     """The JSON reproducer of one check on one set of inputs."""
-    out = {"target": target, "check": check}
-    for key, value in inputs.items():
-        if isinstance(value, GrMatrix):
-            value = value.to_json()
-        elif key == "lambdas":
-            value = [inputs["matrix"].ring.format(x) for x in value]
-        elif _READERS[key] is _read_matrices:
-            value = matrices_to_json(value)
-        out[key] = value
-    return out
+    return {"target": target, "check": check, **{key: _encode(key, inputs) for key in inputs}}
 
 
 def _decode(check: Check, data: dict) -> dict:
@@ -520,9 +524,9 @@ class _Trials:
         """Evaluate a check on each (index, inputs) draw until one violates it.
 
         cross_check compares the first value with the check's naive
-        oracle into self.naive; inspect(index, inputs, value) sees each
-        value.  A violation notes (label, index), keeps its reproducer and
-        ends the run.  Returns the number of draws on which the check held.
+        oracle into self.naive; inspect(value, named) sees each value and
+        its judge's named details.  A violation notes (label, index), keeps
+        its reproducer and ends the run.  Returns how many draws it held on.
         """
         c = self.campaign
         entry = CHECKS[check]
@@ -533,9 +537,10 @@ class _Trials:
             if cross_check and self.trials == before:
                 self.naive = entry.evaluate(inputs, DEFAULT_NAIVE_K, naive=True) == value
             self.trials += 1
+            holds, named = entry.verdict(value, inputs)
             if inspect is not None:
-                inspect(index, inputs, value)
-            if not entry.holds(value, inputs):
+                inspect(value, named)
+            if not holds:
                 if label is not None:
                     self.note(label, index)
                 self.failed = True
@@ -553,7 +558,7 @@ class _Trials:
         """
         entry = CHECKS[check]
         value = entry.evaluate(inputs, self.campaign.max_dp_k)
-        holds = entry.holds(value, inputs) and (require is None or require(value))
+        holds = entry.verdict(value, inputs)[0] and (require is None or require(value))
         if not holds:
             self.failed = True
             self.reproducer = self.reproducer or _reproducer(
@@ -662,7 +667,7 @@ def _verify_lemma2(campaign: Campaign) -> Report:
 
     t = _Trials(campaign)
     b1_nonzero = []
-    t.run("lemma2", t.draws(draw), "first_failure_trial", lambda j, inputs, value: (
+    t.run("lemma2", t.draws(draw), "first_failure_trial", lambda value, named: (
         b1_nonzero.append(not value[0].component(1).is_zero())
     ))
     if t.failed:
@@ -919,12 +924,10 @@ def _verify_standard_bounds(campaign: Campaign) -> Report:
 
 class _Sharp(NamedTuple):
     """A sharpness target: its witness kind K, whose check is "K_sharp";
-    params(campaign), the resolved witness parameters its report shows;
     inputs(campaign), the inputs of that check; and degree(degrees), the
     number of DP arguments of the witness (0 for none), from degrees_for."""
 
     kind: str
-    params: Callable[[Campaign], dict]
     inputs: Callable[[Campaign], dict]
     degree: Callable[[Dict[str, int]], int]
 
@@ -932,19 +935,16 @@ class _Sharp(NamedTuple):
 _SHARP: Dict[str, _Sharp] = {
     CH_SHARPNESS: _Sharp(
         "ch",
-        lambda c: {"lambdas": [c.ring.format(x) for x in ch_lambdas(c.n, c.m, c.ring, c.lambdas)]},
         lambda c: ch_inputs(c.n, c.m, c.ring, c.lambdas),
         lambda degs: 0,
     ),
     CAPELLI_SHARPNESS: _Sharp(
         "capelli",
-        lambda c: {"parts": list(capelli_parts(c.n, c.m, c.ring, c.parts))},
         lambda c: capelli_inputs(c.n, c.m, c.ring, c.parts),
         lambda degs: degs["capelli_x_degree"] - 1,
     ),
     STANDARD_SHARPNESS: _Sharp(
         "standard",
-        lambda c: {},
         lambda c: {"mats": standard_witness(c.n, c.m, c.ring)},
         lambda degs: degs["witness_degree"],
     ),
@@ -952,23 +952,26 @@ _SHARP: Dict[str, _Sharp] = {
 
 
 def _verify_sharpness(campaign: Campaign) -> Report:
-    """One trial: the sharpness check of the witness one degree or
-    exponent below the bound.  The report's details are the judge's,
-    then the naive oracle's cross-check of a small DP value."""
+    """One trial: the sharpness check of the witness one degree or exponent
+    below the bound.  The report shows the witness parameters its inputs
+    hold, the judge's details, then the naive cross-check of a small DP."""
     row = _SHARP[campaign.target]
-    t = _Trials(campaign, row.degree(degrees_for(campaign.n, campaign.m)))
+    k = row.degree(degrees_for(campaign.n, campaign.m))
+    t = _Trials(campaign, k)
     check, inputs = f"{row.kind}_sharp", row.inputs(campaign)
 
-    def note_details(index, inputs: dict, value) -> None:
-        t.details.extend(CHECKS[check].details(value, inputs))
+    def note_details(value, named: dict) -> None:
+        t.details.extend(_details(named))
 
-    dp_args = inputs.get("xs", inputs.get("mats"))  # None for ch_sharp
-    oracle = dp_args is not None and len(dp_args) <= DEFAULT_NAIVE_K
-    t.run(check, [(0, inputs)], inspect=note_details, cross_check=oracle)
+    t.run(check, [(0, inputs)], inspect=note_details, cross_check=0 < k <= DEFAULT_NAIVE_K)
     if t.naive is not None:
         t.note("naive_cross_check", t.naive)
         t.failed |= not t.naive
-    return t.finish()
+    report = t.finish()
+    for key in ("lambdas", "parts"):
+        if key in inputs:
+            report.campaign[key] = _encode(key, inputs)
+    return report
 
 
 # ----- the open question -----
@@ -1079,12 +1082,12 @@ def replay_reproducer(data: dict, max_dp_k: int = DEFAULT_STANDARD_DP_K) -> Repo
         raise ValueError(f"unknown reproducer target {target!r}")
     inputs = _decode(entry, data)
     value = entry.evaluate(inputs, max_dp_k)
-    holds = entry.holds(value, inputs)
+    holds, named = entry.verdict(value, inputs)
     return Report(
         campaign={"target": target, "replay": True, "check": check},
         verdict=PASS if holds else COUNTEREXAMPLE_FOUND if target == OPEN_QUESTION else FAIL,
         trials=1,
-        details=entry.details(value, inputs),
+        details=_details(named),
         reproducer=None if holds else data,
         elapsed_ms=int((time.perf_counter() - start) * 1000),
     )

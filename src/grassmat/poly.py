@@ -19,6 +19,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import ContextMismatchError, MixedRingsError, NonScalarEntriesError
 from .gmatrix import GrMatrix
+from .grassmann import signed_sum
 from .ring import Ring
 
 
@@ -106,11 +107,6 @@ class Poly:
                 out[i + j] += ca * cb
         return Poly(ring, [ring.normalize(c) for c in out])
 
-    def scale(self, c) -> "Poly":
-        ring = self.ring
-        c = ring.coerce(c)
-        return Poly(ring, [ring.mul(a, c) for a in self.coeffs])
-
     def derivative(self) -> "Poly":
         ring = self.ring
         out = [
@@ -151,32 +147,9 @@ class Poly:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        ring = self.ring
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if ring.is_zero(c):
-                continue
-            cs = ring.format(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                if cs == "1":
-                    parts.append(xpow)
-                elif cs == "-1":
-                    parts.append("-" + xpow)
-                else:
-                    parts.append(f"{cs}*{xpow}")
-        out = parts[0]
-        for s in parts[1:]:
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out
+        powers = ["", "x"] + [f"x^{i}" for i in range(2, len(self.coeffs))]
+        terms = [(c, xi) for c, xi in zip(self.coeffs, powers) if not self.ring.is_zero(c)]
+        return signed_sum(self.ring, reversed(terms))
 
     def __repr__(self) -> str:
         return f"<Poly {self.ring.name}: {self}>"

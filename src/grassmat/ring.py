@@ -184,6 +184,9 @@ class RationalRing(Ring):
         return {k: Fraction(v, den) for k, v in terms.items() if v}
 
     def parse(self, s: str) -> Fraction:
+        # Fraction("1e10000000") builds 10**10000000 before any check can see it
+        if "e" in s or "E" in s:
+            raise ValueError(f"exponent notation is not accepted in {s!r}")
         try:
             return Fraction(s)
         except ZeroDivisionError:

@@ -15,7 +15,7 @@ from grassmat.errors import (
 from grassmat.gmatrix import GrMatrix, matrices_to_json
 from grassmat.report import EXIT_IO, EXIT_OK, EXIT_USAGE
 from grassmat.ring import QQ, ZZ, PrimeField
-from grassmat.witnesses import capelli_inputs, standard_witness
+from grassmat.witnesses import capelli_inputs, ch_inputs, standard_witness
 
 
 def run(capsys, argv):
@@ -472,6 +472,39 @@ def test_grid_includes_degree_columns(capsys):
 
 # ------------------------------------------------------------ exit codes
 
+@pytest.mark.parametrize(
+    "argv",
+    [["ch-verify", "--trials", "1"],
+     ["grid", "--target", "Theorem1", "--n-max", "2", "--m-max", "1"]],
+)
+def test_negative_max_dp_k_usage_error(capsys, argv):
+    # a grid at a negative cap would take every point as refused, a SKIP
+    code, out, err = run(capsys, [*argv, "--max-dp-k", "-1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "max_dp_k must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("where", ["replay", "lambdas"])
+def test_rat_exponent_notation_fails_fast(tmp_path, capsys, where):
+    # Fraction("1e1000000000") would first build a billion-digit power of ten
+    huge = "1e1000000000"
+    if where == "replay":
+        data = harness._reproducer("CHSharpness", "ch_sharp", ch_inputs(1, 2, QQ))
+        data["matrix"]["entries"][0][0][0][1] = huge
+        p = tmp_path / "rep.json"
+        p.write_text(json.dumps(data))
+        argv = ["ch-sharp", "--replay", str(p)]
+    else:
+        argv = ["ch-sharp", "-n", "2", "-m", "2", "--lambdas", f"0,{huge}"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "exponent notation" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_unknown_subcommand_usage_error(capsys):
     code, _, err = run(capsys, ["frobnicate"])
     assert code == EXIT_USAGE
@@ -780,7 +813,7 @@ def test_ch_checks_past_rank_cap_fail_fast(tmp_path, capsys, check):
     # f(A)^ceil(m/2) grows about 4x per four generators, so the checks on
     # f(A) refuse a rank above MAX_CH_RANK, in a campaign and in a replay,
     # before any power is taken
-    from grassmat.witnesses import MAX_CH_RANK, ch_inputs
+    from grassmat.witnesses import MAX_CH_RANK
 
     m = 36
     assert m > MAX_CH_RANK

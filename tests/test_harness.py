@@ -14,7 +14,7 @@ from oracles import (
     fraction_random_terms,
 )
 
-from grassmat import harness, sampling
+from grassmat import harness, sampling, witnesses
 from grassmat.errors import (
     BadCharacteristicError,
     DegreeTooLargeError,
@@ -215,6 +215,8 @@ def test_atom_reduction_of_multilinear_sum():
 def test_campaign_validation_and_to_dict():
     with pytest.raises(ValueError):
         Campaign(target="NotATarget")
+    with pytest.raises(ValueError, match="max_dp_k must be >= 0, got -1"):
+        Campaign(target="Theorem1", max_dp_k=-1)
     c = Campaign(target="Theorem1", n=2, m=4, ring=PrimeField(7), trials=3, seed=9)
     assert c.to_dict() == {
         "target": "Theorem1",
@@ -462,6 +464,47 @@ def test_run_campaign_sharpness_targets():
     assert rep3.verdict == PASS
     with pytest.raises(BadCharacteristicError):
         run_campaign(Campaign(target="CHSharpness", n=2, m=4, ring=PrimeField(2)))
+
+
+def test_sharpness_and_replay_judge_each_value_once(monkeypatch):
+    # capelli_sharp_judge rebuilds the bridged chain, 2k products, per call
+    calls = []
+    entry = harness.CHECKS["capelli_sharp"]
+
+    def judge(value, inputs):
+        calls.append(len(inputs["xs"]))
+        return entry.judge(value, inputs)
+
+    monkeypatch.setitem(harness.CHECKS, "capelli_sharp", entry._replace(judge=judge))
+    rep = run_campaign(Campaign(target="CapelliSharpness", n=1, m=2, ring=QQ))
+    assert rep.verdict == PASS and rep.find("matches_factored_form") is True
+    assert calls == [3]
+    data = harness._reproducer("CapelliSharpness", "capelli_sharp", capelli_inputs(1, 2, QQ))
+    replayed = replay_reproducer(data)
+    assert replayed.verdict == PASS and replayed.details == rep.details[:-1]
+    assert calls == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "target, name, field, shown",
+    [("CHSharpness", "ch_lambdas", "lambdas", ["0", "1"]),
+     ("CapelliSharpness", "capelli_parts", "parts", [2, 0, 0, 0])],
+)
+def test_sharpness_resolves_its_witness_parameter_once(monkeypatch, target, name, field, shown):
+    # the report shows the parameter its inputs were built from
+    calls = []
+    real = getattr(witnesses, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (witnesses, harness):  # every module that binds the resolver
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, spy)
+    rep = run_campaign(Campaign(target=target, n=2, m=2, ring=QQ))
+    assert rep.verdict == PASS and rep.campaign[field] == shown
+    assert len(calls) == 1
 
 
 def test_campaign_reports_are_deterministic():

@@ -124,6 +124,14 @@ def test_format_parse_round_trip():
 def test_rational_parse_fraction_syntax():
     assert QQ.parse("3/4") == Fraction(3, 4)
     assert QQ.parse("-2") == Fraction(-2)
+    assert QQ.parse("-1.25") == Fraction(-5, 4)
+
+
+def test_rational_parse_refuses_exponent_notation():
+    # Fraction("1e10000000") alone takes seconds: it builds the power of ten first
+    for s in ("1e5", "2E-3", "1.5e2", "1e1000000000"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            QQ.parse(s)
 
 
 def test_parse_ring_strings():

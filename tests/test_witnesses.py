@@ -116,14 +116,14 @@ def test_standard_characteristic_gate():
 
 
 def test_spec_to_dict():
-    d = Campaign(target="CHSharpness", n=2, m=2, ring=QQ).to_dict()
+    d = run_campaign(Campaign(target="CHSharpness", n=2, m=2, ring=QQ)).campaign
     assert d == {
         "target": "CHSharpness", "kind": "ch", "n": 2, "m": 2, "ring": "rat", "lambdas": ["0", "1"]
     }
-    d2 = Campaign(target="CapelliSharpness", n=1, m=2, ring=QQ).to_dict()
+    d2 = run_campaign(Campaign(target="CapelliSharpness", n=1, m=2, ring=QQ)).campaign
     assert d2["kind"] == "capelli"
     assert d2["parts"] == [2]
-    d3 = Campaign(target="StandardSharpness", n=1, m=2, ring=QQ).to_dict()
+    d3 = run_campaign(Campaign(target="StandardSharpness", n=1, m=2, ring=QQ)).campaign
     assert d3 == {"target": "StandardSharpness", "kind": "standard", "n": 1, "m": 2, "ring": "rat"}
 
 
