@@ -4,9 +4,12 @@ A GrMatrix fixes its context (n, m, ring) at construction; arithmetic
 between different contexts raises.  Entries are GrassmannElem values and
 all arithmetic stays exact.  The degree-d component of a matrix is the
 matrix of entrywise degree-d components, and matrix multiplication
-respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.  A matrix
-and its entries are never mutated after construction: every operation
-builds a new matrix.
+respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.  The
+value of a matrix never changes after construction: every operation
+builds a new matrix.  Only the time its entries are built varies: a
+product, or a DP value of `identities`, keeps the lifted integers it
+was decoded into and lowers them to canonical entries when `rows` is
+first read.
 
 Packed matrices.  Matrix products and the subset DPs of `identities`
 run on plain ints in every ring, in one format.  The first time a
@@ -14,24 +17,35 @@ matrix is a factor, _operand lifts it, as a whole matrix, to integer
 numerators over one common denominator (Ring.lift_terms; over the
 integers and Z/p that changes nothing, and the operand shares the
 entries' term dicts), and keeps the result, an _Operand, on the
-matrix.  The operand belongs to the matrix and lives as long as it
-does, so a matrix that is a factor of many products or DP calls (an
-atom of a campaign's pool, the A of a Horner chain) is lifted and
-scanned once, and the product tables the DPs fill on it serve every
-later call.  A packed matrix is one dict: its value
-P = sum over j of d_j << (W*j) under the key (i << m) | u holds
-coefficients of the Grassmann monomial u as signed digits,
-|d_j| < 2^(W-1), digit j for entry i*n + j in row-major order.  So a
-key with row i carries the digits of entries from i*n onward: the DP
-states key each row on its own, and a product keys every entry under
-row 0.  Multiplying a packed value by one coefficient multiplies all
-its digits at once, so a kernel spends one int multiply-add per pair
-of terms instead of one per digit.  _wrap_state decodes a packed
-result (_unpack, _digits) and lowers each entry once over the product
-of the factors' denominators (Ring.lower_terms), which gives the same
-canonical terms as the ring's own arithmetic: by multilinearity the
-polynomial of the lifted factors is the polynomial of the originals
-times that product.
+matrix (a product is born with its operand; see below).  The operand
+belongs to the matrix and lives as long as it does, so a matrix that
+is a factor of many products or DP calls (an atom of a campaign's
+pool, the A of a Horner chain) is lifted and scanned once, and the
+product tables the DPs fill on it serve every later call.  A packed
+matrix is one dict: its value P = sum over j of d_j << (W*j) under the
+key (i << m) | u holds coefficients of the Grassmann monomial u as
+signed digits, |d_j| < 2^(W-1), digit j for entry i*n + j in row-major
+order.  So a key with row i carries the digits of entries from i*n
+onward: the DP states key each row on its own, and a product keys
+every entry under row 0.  Multiplying a packed value by one
+coefficient multiplies all its digits at once, so a kernel spends one
+int multiply-add per pair of terms instead of one per digit.
+_wrap_state decodes a packed result (_unpack, _digits) into a matrix
+whose operand is born lifted: integer numerators over the product of
+the factors' denominators, reduced mod p over Z/p (so its c_i is
+p - 1, as for any operand over Z/p), with the bit count of its largest
+|numerator| as scanned.  Its rows are built only when first read, the
+one place a product lowers (Ring.lower_terms over the rationals; over
+the integers and Z/p the numerators already are the canonical terms),
+which gives the same canonical terms as the ring's own arithmetic: by
+multilinearity the polynomial of the lifted factors is the polynomial
+of the originals times that product.  plus_scalar works on the
+operand too, adding c times the denominator to the diagonal
+numerators, and is_zero reads the operand of a matrix whose rows were
+never read.  So a Horner step
+of Poly.at_matrix and a squaring of __pow__ hand the next product its
+factor without lowering and lifting it again, and a judge that only
+asks whether a power is zero never lowers it.
 
 A product A*B packs column t of the lifted A across its rows at
 stride n*W, {sa: sum over i of a_it[sa] << (n*W*i)}, and row t of the
@@ -95,16 +109,17 @@ the identity.
 
 from __future__ import annotations
 
-from math import factorial
+import operator
+from math import factorial, gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
 from .grassmann import GrassmannElem, _check_rank, mul_into, signed_products
-from .ring import ZMOD, Ring, parse_ring
+from .ring import RAT, ZMOD, Ring, parse_ring
 
 
 class GrMatrix:
-    __slots__ = ("n", "m", "ring", "rows", "_op")
+    __slots__ = ("n", "m", "ring", "_rows", "_op")
 
     def __init__(self, rows: Sequence[Sequence[GrassmannElem]]):
         n = len(rows)
@@ -122,18 +137,29 @@ class GrMatrix:
         self.n = n
         self.m = first.m
         self.ring = first.ring
-        self.rows = tuple(tuple(row) for row in rows)
+        self._rows = tuple(tuple(row) for row in rows)
         self._op = None
 
     @classmethod
-    def _make(cls, n: int, m: int, ring: Ring, rows: Tuple) -> "GrMatrix":
+    def _make(cls, n: int, m: int, ring: Ring, rows: Optional[Tuple], op: Optional["_Operand"] = None) -> "GrMatrix":
+        """Internal: wrap canonical rows, or, with rows None, a lifted
+        operand whose rows are lowered on first read."""
         self = cls.__new__(cls)
         self.n = n
         self.m = m
         self.ring = ring
-        self.rows = rows
-        self._op = None
+        self._rows = rows
+        self._op = op
         return self
+
+    @property
+    def rows(self) -> Tuple:
+        """The entries, row by row: a matrix built from its lifted
+        operand (a product or a DP value) lowers it here, once."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _lower(self._op, self.ring)
+        return rows
 
     # ----- constructors -----
 
@@ -267,13 +293,35 @@ class GrMatrix:
         return GrMatrix._make(self.n, self.m, self.ring, rows)
 
     def plus_scalar(self, c) -> "GrMatrix":
-        """A + c*I for a ring value c."""
-        s = GrassmannElem.scalar(c, self.m, self.ring)
-        rows = tuple(
-            tuple(a + s if i == j else a for j, a in enumerate(ra))
-            for i, ra in enumerate(self.rows)
-        )
-        return GrMatrix._make(self.n, self.m, self.ring, rows)
+        """A + c*I for a ring value c, on A's lifted operand: c goes onto
+        the constant term of each diagonal numerator, over a denominator
+        that c's divides, and the result keeps that operand."""
+        op, ring, n = self._op, self.ring, self.n
+        if op is None:  # an _Operand is a dict, falsy while its table is empty
+            op = _operand(self)
+        c = ring.coerce(c)
+        flat, den, bits = list(op.flat), op.den, op.bits
+        if ring.kind == RAT:
+            q = c.denominator
+            s = q // gcd(den, q)  # den * s = lcm(den, q)
+            if s != 1:
+                flat = [{u: v * s for u, v in d.items()} for d in flat]
+                den *= s
+                bits += s.bit_length()
+            c = c.numerator * (den // q)
+            add = operator.add
+        else:  # the numerators are ring values
+            add = ring.add
+        for j in range(0, n * n, n + 1):
+            d = dict(flat[j])  # flat may share A's term dicts
+            v = add(d.get(0, 0), c)
+            if v:
+                d[0] = v
+                bits = max(bits, abs(v).bit_length())
+            else:
+                d.pop(0, None)
+            flat[j] = d
+        return GrMatrix._make(n, self.m, ring, None, _Operand(flat, n, self.m, den, bits))
 
     # ----- grading and structure -----
 
@@ -302,6 +350,8 @@ class GrMatrix:
         return all(a.in_filtration(r) for ra in self.rows for a in ra)
 
     def is_zero(self) -> bool:
+        if self._rows is None:
+            return not self._op.live
         return all(not a.terms for ra in self.rows for a in ra)
 
     def __eq__(self, other) -> bool:
@@ -339,6 +389,8 @@ class GrMatrix:
             text = str(a)
             if text == "1":
                 return f"e{i + 1}{j + 1}"
+            if len(a.terms) > 1:
+                text = f"({text})"
             return f"{text}*e{i + 1}{j + 1}"
         return str(self)
 
@@ -376,17 +428,19 @@ class GrMatrix:
 
 class _Operand(dict):
     """A lifted factor: an x_i or a y of the DPs, a factor of a product,
-    or a left state of the standard DP's join.
+    or a left state of the standard DP's join; also the value of a
+    product or a DP until its rows are read.
 
     flat is its row-major list of n*n term dicts with integer
     coefficients ({} for a zero entry), den the denominator it was
     lifted over and bits the bit count of its largest |coefficient|
-    (the c_i of the width lemma), and bit r*n + t of live is set when
-    entry (r, t) is nonzero.  As a dict it maps a state key
-    (t << m) | sb to what that state entry sends into every row r,
-    [((r << m) | u, ±ca)] over the terms of column t, from
-    grassmann.signed_products; each row is filled on first lookup and
-    kept as long as the operand.
+    (the c_i of the width lemma; after plus_scalar, a bound on it),
+    and bit r*n + t of live is set when entry (r, t) is nonzero.  As a
+    dict it maps a state key (t << m) | sb to what that state entry
+    sends into every row r, [((r << m) | u, ±ca)] over the terms of
+    column t, from grassmann.signed_products; each row is filled on
+    first lookup and kept as long as the operand, so an operand is
+    falsy until its first lookup: test it against None.
     """
 
     __slots__ = ("flat", "n", "m", "live", "den", "bits")
@@ -418,18 +472,23 @@ def _operand(A: GrMatrix) -> _Operand:
     Over the integers and Z/p, flat holds A's own term dicts."""
     ring = A.ring
     flat, den = ring.lift_terms([e.terms for row in A.rows for e in row])
-    if ring.kind == ZMOD:
-        c = ring.characteristic - 1
-    else:  # a plain loop is fastest on factors of a few terms
-        c = 0
-        for terms in flat:
-            for v in terms.values():
-                if v > c:
-                    c = v
-                elif -v > c:
-                    c = -v
-    op = A._op = _Operand(flat, A.n, A.m, den, c.bit_length())
+    op = A._op = _Operand(flat, A.n, A.m, den, _bits(flat, ring))
     return op
+
+
+def _bits(flat: list, ring: Ring) -> int:
+    """The bit count of the largest |coefficient| in flat: of p - 1 over
+    Z/p, with no scan."""
+    if ring.kind == ZMOD:
+        return (ring.characteristic - 1).bit_length()
+    c = 0  # a plain loop is fastest on factors of a few terms
+    for terms in flat:
+        for v in terms.values():
+            if v > c:
+                c = v
+            elif -v > c:
+                c = -v
+    return c.bit_length()
 
 
 def _lift(mats: Sequence[GrMatrix], k: int) -> Tuple[list, int, int]:
@@ -479,19 +538,28 @@ def _unpack(state: dict, n: int, m: int, width: int) -> list:
 
 
 def _wrap_state(state: Optional[dict], n: int, m: int, ring: Ring, width: int, den: int) -> GrMatrix:
-    """The GrMatrix of a packed matrix over the integers, divided by den."""
-    if not state:
-        return GrMatrix.zero(n, m, ring)
-    flat = _unpack(state, n, m, width)
-    lower = ring.lower_terms
+    """The GrMatrix of a packed matrix over the integers, divided by den.
+
+    It keeps the decoded numerators as its operand, reduced mod p over
+    Z/p, so a later product or DP call lifts nothing, and lowers them
+    only when its rows are first read."""
+    flat = _unpack(state or {}, n, m, width)
+    if ring.kind == ZMOD:
+        flat = [ring.clean_terms(d) if d else d for d in flat]
+    return GrMatrix._make(n, m, ring, None, _Operand(flat, n, m, den, _bits(flat, ring)))
+
+
+def _lower(op: _Operand, ring: Ring) -> Tuple:
+    """The canonical rows of op.flat / op.den: Ring.lower_terms over the
+    rationals; over the integers and Z/p the operand's dicts already are
+    canonical terms, and the entries share them."""
+    n, m, flat = op.n, op.m, op.flat
+    if ring.kind == RAT:
+        lower, den = ring.lower_terms, op.den
+        flat = [lower(d, den) if d else d for d in flat]
     make = GrassmannElem._make
-    return GrMatrix._make(
-        n, m, ring,
-        tuple(
-            tuple(make(m, ring, lower(d, den) if d else d) for d in flat[r * n : r * n + n])
-            for r in range(n)
-        ),
-    )
+    return tuple(tuple(make(m, ring, d) for d in flat[r * n : r * n + n]) for r in range(n))
+
 
 def matrices_to_json(mats: Iterable[GrMatrix]) -> List[dict]:
     return [A.to_json() for A in mats]

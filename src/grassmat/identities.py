@@ -46,8 +46,10 @@ products.  The rows an x_i or a y fills serve every later call on the
 same matrix, so the calls of a campaign on one atom pool tabulate each
 atom once; only the join's left-state tables are built per call.  Only
 the final state, and in the join each left state, is decoded;
-gmatrix._wrap_state lowers the final one over the product of the
-factors' denominators.
+gmatrix._wrap_state keeps the final one as the lifted operand of the
+value it returns, lowered over the product of the factors'
+denominators only when the value's rows are first read, so a judge
+that only asks whether the value is zero lowers nothing.
 
 young_alternating_sum restricts the alternating sum to a Young subgroup
 (a product of symmetric groups on the classes of a set partition).  It

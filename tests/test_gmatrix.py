@@ -1,13 +1,23 @@
-"""Matrices over the exterior algebra: arithmetic, grading, JSON."""
+"""Matrices over the exterior algebra: arithmetic, grading, JSON, and
+products that stay lifted until their entries are read."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from oracles import poly_at_matrix_by_powers, ring_value_matmul
+
 from grassmat.errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
+from grassmat import gmatrix
 from grassmat.gmatrix import GrMatrix, matrices_from_json, matrices_to_json
 from grassmat.grassmann import GrassmannElem
+from grassmat.identities import capelli_dp, standard_dp
+from grassmat.poly import Poly
 from grassmat.ring import QQ, ZZ, PrimeField
+
+F2 = PrimeField(2)
+F7 = PrimeField(7)
 
 
 def gen(i, m=2, ring=ZZ):
@@ -197,6 +207,9 @@ def test_compact_str():
     assert E.compact_str() == "e12"
     F = E.scale(gen(1) * gen(2)).scale_coeff(2)
     assert F.compact_str() == "2*v1v2*e12"
+    S = GrMatrix.unit(2, 2, ZZ, 1, 1).scale(gen(1) + gen(2))
+    assert S.compact_str() == "(v1 + v2)*e11"
+    assert S.scale_coeff(-1).compact_str() == "(-v1 - v2)*e11"
     G = GrMatrix.identity(2, 2, ZZ)
     assert "e" not in G.compact_str() or "\n" in G.compact_str()
 
@@ -219,3 +232,128 @@ def test_matrices_json_helpers():
     assert isinstance(items, list) and len(items) == 3
     back = matrices_from_json(items)
     assert back == mats
+
+
+# ------------------------------------------------------------ lazy products
+#
+# A product, and every value built from one by plus_scalar, keeps its
+# lifted operand and lowers it only when its rows are first read; these
+# tests compare such values, before any read, with the oracles that run
+# on ring values.
+
+LAZY_RINGS = (ZZ, QQ, F2, F7)
+
+
+def _draw(rng, n, m, ring):
+    """A random matrix with two terms per entry; over QQ the
+    coefficients carry denominators 1..4."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            acc = {}
+            for _ in range(2):
+                mask, num = rng.randrange(1 << m), rng.randint(-4, 4)
+                c = Fraction(num, rng.randint(1, 4)) if ring == QQ else ring.embed(num)
+                acc[mask] = ring.add(acc.get(mask, ring.zero), c)
+            row.append(GrassmannElem._make(m, ring, ring.clean_terms(acc)))
+        rows.append(row)
+    return GrMatrix(rows)
+
+
+def _assert_unread_equals(got, expected):
+    assert got._rows is None  # nothing has lowered it yet
+    assert got.is_zero() == expected.is_zero()
+    assert got == expected
+    for row in got.rows:
+        for e in row:
+            for c in e.terms.values():
+                assert c and type(c) is (Fraction if got.ring == QQ else int)
+                if got.ring.kind == "zmod":
+                    assert 0 < c < got.ring.characteristic
+
+
+@pytest.mark.parametrize("ring", LAZY_RINGS, ids=str)
+def test_lazy_products_and_powers_match_the_ring_value_product(ring):
+    rng = random.Random(41)
+    for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        A, B, C = (_draw(rng, n, m, ring) for _ in range(3))
+        _assert_unread_equals(A * B, ring_value_matmul(A, B))
+        # a product that was never read is itself a factor
+        _assert_unread_equals((A * B) * C, ring_value_matmul(ring_value_matmul(A, B), C))
+        _assert_unread_equals(C * (A * B), ring_value_matmul(C, ring_value_matmul(A, B)))
+        AB = ring_value_matmul(A, B)
+        fold, fold_ab = A, AB
+        for k in range(2, 6):
+            fold, fold_ab = ring_value_matmul(fold, A), ring_value_matmul(fold_ab, AB)
+            _assert_unread_equals(A**k, fold)
+            _assert_unread_equals((A * B) ** k, fold_ab)
+
+
+@pytest.mark.parametrize("ring", LAZY_RINGS, ids=str)
+def test_lazy_at_matrix_matches_a_sum_of_powers(ring):
+    rng = random.Random(42)
+    polys = [
+        Poly(ring, [3, -1, 0, 2, 1]),  # monic
+        Poly(ring, [1, 0, 2, 0, 5]),  # not monic outside Z/2
+        Poly(ring, [0, 1, 1]),  # Horner adds a zero constant
+        Poly(ring, [-2, 0, 0, 0, 0, 3]),
+    ]
+    if ring == QQ:
+        polys += [
+            Poly(ring, [Fraction(1, 3), Fraction(-5, 2), 1, Fraction(7, 6)]),
+            Poly(ring, [Fraction(-3, 4), Fraction(2, 9), Fraction(1, 2), 1]),
+        ]
+    for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        A = _draw(rng, n, m, ring)
+        for f in polys:
+            value = poly_at_matrix_by_powers(f, A)
+            _assert_unread_equals(f.at_matrix(A), value)
+            square = ring_value_matmul(value, value)
+            _assert_unread_equals(f.at_matrix(A) ** 2, square)
+            _assert_unread_equals(f.at_matrix(A) ** 3, ring_value_matmul(square, value))
+
+
+@pytest.mark.parametrize("ring", LAZY_RINGS, ids=str)
+def test_horner_and_power_chains_lift_only_a_and_lower_nothing(monkeypatch, ring):
+    calls = []
+    lift, lower = type(ring).lift_terms, gmatrix._lower
+    monkeypatch.setattr(type(ring), "lift_terms", lambda self, group: calls.append("lift") or lift(self, group))
+    monkeypatch.setattr(gmatrix, "_lower", lambda op, r: calls.append("lower") or lower(op, r))
+    A = _draw(random.Random(44), 3, 2, ring)
+    c = Fraction(1, 2) if ring == QQ else 1
+    f = Poly(ring, [c, 2, 0, 3, 1])
+    P = f.at_matrix(A) ** 3
+    P.is_zero()
+    assert calls == ["lift"]
+    P.rows
+    assert calls == ["lift", "lower"]
+
+
+def test_a_zero_power_over_z2_is_zero_before_its_rows_are_read():
+    one = sc(1, 2, F2)
+    A = GrMatrix([[one, one], [one, one]])
+    for P in (A * A, A**2, A**3):
+        assert P._rows is None
+        assert P.is_zero()
+        assert P._rows is None  # is_zero read the operand, not the rows
+        assert P == GrMatrix.zero(2, 2, F2)
+    assert (A * A).plus_scalar(1) == GrMatrix.identity(2, 2, F2)
+
+
+def test_dps_on_unread_products_match_the_dps_on_lowered_copies():
+    # the products keep numerators over the product of their factors'
+    # denominators, never reduced, so the DPs' width lemma runs on
+    # coefficients larger than the lowered copies carry
+    rng = random.Random(43)
+    for n, m in ((2, 2), (2, 3), (3, 2)):
+        mats = [_draw(rng, n, m, QQ) for _ in range(6)]
+        prods = [mats[0] * mats[1], mats[2] ** 2, mats[3] * mats[4],
+                 (mats[5] * mats[0]).plus_scalar(Fraction(2, 3)), mats[1] ** 3]
+        assert all(P._rows is None and P._op.den > 1 for P in prods)
+        got_s = standard_dp(prods[:4])
+        got_c = capelli_dp(prods[:2], prods[2:5])
+        assert all(P._rows is None for P in prods)
+        copies = [GrMatrix(P.rows) for P in prods]
+        _assert_unread_equals(got_s, standard_dp(copies[:4]))
+        _assert_unread_equals(got_c, capelli_dp(copies[:2], copies[2:5]))

@@ -622,9 +622,15 @@ def test_each_matrix_is_lifted_once_across_calls(monkeypatch, ring):
         mats[0] * mats[1]
         mats[5] * mats[5]
     assert lifted == [4] * len(mats)
-    product = mats[0] * mats[1]  # a new matrix is lifted on its first use
+    product = mats[0] * mats[1]  # a product keeps the operand it was decoded into
     product * mats[2]
+    product.rows  # reading its entries lowers them, and the operand stays
     product * mats[3]
+    standard_dp([product, mats[4]])
+    assert lifted == [4] * len(mats)
+    fresh = _fresh(product)  # a matrix built from entries is lifted on its first use
+    fresh * mats[2]
+    fresh * mats[3]
     assert lifted == [4] * (len(mats) + 1)
 
 
