@@ -7,9 +7,9 @@ matrix of entrywise degree-d components, and matrix multiplication
 respects that grading: (A*B)_d = sum over i+j=d of A_i * B_j.  The
 value of a matrix never changes after construction: every operation
 builds a new matrix.  Only the time its entries are built varies: a
-product, or a DP value of `identities`, keeps the lifted integers it
-was decoded into and lowers them to canonical entries when `rows` is
-first read.
+product, a sum, a scaled matrix or a DP value of `identities` keeps
+the lifted integers it was built on and lowers them to canonical
+entries when `rows` is first read.
 
 Packed matrices.  Matrix products and the subset DPs of `identities`
 run on plain ints in every ring, in one format.  The first time a
@@ -17,7 +17,7 @@ matrix is a factor, _operand lifts it, as a whole matrix, to integer
 numerators over one common denominator (Ring.lift_terms; over the
 integers and Z/p that changes nothing, and the operand shares the
 entries' term dicts), and keeps the result, an _Operand, on the
-matrix (a product is born with its operand; see below).  The operand
+matrix (a product or a sum is born with its operand; see below).  The operand
 belongs to the matrix and lives as long as it does, so a matrix that
 is a factor of many products or DP calls (an atom of a campaign's
 pool, the A of a Horner chain) is lifted and scanned once, and the
@@ -39,12 +39,22 @@ one place a product lowers (Ring.lower_terms over the rationals; over
 the integers and Z/p the numerators already are the canonical terms),
 which gives the same canonical terms as the ring's own arithmetic: by
 multilinearity the polynomial of the lifted factors is the polynomial
-of the originals times that product.  plus_scalar works on the
-operand too, adding c times the denominator to the diagonal
-numerators, and is_zero reads the operand of a matrix whose rows were
-never read.  So a Horner step
-of Poly.at_matrix and a squaring of __pow__ hand the next product its
-factor without lowering and lifting it again, and a judge that only
+of the originals times that product.
+
+Sums and scalars stay lifted as well, so no operation but `rows`
+lowers.  _sum gives A + sign*B, the one addition behind __add__,
+__sub__ and plus_scalar (whose c*I is lifted straight from c's
+numerator and denominator): both operands are brought over the lcm of
+their denominators, only the entries B touches are copied, over Z/p the
+numerators stay residues and zero coefficients are dropped, so live,
+and with it is_zero, stays exact on a matrix whose rows were never
+read.  scale_coeff multiplies the numerators by c's numerator and the
+denominator by c's, and __neg__ is scale_coeff(-1); scale(g), a left
+multiplication of every entry by the Grassmann element g, is the
+product diag(g, ..., g) * A.  So a Horner step of Poly.at_matrix and a
+squaring of __pow__ hand the next product its factor without lowering
+and lifting it again, the naive word sums of `identities` add every
+word on its operand and lower their total once, and a judge that only
 asks whether a power is zero never lowers it.
 
 A product A*B packs column t of the lifted A across its rows at
@@ -109,8 +119,7 @@ the identity.
 
 from __future__ import annotations
 
-import operator
-from math import factorial, gcd
+from math import factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
@@ -155,7 +164,7 @@ class GrMatrix:
     @property
     def rows(self) -> Tuple:
         """The entries, row by row: a matrix built from its lifted
-        operand (a product or a DP value) lowers it here, once."""
+        operand (a product, a sum or a DP value) lowers it here, once."""
         rows = self._rows
         if rows is None:
             rows = self._rows = _lower(self._op, self.ring)
@@ -225,24 +234,13 @@ class GrMatrix:
     # ----- arithmetic -----
 
     def __add__(self, other: "GrMatrix") -> "GrMatrix":
-        self._check_other(other)
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return GrMatrix._make(self.n, self.m, self.ring, rows)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "GrMatrix") -> "GrMatrix":
-        self._check_other(other)
-        rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return GrMatrix._make(self.n, self.m, self.ring, rows)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "GrMatrix":
-        rows = tuple(tuple(-a for a in ra) for ra in self.rows)
-        return GrMatrix._make(self.n, self.m, self.ring, rows)
+        return self.scale_coeff(-1)
 
     def __mul__(self, other: "GrMatrix") -> "GrMatrix":
         self._check_other(other)
@@ -281,47 +279,29 @@ class GrMatrix:
         return result
 
     def scale(self, g: GrassmannElem) -> "GrMatrix":
-        """Left-multiply every entry by the Grassmann element g."""
-        if g.ring != self.ring or g.m != self.m:
-            raise ContextMismatchError("scalar context differs from matrix context")
-        rows = tuple(tuple(g * a for a in ra) for ra in self.rows)
-        return GrMatrix._make(self.n, self.m, self.ring, rows)
+        """Left-multiply every entry by the Grassmann element g: the
+        product diag(g, ..., g) * self."""
+        return GrMatrix.diag([g] * self.n) * self
 
     def scale_coeff(self, c) -> "GrMatrix":
-        """Multiply every entry by a ring value (central, side irrelevant)."""
-        rows = tuple(tuple(a.scale(c) for a in ra) for ra in self.rows)
-        return GrMatrix._make(self.n, self.m, self.ring, rows)
+        """Multiply every entry by a ring value (central, side irrelevant),
+        kept lifted: the operand's numerators times c's numerator, over its
+        denominator times c's."""
+        n, m, ring = self.n, self.m, self.ring
+        op, c = _operand(self), ring.coerce(c)
+        flat = _times(op.flat, c.numerator, ring.characteristic) if c else [{}] * (n * n)
+        den = op.den * c.denominator
+        return GrMatrix._make(n, m, ring, None, _Operand(flat, n, m, den, _bits(flat, ring)))
 
     def plus_scalar(self, c) -> "GrMatrix":
-        """A + c*I for a ring value c, on A's lifted operand: c goes onto
-        the constant term of each diagonal numerator, over a denominator
-        that c's divides, and the result keeps that operand."""
-        op, ring, n = self._op, self.ring, self.n
-        if op is None:  # an _Operand is a dict, falsy while its table is empty
-            op = _operand(self)
+        """A + c*I by _sum, with c*I lifted straight from c's numerator
+        and denominator."""
+        n, m, ring = self.n, self.m, self.ring
         c = ring.coerce(c)
-        flat, den, bits = list(op.flat), op.den, op.bits
-        if ring.kind == RAT:
-            q = c.denominator
-            s = q // gcd(den, q)  # den * s = lcm(den, q)
-            if s != 1:
-                flat = [{u: v * s for u, v in d.items()} for d in flat]
-                den *= s
-                bits += s.bit_length()
-            c = c.numerator * (den // q)
-            add = operator.add
-        else:  # the numerators are ring values
-            add = ring.add
-        for j in range(0, n * n, n + 1):
-            d = dict(flat[j])  # flat may share A's term dicts
-            v = add(d.get(0, 0), c)
-            if v:
-                d[0] = v
-                bits = max(bits, abs(v).bit_length())
-            else:
-                d.pop(0, None)
-            flat[j] = d
-        return GrMatrix._make(n, self.m, ring, None, _Operand(flat, n, self.m, den, bits))
+        d = {0: c.numerator} if c else {}
+        flat = [d if j % (n + 1) == 0 else {} for j in range(n * n)]
+        cI = _Operand(flat, n, m, c.denominator, _bits(flat, ring))
+        return _sum(self, GrMatrix._make(n, m, ring, None, cI), 1)
 
     # ----- grading and structure -----
 
@@ -406,8 +386,9 @@ class GrMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "GrMatrix":
-        n = int(data["n"])
-        m = int(data["m"])
+        n, m = data["n"], data["m"]
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"matrix n and m must be integers, got {n!r} and {m!r}")
         _check_rank(m)
         if n < 1:
             raise ValueError(f"matrix dimension must be positive, got {n}")
@@ -429,12 +410,12 @@ class GrMatrix:
 class _Operand(dict):
     """A lifted factor: an x_i or a y of the DPs, a factor of a product,
     or a left state of the standard DP's join; also the value of a
-    product or a DP until its rows are read.
+    product, a sum, a scaled matrix or a DP until its rows are read.
 
     flat is its row-major list of n*n term dicts with integer
     coefficients ({} for a zero entry), den the denominator it was
     lifted over and bits the bit count of its largest |coefficient|
-    (the c_i of the width lemma; after plus_scalar, a bound on it),
+    (the c_i of the width lemma; after a sum, a bound on it),
     and bit r*n + t of live is set when entry (r, t) is nonzero.  As a
     dict it maps a state key (t << m) | sb to what that state entry
     sends into every row r, [((r << m) | u, ±ca)] over the terms of
@@ -467,12 +448,15 @@ class _Operand(dict):
 
 
 def _operand(A: GrMatrix) -> _Operand:
-    """Lift A by Ring.lift_terms into a new operand and keep it on A.
+    """A's operand: on first call, A lifted by Ring.lift_terms into a new
+    operand kept on A.
 
     Over the integers and Z/p, flat holds A's own term dicts."""
-    ring = A.ring
-    flat, den = ring.lift_terms([e.terms for row in A.rows for e in row])
-    op = A._op = _Operand(flat, A.n, A.m, den, _bits(flat, ring))
+    op = A._op
+    if op is None:  # an _Operand is a dict, falsy while its table is empty
+        ring = A.ring
+        flat, den = ring.lift_terms([e.terms for row in A.rows for e in row])
+        op = A._op = _Operand(flat, A.n, A.m, den, _bits(flat, ring))
     return op
 
 
@@ -500,13 +484,48 @@ def _lift(mats: Sequence[GrMatrix], k: int) -> Tuple[list, int, int]:
     width = factorial(k).bit_length() + (len(mats) - 1) * (first.n << first.m).bit_length()
     ops, den = [], 1
     for A in mats:
-        op = A._op
-        if op is None:
-            op = _operand(A)
+        op = _operand(A)
         ops.append(op)
         width += op.bits
         den *= op.den
     return ops, width, den
+
+
+def _times(flat: list, s: int, p: int) -> list:
+    """The term dicts of flat times a nonzero s, reduced mod p when p is
+    nonzero; a nonzero residue times a unit stays nonzero."""
+    if p:
+        return [{u: v * s % p for u, v in d.items()} for d in flat]
+    return [{u: v * s for u, v in d.items()} for d in flat]
+
+
+def _sum(A: GrMatrix, B: GrMatrix, sign: int) -> GrMatrix:
+    """A + sign*B, kept lifted: both operands brought over the lcm of their
+    denominators, and only the entries that B touches copied, so the
+    others share A's term dicts.  Over Z/p the numerators stay residues;
+    zero coefficients are dropped, so live stays exact."""
+    A._check_other(B)
+    n, m, ring = A.n, A.m, A.ring
+    oa, ob = _operand(A), _operand(B)
+    den = lcm(oa.den, ob.den)
+    sa, sb, p = den // oa.den, sign * (den // ob.den), ring.characteristic
+    flat = _times(oa.flat, sa, 0) if sa != 1 else list(oa.flat)
+    top = 0
+    for j, terms in enumerate(ob.flat):
+        if terms:
+            d = flat[j] = dict(flat[j])
+            for u, v in terms.items():
+                w = d.get(u, 0) + sb * v
+                if p:
+                    w %= p
+                if w:
+                    d[u] = w
+                    top = max(top, abs(w))
+                else:
+                    del d[u]
+    # |v*sa| < 2^bits * sa <= 2^(bits + bit_length(sa - 1)) on A's terms
+    bits = max(oa.bits + (sa - 1).bit_length(), top.bit_length())
+    return GrMatrix._make(n, m, ring, None, _Operand(flat, n, m, den, bits))
 
 
 def _digits(P: int, width: int) -> list:

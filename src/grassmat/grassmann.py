@@ -309,7 +309,8 @@ class GrassmannElem:
     def from_json_terms(cls, pairs: Iterable, m: int, ring: Ring) -> "GrassmannElem":
         acc: dict = {}
         for mask, cs in pairs:
-            mask = int(mask)
+            if type(mask) is not int:
+                raise ValueError(f"mask {mask!r} is not an integer")
             if not isinstance(cs, str):
                 raise ValueError(f"coefficient {cs!r} is not a string")
             if not 0 <= mask < (1 << m):

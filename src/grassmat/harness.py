@@ -275,19 +275,18 @@ def _ch_sharp(inputs: dict, max_k: int) -> tuple:
 
     g_i = f^c prod_{j != i} (x - lambda_j), so each g_i(A) is f(A)^c times
     n - 1 shifted matrices A - lambda_j I: 17 products for all four at
-    n = 4, m = 6.  That f(A)^c is taken from the lambdas, as the product
-    of all n shifted matrices to the c, so the g_i(A) do not depend on
-    how f was built."""
+    n = 4, m = 6.  That f(A)^c is taken once, from the lambdas, as the
+    product of all n shifted matrices to the c, so the g_i(A) do not
+    depend on how f was built; f(A)^(c+1) is that f(A)^c times f(A) by
+    Horner on f's coefficients, so a wrong f still fails the power check."""
     A, lams = inputs["matrix"], inputs["lambdas"]
     ring, c = A.ring, ch_exponent(A.m)
     check_distinct(lams)
     f = Poly.from_roots(ring, lams)
-    B = f.at_matrix(A)
-    Bc = B**c
     shifted = [A.plus_scalar(ring.neg(ring.coerce(lam))) for lam in lams]
     fc = reduce(mul, shifted) ** c
     gs = [reduce(mul, shifted[:i] + shifted[i + 1 :], fc) for i in range(A.n)]
-    return f, Bc, Bc * B, gs
+    return f, fc, fc * f.at_matrix(A), gs
 
 
 def _zero_judge(value: GrMatrix, inputs: dict):

@@ -12,7 +12,9 @@ Substituting every y_i = I recovers s_k.
 Both have a subset dynamic program and a naive oracle, capped at
 k <= DEFAULT_NAIVE_K.  The naive evaluators and young_alternating_sum
 share one depth-first word enumerator: words with a common prefix share
-its products, and a zero prefix ends its whole subtree.
+its products, a zero prefix ends its whole subtree, and each word is
+added to the total on its lifted operand (gmatrix._sum), so the total
+is lowered once, when its rows are read.
 
 The DP runs over suffixes: h(S) is the signed sum over arrangements of S
 in the last |S| slots, built from h(S minus {i}) by placing x_i first

@@ -15,9 +15,11 @@ the term kernel itself is checked against a loop over every pair of
 terms, each signed by counting inversions, instead of walking the
 disjoint submasks with one sign mask per left term, a polynomial at a
 matrix sums c_j A^j over powers built one product at a time instead of
-running Horner from the leading coefficient, and the random draws add
-up ring values (Fractions over the rationals) instead of integer
-numerators over one denominator, so agreement is meaningful evidence.
+running Horner from the leading coefficient, matrix sums add n*n
+elements on ring values instead of numerators over one denominator, and
+the random draws add up ring values (Fractions over the rationals)
+instead of integer numerators over one denominator, so agreement is
+meaningful evidence.
 """
 
 import random
@@ -382,14 +384,26 @@ def ring_value_matmul(self: GrMatrix, other: GrMatrix) -> GrMatrix:
     return GrMatrix._make(n, m, ring, tuple(out))
 
 
+def entrywise_sum(A: GrMatrix, B: GrMatrix, sign: int = 1) -> GrMatrix:
+    """A + sign*B as n*n GrassmannElem sums; GrMatrix.__add__, __sub__ and
+    plus_scalar must agree."""
+    A._check_other(B)
+    rows = tuple(
+        tuple(a + b if sign > 0 else a - b for a, b in zip(ra, rb))
+        for ra, rb in zip(A.rows, B.rows)
+    )
+    return GrMatrix._make(A.n, A.m, A.ring, rows)
+
+
 def poly_at_matrix_by_powers(f: Poly, A: GrMatrix) -> GrMatrix:
     """sum over j of c_j A^j, with A^j = A^(j-1) * A from the identity on
-    ring values; Poly.at_matrix must agree."""
+    ring values, scaled and added entry by entry; Poly.at_matrix must
+    agree."""
     ring = A.ring
     acc = GrMatrix.zero(A.n, A.m, ring)
     power = GrMatrix.identity(A.n, A.m, ring)
     for c in f.coeffs:
-        acc = acc + power.scale_coeff(c)
+        acc = entrywise_sum(acc, GrMatrix([[a.scale(c) for a in row] for row in power.rows]))
         power = ring_value_matmul(power, A)
     return acc
 

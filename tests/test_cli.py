@@ -783,6 +783,18 @@ def test_replay_malformed_field_usage_error(tmp_path, capsys, field, value):
     assert "grassmat: error" in err
 
 
+def test_replay_with_a_fractional_mask_usage_error(tmp_path, capsys):
+    # int(1.5) would replay the mask as 1, another matrix than was written
+    data = harness._reproducer("CHSharpness", "ch_sharp", ch_inputs(1, 2, QQ))
+    data["matrix"]["entries"][0][0][0][0] = 1.5
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["ch-sharp", "--replay", str(p)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "mask 1.5 is not an integer" in err
+
+
 def test_replay_young_bounded_before_hypothesis_check(tmp_path, capsys, monkeypatch):
     # 3,000 commuting elements would cost k(k-1)/2 product pairs in the
     # hypothesis check; the degree guard refuses them first.

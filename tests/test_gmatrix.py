@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import poly_at_matrix_by_powers, ring_value_matmul
+from oracles import entrywise_sum, poly_at_matrix_by_powers, ring_value_elem_mul, ring_value_matmul
 
 from grassmat.errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
 from grassmat import gmatrix
 from grassmat.gmatrix import GrMatrix, matrices_from_json, matrices_to_json
 from grassmat.grassmann import GrassmannElem
-from grassmat.identities import capelli_dp, standard_dp
+from grassmat.identities import capelli_dp, standard_dp, standard_naive
 from grassmat.poly import Poly
 from grassmat.ring import QQ, ZZ, PrimeField
 
@@ -225,6 +225,20 @@ def test_json_round_trip():
         assert back == A
 
 
+@pytest.mark.parametrize(
+    "field, value", [("n", 2.9), ("n", True), ("m", "2"), ("m", 2.0), ("mask", 2.7), ("mask", True)]
+)
+def test_json_refuses_integers_that_are_not_ints(field, value):
+    # int() would read each of these as another integer than was written
+    data = GrMatrix.unit(2, 2, ZZ, 1, 1).to_json()
+    if field == "mask":
+        data["entries"][0][0][0][0] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match="integer"):
+        GrMatrix.from_json(data)
+
+
 def test_matrices_json_helpers():
     rng = random.Random(19)
     mats = [_random_matrix(rng, 2, 2, ZZ) for _ in range(3)]
@@ -236,10 +250,10 @@ def test_matrices_json_helpers():
 
 # ------------------------------------------------------------ lazy products
 #
-# A product, and every value built from one by plus_scalar, keeps its
-# lifted operand and lowers it only when its rows are first read; these
-# tests compare such values, before any read, with the oracles that run
-# on ring values.
+# A product, a sum, a difference, a scaled matrix and every value built
+# from them keep their lifted operand and lower it only when their rows
+# are first read; these tests compare such values, before any read, with
+# the oracles that run on ring values.
 
 LAZY_RINGS = (ZZ, QQ, F2, F7)
 
@@ -357,3 +371,77 @@ def test_dps_on_unread_products_match_the_dps_on_lowered_copies():
         copies = [GrMatrix(P.rows) for P in prods]
         _assert_unread_equals(got_s, standard_dp(copies[:4]))
         _assert_unread_equals(got_c, capelli_dp(copies[:2], copies[2:5]))
+
+
+@pytest.mark.parametrize("ring", LAZY_RINGS, ids=str)
+def test_lazy_sums_match_the_entrywise_sum(ring):
+    rng = random.Random(45)
+    for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        A, B, C = (_draw(rng, n, m, ring) for _ in range(3))
+        AB, BA = ring_value_matmul(A, B), ring_value_matmul(B, A)
+        zero = GrMatrix.zero(n, m, ring)
+        _assert_unread_equals(A + B, entrywise_sum(A, B))
+        _assert_unread_equals(A - B, entrywise_sum(A, B, -1))
+        _assert_unread_equals((A * B) + C, entrywise_sum(AB, C))
+        _assert_unread_equals((A * B) - (B * A), entrywise_sum(AB, BA, -1))
+        _assert_unread_equals(-A, entrywise_sum(zero, A, -1))
+        _assert_unread_equals(-(A * B), entrywise_sum(zero, AB, -1))
+        g = _draw(rng, 1, m, ring).entry(1, 1)
+        scaled = GrMatrix([[ring_value_elem_mul(g, a) for a in row] for row in A.rows])
+        _assert_unread_equals(A.scale(g), scaled)
+        c = Fraction(3, 7) if ring == QQ else ring.embed(3)
+        if ring == QQ:
+            assert A._op.den % 7  # c's denominator does not divide A's
+        cI = GrMatrix.diag([GrassmannElem.scalar(c, m, ring)] * n)
+        _assert_unread_equals(A.plus_scalar(c), entrywise_sum(A, cI))
+        _assert_unread_equals((A * B).plus_scalar(c), entrywise_sum(AB, cI))
+
+
+@pytest.mark.parametrize("ring", LAZY_RINGS, ids=str)
+def test_a_difference_with_itself_is_zero_before_its_rows_are_read(ring):
+    rng = random.Random(46)
+    A, B = _draw(rng, 3, 2, ring), _draw(rng, 3, 2, ring)
+    for D in (A - A, (A * B) - (A * B), (A + B) - B - A, A.plus_scalar(2) - A.plus_scalar(2)):
+        assert D._rows is None
+        assert D.is_zero()
+        assert D._rows is None  # is_zero read the operand, not the rows
+        assert D == GrMatrix.zero(3, 2, ring)
+
+
+def test_dps_on_rescaled_sums_match_the_dps_on_lowered_copies():
+    # a third plus a quarter: both operands are rescaled to numerators
+    # over 12, so the DPs' width lemma runs on the rescaled bound
+    rng = random.Random(47)
+    for n, m in ((2, 2), (2, 3), (3, 2)):
+        mats = [_draw(rng, n, m, QQ) for _ in range(6)]
+        third = GrMatrix.identity(n, m, QQ).scale_coeff(Fraction(1, 3))
+        sums = [third + mats[0].scale_coeff(Fraction(1, 4)), mats[1] + mats[2],
+                (mats[3] * mats[4]) - mats[5].scale_coeff(Fraction(5, 3)), mats[4] - third,
+                mats[5].plus_scalar(Fraction(2, 9))]
+        assert all(S._rows is None and S._op.den > 1 for S in sums)
+        assert all(S._op.bits >= gmatrix._bits(S._op.flat, QQ) for S in sums)
+        got_s = standard_dp(sums[:4])
+        got_c = capelli_dp(sums[:2], sums[2:5])
+        copies = [GrMatrix(S.rows) for S in sums]
+        _assert_unread_equals(got_s, standard_dp(copies[:4]))
+        _assert_unread_equals(got_c, capelli_dp(copies[:2], copies[2:5]))
+
+
+def test_scale_refuses_an_element_of_another_rank_or_ring():
+    A = GrMatrix.identity(2, 2, ZZ)
+    with pytest.raises(ContextMismatchError):
+        A.scale(gen(1, m=3))
+    with pytest.raises(MixedRingsError):
+        A.scale(gen(1, ring=F7))
+
+
+def test_the_naive_standard_sum_lowers_once_when_its_value_is_read(monkeypatch):
+    calls = []
+    lower = gmatrix._lower
+    monkeypatch.setattr(gmatrix, "_lower", lambda op, r: calls.append("lower") or lower(op, r))
+    rng = random.Random(48)
+    mats = [_draw(rng, 3, 2, F7) for _ in range(4)]
+    value = standard_naive(mats)
+    assert calls == []  # no word was lowered to be added
+    value.rows
+    assert calls == ["lower"]
