@@ -71,9 +71,14 @@ Z/7 at m = 2 from 76 us to 65 us (2-vCPU VM, Python 3.11.7); a product
 of two 2x2 atom matrices stays at about 12 us, since packing costs
 about what it saves on so few terms.
 
-The width lemma.  Take a polynomial whose words are products of N
-factors, F = N - 1 products each: k of the factors (the x's) are
-permuted with signs by S_k and the others (the y's) stay in place.  A
+The width lemma.  It sizes every signed packed value: the products,
+and the subset DPs of `identities` over the integers and the
+rationals, and over Z/p on sparse factors.  The DPs' residue kernel
+over Z/p keeps residues in [0, p) and has its own, smaller width,
+proved in the `identities` docstring.  Take a polynomial whose words
+are products of N factors, F = N - 1 products each: k of the factors
+(the x's) are permuted with signs by S_k and the others (the y's) stay
+in place.  A
 product A*B is the case k = 1, N = 2; s_k has N = k and d_k has
 N = 2k + 1.  Let c_i be the largest |coefficient| of the i-th lifted
 factor (p - 1 over Z/p, with no scan) and

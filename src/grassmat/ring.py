@@ -38,13 +38,36 @@ RAT = "rat"
 ZMOD = "zmod"
 
 
+# Miller-Rabin with these bases decides every n below _MR_EXACT exactly
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale moduli."""
+    """Exact primality test: trial division by the bases of _MR_BASES,
+    then Miller-Rabin to those bases below _MR_EXACT (exact there), and
+    trial division above it."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < _MR_EXACT:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+    d = 41
     while d * d <= n:
         if n % d == 0:
             return False

@@ -33,6 +33,7 @@ from grassmat.identities import (
 )
 from grassmat.poly import Poly
 from grassmat.ring import QQ, ZZ, PrimeField, parse_ring
+from grassmat.sampling import random_grmatrix
 
 from oracles import (
     capelli_by_words,
@@ -482,64 +483,92 @@ def test_packed_dp_matches_dict_oracle_and_naive():
     assert nonzero > 150
 
 
-def _exact_layers(monkeypatch, evaluate, *args):
-    """Run evaluate with the gmatrix helpers _lift and _wrap_state, as
-    identities binds them, and _dp_transition wrapped: returns the digit
-    width, the integer factors the DP ran on (the flat of each operand
-    _lift returns, as ZZ matrices), a copy of
-    every layer _dp_transition returned and the nonzero entries of the
-    final packed state."""
+def _force_kernel(monkeypatch, kind):
+    """Route every DP call over Z/p to one kernel, whatever its operands:
+    identities._Packed or identities._Residues; other rings keep _Packed."""
+
+    def kernel(mats, k):
+        packed = identities._Packed(mats, k)
+        return packed if kind is identities._Packed or packed.ring.kind != "zmod" else kind(packed, k)
+
+    monkeypatch.setattr(identities, "_kernel", kernel)
+
+
+def _over_zz(A):
+    """A's integer numerators as a matrix over ZZ (its lifted operand)."""
+    flat, n = gmatrix._operand(A).flat, A.n
+    return GrMatrix([[GrassmannElem._make(A.m, ZZ, dict(flat[r * n + t])) for t in range(n)]
+                     for r in range(n)])
+
+
+def _exact_layers(monkeypatch, evaluate, *args, kind=None):
+    """Run evaluate with identities._kernel and _dp_transition wrapped,
+    on the kernel kind when it is given: returns the kernel, the integer
+    factors the DP ran on (their operands, as ZZ matrices), a copy of
+    every layer _dp_transition returned and the final state."""
     seen = {}
     layers = []
-    lift, transition, wrap = identities._lift, identities._dp_transition, identities._wrap_state
+    if kind is not None:
+        _force_kernel(monkeypatch, kind)
+    kernel_of, transition = identities._kernel, identities._dp_transition
 
-    def spy_lift(mats, k):
-        ops, width, den = lift(mats, k)
-        n, m = mats[0].n, mats[0].m
-        seen["width"] = width
-        seen["mats"] = [
-            GrMatrix([[GrassmannElem._make(m, ZZ, dict(op.flat[r * n + t])) for t in range(n)]
-                      for r in range(n)])
-            for op in ops
-        ]
-        return ops, width, den
+    def spy_kernel(mats, k):
+        kernel = seen["kernel"] = kernel_of(mats, k)
+        seen["mats"] = [_over_zz(A) for A in mats]
+        value = kernel.value
+
+        def spy_value(state):
+            seen["final"] = state
+            return value(state)
+
+        kernel.value = spy_value
+        return kernel
 
     def spy_transition(xs, layer, k):
         out = transition(xs, layer, k)
-        layers.append({mask: dict(state) for mask, state in out.items()})
+        layers.append({mask: copy.copy(state) for mask, state in out.items()})
         return out
 
-    def spy_wrap(state, *rest):
-        seen["final"] = {key: P for key, P in (state or {}).items() if P}
-        return wrap(state, *rest)
-
-    monkeypatch.setattr(identities, "_lift", spy_lift)
+    monkeypatch.setattr(identities, "_kernel", spy_kernel)
     monkeypatch.setattr(identities, "_dp_transition", spy_transition)
-    monkeypatch.setattr(identities, "_wrap_state", spy_wrap)
     evaluate(*args)
     monkeypatch.undo()
-    return seen["width"], seen["mats"], layers, seen["final"]
+    return seen["kernel"], seen["mats"], layers, seen["final"]
 
 
-def _assert_packs(state, expected, width):
-    """Every digit of the exact h(S) is below 2^(W-1), and the packed
-    state holds exactly those digits."""
-    n, m = expected.n, expected.m
+def _assert_packs(state, expected, kernel):
+    """The state holds exactly the exact h(S), expected over ZZ: as
+    signed digits below 2^(W-1) in the packed format of gmatrix, or as
+    residues in the layout of the residue kernel."""
+    n, m, width = expected.n, expected.m, kernel.width
+    residues = isinstance(kernel, identities._Residues)
     packed = {}
     for r, row in enumerate(expected.rows):
         for c, e in enumerate(row):
             for u, d in e.terms.items():
-                assert abs(d) < 1 << (width - 1)
-                key = (r << m) | u
-                packed[key] = packed.get(key, 0) + (d << (width * c))
-    assert state == {key: P for key, P in packed.items() if P}
+                if residues:
+                    d %= kernel.p
+                    key, shift = r, width * (u * n + c)
+                else:
+                    assert abs(d) < 1 << (width - 1)
+                    key, shift = (r << m) | u, width * c
+                packed[key] = packed.get(key, 0) + (d << shift)
+    if residues:
+        want = [packed.get(r, 0) for r in range(n)]
+        assert (state or [0] * n) == want
+    else:
+        assert {key: P for key, P in (state or {}).items() if P} == {
+            key: P for key, P in packed.items() if P
+        }
 
 
 def test_dp_digits_stay_below_half_the_width(monkeypatch):
     # Each layer _dp_transition returns, and the final state, is checked
     # against the value computed over ZZ from the DP's own integer factors
     # by the k! oracle, so a digit that overflowed its field would show as
-    # a mismatch.  The aligned tuples need every bit of W.
+    # a mismatch.  The aligned tuples need every bit of W.  The Z/p cases
+    # run on both kernels: the signed one keeps digits over ZZ, the
+    # residue one keeps every digit of a layer in [0, p).
     rng = random.Random(22)
     cases = [
         (
@@ -550,27 +579,194 @@ def test_dp_digits_stay_below_half_the_width(monkeypatch):
         for n, m, k in ((1, 3, 6), (2, 2, 5), (3, 1, 4), (2, 1, 6))
     ]
     cases += [t for ring in (ZZ, QQ) for t in _aligned_tuples(ring)]
-    checked = 0
+    checked = residue_states = 0
     for xs, ys in cases:
         k, n, m = len(xs), xs[0].n, xs[0].m
-        width, mats, layers, final = _exact_layers(monkeypatch, standard_dp, xs)
-        for layer in layers:
-            for mask, state in layer.items():
-                sub = [mats[i] for i in range(k) if mask >> i & 1]
-                _assert_packs(state, standard_naive(sub), width)
-                checked += 1
-        _assert_packs(final, standard_naive(mats), width)
-        width, mats, layers, final = _exact_layers(monkeypatch, capelli_dp, xs, ys)
-        one = GrMatrix.identity(n, m, ZZ)
-        for s, layer in enumerate(layers, 1):
-            for mask, state in layer.items():
-                sub = [mats[i] for i in range(k) if mask >> i & 1]
-                # before y_{k-s} is premultiplied: x y_{k-s+1} ... x y_k
-                _assert_packs(state, capelli_naive(sub, [one] + mats[2 * k + 1 - s :]), width)
-                checked += 1
-        _assert_packs(final, capelli_naive(mats[:k], mats[k:]), width)
-        checked += 2
-    assert checked > 500
+        kinds = [identities._Packed]
+        if xs[0].ring.kind == "zmod":
+            kinds.append(identities._Residues)
+        for kind in kinds:
+            kernel, mats, layers, final = _exact_layers(monkeypatch, standard_dp, xs, kind=kind)
+            for layer in layers:
+                for mask, state in layer.items():
+                    sub = [mats[i] for i in range(k) if mask >> i & 1]
+                    _assert_packs(state, standard_naive(sub), kernel)
+                    checked += 1
+            _assert_packs(final, standard_naive(mats), kernel)
+            kernel, mats, layers, final = _exact_layers(monkeypatch, capelli_dp, xs, ys, kind=kind)
+            one = GrMatrix.identity(n, m, ZZ)
+            for s, layer in enumerate(layers, 1):
+                for mask, state in layer.items():
+                    sub = [mats[i] for i in range(k) if mask >> i & 1]
+                    # before y_{k-s} is premultiplied: x y_{k-s+1} ... x y_k
+                    _assert_packs(state, capelli_naive(sub, [one] + mats[2 * k + 1 - s :]), kernel)
+                    checked += 1
+                    residue_states += kind is identities._Residues
+            _assert_packs(final, capelli_naive(mats[:k], mats[k:]), kernel)
+            checked += 2
+    assert checked > 900 and residue_states > 150
+
+
+# ------------------------------------------------------------ residue kernel over Z/p
+
+RESIDUE_PRIMES = (2, 3, 7, 1000003, 2**61 - 1)
+
+
+def _mod(A, ring):
+    """A over ZZ reduced into the field ring."""
+    p = ring.modulus
+    return GrMatrix([[GrassmannElem._make(A.m, ring, ring.clean_terms({u: c % p for u, c in e.terms.items()}))
+                      for e in row] for row in A.rows])
+
+
+def _dense(rng, n, m, ring):
+    """Every entry a sum of 2^(m+1) random monomials: most masks filled."""
+    return random_grmatrix(rng, n, m, ring, 2 << m)
+
+
+def _agreement_tuples(rng, ring):
+    """(label, xs, ys) over ring: dense, --sparsity 1 and mixed atom +
+    dense tuples at n <= 3, m <= 4 and odd and even k, with a zero matrix
+    or a repeated argument put into some of the dense ones."""
+    shapes = ((1, 4, 7), (2, 2, 8), (2, 3, 5), (3, 0, 6), (3, 1, 7), (3, 2, 6), (2, 4, 4), (3, 4, 3))
+    for n, m, k in shapes:
+        pool = atoms(n, m, ring)
+        draws = {
+            "dense": lambda: _dense(rng, n, m, ring),
+            "sparsity 1": lambda: random_grmatrix(rng, n, m, ring, 1),
+        }
+        for label, draw in draws.items():
+            xs = [draw() for _ in range(k)]
+            ys = [draw() for _ in range(k + 1)]
+            yield label, xs, ys
+        mixed = [_dense(rng, n, m, ring) if i % 2 else rng.choice(pool) for i in range(k)]
+        yield "mixed", mixed, [GrMatrix.identity(n, m, ring)] + mixed
+        if k > 1:
+            yield "zero", xs[:1] + [GrMatrix.zero(n, m, ring)] + xs[2:], ys
+            yield "repeated", xs[:-1] + xs[:1], ys
+
+
+def _agrees_with_zz(xs, ys):
+    """Both DPs on the residue kernel against the signed kernel over ZZ on
+    the same integer lifts, reduced mod p; returns the values' nonzero
+    count."""
+    ring = xs[0].ring
+    zx, zy = [_over_zz(A) for A in xs], [_over_zz(A) for A in ys]
+    std, cap = standard_dp(xs), capelli_dp(xs, ys)
+    assert std == _mod(standard_dp(zx), ring)
+    assert cap == _mod(capelli_dp(zx, zy), ring)
+    return (not std.is_zero()) + (not cap.is_zero())
+
+
+def test_residue_kernel_agrees_with_the_integer_kernel(monkeypatch):
+    # The residue kernel runs every tuple here, whatever the dispatch
+    # would pick; the reference is the signed kernel over ZZ.
+    rng = random.Random(41)
+    nonzero = {}
+    for p in RESIDUE_PRIMES:
+        ring = PrimeField(p)
+        cases = list(_agreement_tuples(rng, ring))
+        cases += [("known", [_atom(n, m, ring, *a) for a in spec], None) for n, m, spec, _ in KNOWN_NONZERO]
+        for label, xs, ys in cases:
+            ys = ys or [GrMatrix.identity(xs[0].n, xs[0].m, ring)] * (len(xs) + 1)
+            with monkeypatch.context() as patch:
+                _force_kernel(patch, identities._Residues)
+                count = _agrees_with_zz(xs, ys)
+            nonzero[label] = nonzero.get(label, 0) + count
+            # the public DPs, on whichever kernel the dispatch picks
+            _agrees_with_zz(xs, ys)
+    assert nonzero["dense"] > 40 and nonzero["sparsity 1"] > 15
+    assert nonzero["mixed"] > 5 and nonzero["known"] > 15
+    assert nonzero["zero"] == 0 and nonzero.get("repeated", 0) <= nonzero["dense"]
+
+
+def test_residue_kernel_is_picked_for_factors_with_many_terms():
+    # _Residues when every factor has more than (n + 1) * 2^(m-1) terms
+    # over Z/p; an atom, a zero matrix or a ring of characteristic 0 keeps
+    # the signed kernel.
+    n, m = 3, 2
+    least = (n + 1) << (m - 1)  # 8
+
+    def terms(count, ring):
+        slots = [(r, t, u) for r in range(n) for t in range(n) for u in range(1 << m)]
+        rows = [[{} for _ in range(n)] for _ in range(n)]
+        for r, t, u in slots[:count]:
+            rows[r][t][u] = ring.one
+        return GrMatrix([[GrassmannElem._make(m, ring, d) for d in row] for row in rows])
+
+    z7 = PrimeField(7)
+    pick = lambda mats: type(identities._kernel(mats, len(mats)))
+    assert pick([terms(least + 1, z7)] * 3) is identities._Residues
+    assert pick([terms(least + 1, z7)] * 2 + [terms(least, z7)]) is identities._Packed
+    assert pick([terms(least + 1, z7), GrMatrix.unit(n, m, z7, 1, 2)]) is identities._Packed
+    assert pick([terms(36, z7), GrMatrix.zero(n, m, z7)]) is identities._Packed
+    for ring in (ZZ, QQ):
+        assert pick([terms(36, ring)] * 2) is identities._Packed
+
+
+def _aligned_residues(rng, n, m, ring, k):
+    """k factors whose every coefficient is p - 1, each on a random half
+    of its entry-monomial slots."""
+    p = ring.modulus
+
+    def draw():
+        return GrMatrix([[GrassmannElem._make(m, ring, {u: p - 1 for u in range(1 << m) if rng.random() < 0.5})
+                          for _ in range(n)] for _ in range(n)])
+
+    return [draw() for _ in range(k)]
+
+
+def test_residue_digits_stay_below_the_width(monkeypatch):
+    # Every int the residue kernel reduces, pushes, premultiplied states
+    # and the join's accumulator, fits its n*2^m digits of W bits, and the
+    # values match the integer kernel.  On these aligned inputs the
+    # largest digit comes within a factor 16 of 2^W, and on most of them
+    # the join's whole sum of C(k, k/2) pair products passes 2^W in some
+    # digit, so the join must reduce its accumulator as it goes, as it
+    # does every k pairs.
+    rng = random.Random(43)
+    reduce, join = identities._Residues.reduce, identities._Residues.join
+    seen = {}
+
+    def spy_reduce(self, H):
+        assert 0 <= H < 1 << (self.width * self.size)
+        seen["top"] = max([seen.get("top", 0)] + self.digits(H))
+        out = reduce(self, H)
+        if "join" in seen:
+            seen["join"].append((H, out))
+        return out
+
+    def spy_join(self, left, right, k):
+        seen["join"] = []
+        out = join(self, left, right, k)
+        n, calls = self.n, seen.pop("join")
+        # undo the reductions: the raw sum of every pair product, per digit
+        total = [[0] * self.size for _ in range(n)]
+        before = [0] * n
+        for c, (H, out_c) in enumerate(calls):
+            r = c % n
+            for j, (d, e) in enumerate(zip(self.digits(H), self.digits(before[r]))):
+                total[r][j] += d - e
+            before[r] = out_c
+        seen["join_top"] = max(max(row) for row in total)
+        seen["width"] = self.width
+        return out
+
+    _force_kernel(monkeypatch, identities._Residues)
+    monkeypatch.setattr(identities._Residues, "reduce", spy_reduce)
+    monkeypatch.setattr(identities._Residues, "join", spy_join)
+    passed = 0
+    for p in RESIDUE_PRIMES:
+        ring = PrimeField(p)
+        for n, m, k in ((3, 1, 9), (3, 2, 8)):
+            xs = _aligned_residues(rng, n, m, ring, k)
+            ys = _aligned_residues(rng, n, m, ring, k + 1)
+            seen.clear()
+            _agrees_with_zz(xs, ys)
+            width = seen["width"]
+            assert seen["top"] << 4 >= 1 << width
+            passed += seen["join_top"] >= 1 << width
+    assert passed >= 6
 
 
 # ------------------------------------------------------------ per-matrix operands
