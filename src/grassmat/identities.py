@@ -35,30 +35,40 @@ For the Capelli form, whose prefixes and suffixes carry different y's,
 every layer is built, and the layer at size s premultiplies the fixed
 y_{k-s+1} into each live state before the transition.
 
-Two kernels run the DP, picked per call by _kernel; the layer loop,
-the meet in the middle, the join order, the Capelli premultiply order
-and the refusals are the one driver of standard_dp and capelli_dp, and
-every layer of either kernel goes through _dp_transition.
+Two kernels run the DP, picked per call by _kernel, under one driver.
+standard_dp and capelli_dp hold the meet in the middle, the join order,
+the Capelli premultiply order and the refusals; _dp_transition is the
+one layer loop and _premultiply the one premultiply.  Both see a state
+only through five kernel methods: empty() is a zero state to push into;
+rows(state) is the bitmask of its nonzero rows t, so a push that no
+column of x_i can reach is skipped; source(state) is what a push reads,
+built once per popped state however many x_i it is pushed by;
+push(acc, x, source, neg) adds (-1)^neg x h into acc; and clean(layer)
+settles a layer after its pushes and drops its dead states.  Each
+kernel keeps its own join and value, which really differ.
 
 Packed states (_Packed, the signed kernel).  Over the integers and the
 rationals, and over Z/p unless the residue kernel is picked, the DP
 runs on the packed format of `gmatrix`: a state is one packed matrix,
-and an entry whose int is 0 is dropped, so a state with no entries is
-dead.  The factors come as their gmatrix._Operand,
-each lifted on first use and then kept on its matrix (gmatrix._lift),
-with the digit width W of the `gmatrix` width lemma for k alternating
-factors: N = k for s_k and N = 2k + 1 for d_k.  An operand is a table,
-filled lazily, from a state key (t << m) | sb to the signed terms its
-column t sends into each row r, [((r << m) | u, +-ca)], built with
-grassmann.signed_products, so the DP shares one sign rule with the
-products.  The rows an x_i or a y fills serve every later call on the
-same matrix, so the calls of a campaign on one atom pool tabulate each
-atom once; only the join's left-state tables are built per call.  Only
-the final state, and in the join each left state, is decoded;
-gmatrix._wrap_state keeps the final one as the lifted operand of the
-value it returns, lowered over the product of the factors'
-denominators only when the value's rows are first read, so a judge
-that only asks whether the value is zero lowers nothing.
+and an entry whose int is 0 is dropped by clean, so a state with no
+entries is dead.  The source of a state is the state itself, and push
+(_mul_state_into) does one multiply-add per term pair.  The factors
+come as their gmatrix._Operand, each lifted on first use and then kept
+on its matrix (gmatrix._lift), with the digit width W of the `gmatrix`
+width lemma for k alternating factors: N = k for s_k and N = 2k + 1 for
+d_k.  An operand is a table, filled lazily, from a state key
+(t << m) | sb to the signed terms its column t sends into each row r,
+[((r << m) | u, +-ca)], built with grassmann.signed_products, so the DP
+shares one sign rule with the products.  The rows an x_i or a y fills
+serve every later call on the same matrix, so the calls of a campaign
+on one atom pool tabulate each atom once; only the join's left-state
+tables are built per call: the join decodes each left state into an
+operand and pushes the right state through it.  Only the final state,
+and in the join each left state, is decoded; gmatrix._wrap_state keeps
+the final one as the lifted operand of the value it returns, lowered
+over the product of the factors' denominators only when the value's
+rows are first read, so a judge that only asks whether the value is
+zero lowers nothing.
 
 The residue kernel over Z/p (_Residues).  A state h(S) is n ints, one
 per row t; the residue of entry (t, j) at the monomial v_u is the digit
@@ -66,27 +76,31 @@ at bit W*(u*n + j), and after each layer every digit lies in [0, p).
 The mask/shift lemma: for disjoint u and v, v_u v_v = (-1)^popcount(v &
 G(u)) v_(u+v), since u | v = u + v, so row t times v_u is the row's
 digits at the masks v disjoint from u, negated where that sign is odd,
-shifted up by W*n*u.  products() builds it for every u at once as
-E = ((H & pos_u) - (H & neg_u) + pad_u) << (W*n*u), where pos_u and
-neg_u select the digits of those masks by sign and pad_u puts p on
-each digit of neg_u, so a negated digit d becomes p - d: every digit of
-E lies in [0, p] and is congruent to the signed product.  A push of x_i
-is then acc[r] += sum over (t, u) of c * E[u*n + t] over the residues
-c of x_i at (r, t, u): one small-int multiply-add per term of x_i for
-all n columns at once, where the signed kernel does one per term pair.
-Rows of x_i with zeros multiply only their terms, and when some E
-entries are 0 (a state that lives in few masks) only the live ones are
-multiplied.  Each new state is reduced digit by digit (reduce: Barrett
-reduction on every other digit at once, then one conditional subtract).
-The width: W = bits(k * n * p^2) + m.  Before a reduction, a digit of a
-pushed state is a sum over at most k pushes (one per i in S), n rows t
-and at most 2^m splits u of its mask, of c * e with c <= p - 1 and
-e <= p, so it is at most k * n * 2^m * (p - 1) * p; a premultiplied
-state takes one push.  The join adds C(k, floor(k/2)) pair products,
-each of the same form with n * 2^m terms, so it reduces its accumulator
-after every k pairs: a digit there is at most (p - 1) + k * n * 2^m *
-(p - 1) * p.  Both are below k * n * 2^m * p^2 < 2^W, so no digit
-carries into the next before it is reduced.
+shifted up by W*n*u.  The source of a state is E, which holds it for
+every row t and mask u at once: E[u*n + t] = ((H_t & pos_u) - (H_t &
+neg_u) + pad_u) << (W*n*u), where pos_u and neg_u select the digits of
+those masks by sign and pad_u puts p on each digit of neg_u, so a
+negated digit d becomes p - d: every digit of E lies in [0, p] and is
+congruent to the signed product.  Every push is one dot product, acc[r]
++= sum(map(mul, cs, get(E))), over each nonzero row r of x_i: cs lists
+its nonzero residues c at (t, u) and get picks the E[u*n + t] they
+multiply.  That is one small-int multiply-add per term of x_i for all n
+columns at once, where the signed kernel does one per term pair.  clean
+reduces each new state digit by digit (reduce: Barrett reduction on
+every other digit at once, then one conditional subtract).  The join
+dots each row of a left state, as its full vector of n * 2^m digits,
+with the full E of its right state, and reduces every k pairs.
+The width: W = bits(max(k, 1) * n * p^2) + m.  Before a reduction, a
+digit of a pushed state is a sum over at most k pushes (one per i in
+S), n rows t and at most 2^m splits u of its mask, of c * e with
+c <= p - 1 and e <= p, so it is at most k * n * 2^m * (p - 1) * p; a
+premultiplied state takes one push, which is why k counts as at least
+1 (capelli_dp at k = 0 premultiplies y_0 and nothing else).  The join
+adds C(k, floor(k/2)) pair products, each of the same form with
+n * 2^m terms, so it reduces its accumulator after every k pairs: a
+digit there is at most (p - 1) + k * n * 2^m * (p - 1) * p.  Both are
+below max(k, 1) * n * 2^m * p^2 < 2^W, so no digit carries into the
+next before it is reduced.
 
 The kernel is picked by the operands: _Residues over Z/p when every
 factor has more than (n + 1) * 2^(m-1) terms, else _Packed.  The
@@ -116,7 +130,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 from operator import itemgetter, mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
     DegreeTooLargeError,
@@ -215,13 +229,53 @@ def capelli_naive(
     return _alternating_sum(xs, [range(k)] * k, GrMatrix.zero(first.n, first.m, first.ring), ys)
 
 
-# ----- the signed kernel, on the packed format of gmatrix -----
-# A state is one dict over the nonzero rows of h(S): key (t << m) | mask,
-# value P = sum_c d_c << (W*c), row t's n column digits at that mask.
+# ----- the driver: one layer loop and one premultiply for both kernels -----
 # A layer maps subset masks to its live states only.
 
 
-def _mul_state_into(acc: dict, x: _Operand, state: dict, neg: bool = False) -> None:
+def _dp_transition(kernel, xs: list, layer: dict, k: int) -> dict:
+    """One cardinality layer of the suffix DP, pushed from live states.
+
+    Consumes layer: each live h(T) is popped and pushed into every
+    superset S = T + {i}, adding (-1)^|{j in T : j < i}| x_i h(T) to
+    h(S) from the kernel's source of h(T), built once per popped state.
+    A push is skipped when no column of x_i meets a row of h(T).
+    """
+    n = kernel.n
+    spread = ((1 << (n * n)) - 1) // ((1 << n) - 1)  # bit t -> bits r*n + t
+    empty, rows_of, source, push = kernel.empty, kernel.rows, kernel.source, kernel.push
+    factors = [(1 << i, xs[i].live, xs[i]) for i in range(k)]
+    nxt: dict = {}
+    while layer:
+        mask, prev = layer.popitem()
+        rows = rows_of(prev) * spread  # the entries (r, t) that meet a row t of prev
+        src = None
+        for bit, live, x in factors:
+            if mask & bit or not live & rows:
+                continue
+            if src is None:
+                src = source(prev)
+            acc = nxt.get(mask | bit)
+            if acc is None:
+                acc = nxt[mask | bit] = empty()
+            push(acc, x, src, (mask & (bit - 1)).bit_count() & 1)
+    return kernel.clean(nxt)
+
+
+def _premultiply(kernel, y, layer: dict) -> dict:
+    """Replace every state h of layer by y * h."""
+    for mask, state in layer.items():
+        acc = layer[mask] = kernel.empty()
+        kernel.push(acc, y, kernel.source(state), 0)
+    return kernel.clean(layer)
+
+
+# ----- the signed kernel, on the packed format of gmatrix -----
+# A state is one dict over the nonzero rows of h(S): key (t << m) | mask,
+# value P = sum_c d_c << (W*c), row t's n column digits at that mask.
+
+
+def _mul_state_into(acc: dict, x: _Operand, state: dict, neg: int) -> None:
     """acc += (-1)^neg * x * state: one multiply-add per term pair, for
     all n columns at once."""
     get = acc.get
@@ -232,50 +286,12 @@ def _mul_state_into(acc: dict, x: _Operand, state: dict, neg: bool = False) -> N
             acc[u] = get(u, 0) + ca * P
 
 
-def _clean_layer(layer: dict) -> dict:
-    """Drop the entries that cancel to 0, then the states left empty."""
-    out = {}
-    for mask, state in layer.items():
-        state = {key: P for key, P in state.items() if P}
-        if state:
-            out[mask] = state
-    return out
-
-
-def _dp_transition(xs: list, layer: dict, k: int) -> dict:
-    """One cardinality layer of the suffix DP, pushed from live states.
-
-    Consumes layer: each live h(T) is popped and pushed into every
-    superset S = T + {i}, adding (-1)^|{j in T : j < i}| x_i h(T) to
-    h(S).  A push is skipped when no column of x_i meets a row of h(T).
-    Factors of the residue kernel (_Residue) go to _residue_transition.
-    """
-    if type(xs[0]) is _Residue:
-        return _residue_transition(xs, layer, k)
-    n, m = xs[0].n, xs[0].m
-    spread = ((1 << (n * n)) - 1) // ((1 << n) - 1)  # bit t -> bits r*n + t
-    nxt: dict = {}
-    while layer:
-        mask, prev = layer.popitem()
-        rows = 0
-        for key in prev:
-            rows |= 1 << (key >> m)
-        rows *= spread  # the entries (r, t) that meet a row t of prev
-        for i in range(k):
-            bit = 1 << i
-            if mask & bit or not xs[i].live & rows:
-                continue
-            acc = nxt.get(mask | bit)
-            if acc is None:
-                acc = nxt[mask | bit] = {}
-            _mul_state_into(acc, xs[i], prev, (mask & (bit - 1)).bit_count() & 1 == 1)
-    return _clean_layer(nxt)
-
-
 class _Packed:
     """The signed kernel of one DP call: the factors' operands (xs), the
     width W of the gmatrix width lemma and the product of the factors'
-    denominators."""
+    denominators.  A push reads the popped state itself."""
+
+    empty, push = dict, staticmethod(_mul_state_into)
 
     def __init__(self, mats: Sequence[GrMatrix], k: int):
         first = mats[0]
@@ -285,13 +301,23 @@ class _Packed:
     def identity(self) -> dict:
         return {t << self.m: 1 << (self.width * t) for t in range(self.n)}
 
-    def premultiply(self, y: _Operand, layer: dict) -> dict:
-        """Replace every state h of layer by y * h."""
+    def rows(self, state: dict) -> int:
+        m, rows = self.m, 0
+        for key in state:
+            rows |= 1 << (key >> m)
+        return rows
+
+    def source(self, state: dict) -> dict:
+        return state
+
+    def clean(self, layer: dict) -> dict:
+        """Drop the entries that cancel to 0, then the states left empty."""
+        out = {}
         for mask, state in layer.items():
-            out: dict = {}
-            _mul_state_into(out, y, state)
-            layer[mask] = out
-        return _clean_layer(layer)
+            state = {key: P for key, P in state.items() if P}
+            if state:
+                out[mask] = state
+        return out
 
     def join(self, left: dict, right: dict, k: int) -> dict:
         """s_k = sum over S in left of (-1)^shuffle(S) h(S) h(S^c), S^c in right.
@@ -308,7 +334,7 @@ class _Packed:
             comp = right.get(full ^ mask)
             if comp is not None:
                 odd = ((full ^ mask) & _sign_mask(mask)).bit_count() & 1
-                _mul_state_into(acc, _Operand(_unpack(state, n, m, width), n, m), comp, odd == 1)
+                _mul_state_into(acc, _Operand(_unpack(state, n, m, width), n, m), comp, odd)
         return acc
 
     def value(self, state: Optional[dict]) -> GrMatrix:
@@ -322,14 +348,17 @@ class _Packed:
 
 class _Residues:
     """The residue kernel of one DP call over Z/p: the factors as _Residue
-    (xs), the width W, and per mask sa the (pos, neg, pad, shift) that
-    turn a row of a state into its product by v_sa (products)."""
+    (xs), the width W, and per mask sa the (pos, neg, pad, shift, both)
+    that turn a row of a state into its product by v_sa (source): pos and
+    neg select the digits it keeps and negates, pad puts p on each digit
+    of neg, shift moves the row up to its masks and both is pos | neg."""
 
     def __init__(self, packed: _Packed, k: int):
         n, m, ring = self.n, self.m, self.ring = packed.n, packed.m, packed.ring
         p = self.p = ring.characteristic
         self.size = n << m  # digits in a row
-        w = self.width = (k * n * p * p).bit_length() + m
+        # a premultiplied state takes one push, even at k = 0
+        w = self.width = (max(k, 1) * n * p * p).bit_length() + m
         digit = (1 << w) - 1
         block = (1 << (w * n)) - 1  # the n digits of one mask
         self.sides = []
@@ -350,24 +379,34 @@ class _Residues:
     def identity(self) -> list:
         return [1 << (self.width * t) for t in range(self.n)]
 
-    def products(self, state: list) -> tuple:
-        """(pick, E): E[sa*n + t] is row t of state times v_sa, every digit
-        in [0, p], and E[n*2^m] = 0.  When some E[j] are 0, pick selects
-        the others and the last from E and from a factor's vectors, and E
-        is returned picked; else pick is None."""
-        n, size = self.n, self.size
-        E = [0] * (size + 1)
+    def empty(self) -> list:
+        return [0] * self.n
+
+    def rows(self, state: list) -> int:
+        rows = 0
         for t, H in enumerate(state):
             if H:
-                E[t:size:n] = [
+                rows |= 1 << t
+        return rows
+
+    def source(self, state: list) -> list:
+        """E: E[sa*n + t] is row t of state times v_sa, every digit in [0, p]."""
+        n = self.n
+        E = [0] * self.size
+        for t, H in enumerate(state):
+            if H:
+                E[t::n] = [
                     ((H & pos) - (H & neg) + pad) << s if H & both else 0
                     for pos, neg, pad, s, both in self.sides
                 ]
-        live = [j for j in range(size) if E[j]]
-        if len(live) == size:
-            return None, E
-        pick = itemgetter(*live, size)  # a tuple, even for one live entry
-        return pick, pick(E)
+        return E
+
+    @staticmethod
+    def push(acc: list, x: "_Residue", E: list, neg: int) -> None:
+        """acc += (-1)^neg * x * h, E the source of h: one multiply-add per
+        term of x, for all n columns at once."""
+        for r, cs, get in x.signed[neg]:
+            acc[r] += sum(map(mul, cs, get(E)))
 
     def reduce(self, H: int) -> int:
         """H with every digit (each below 2^W) taken mod p, by Barrett
@@ -397,19 +436,10 @@ class _Residues:
         low = (1 << w) - 1
         return [H >> (w * j) & low for j in range(self.size)]
 
-    def premultiply(self, y: "_Residue", layer: dict) -> dict:
-        """Replace every state h of layer by y * h."""
-        for mask, state in layer.items():
-            pick, E = self.products(state)
-            acc = [0] * self.n
-            for r, vec, _, _ in y.signed[0]:
-                acc[r] = sum(map(mul, pick(vec) if pick else vec, E))
-            layer[mask] = acc
-        return self.clean(layer)
-
     def join(self, left: dict, right: dict, k: int) -> Optional[list]:
-        """_Packed.join's sum on residue states; the accumulator is
-        reduced after every k pairs, which the width W allows for."""
+        """_Packed.join's sum on residue states: each row of h(S), as its
+        full digit vector, dotted with the source of h(S^c).  The
+        accumulator is reduced after every k pairs, which W allows for."""
         full, p, reduce = (1 << k) - 1, self.p, self.reduce
         acc = [0] * self.n
         pairs = 0
@@ -418,13 +448,13 @@ class _Residues:
             if comp is None:
                 continue
             odd = ((full ^ mask) & _sign_mask(mask)).bit_count() & 1
-            pick, E = self.products(comp)
+            E = self.source(comp)
             for r, H in enumerate(state):
                 if H:
-                    vec = self.digits(H) + [0]
+                    vec = self.digits(H)
                     if odd:
                         vec = [-c % p for c in vec]
-                    acc[r] += sum(map(mul, pick(vec) if pick else vec, E))
+                    acc[r] += sum(map(mul, vec, E))
             pairs += 1
             if pairs % k == 0:
                 acc = [reduce(H) for H in acc]
@@ -444,63 +474,30 @@ class _Residues:
 class _Residue:
     """A factor x of the residue kernel, with live as on its operand.
 
-    signed[0] and signed[1] hold (r, vec, cs, get) for each nonzero row r
-    of x: vec lists its residues c at (t, sa) by index sa*n + t, as E
-    does, with a 0 at n*2^m, in signed[0], and -c mod p in signed[1];
-    get picks the nonzero ones and that last 0 (None for a row with no
-    zeros), and cs is get(vec)."""
+    signed[0] holds (r, cs, get) for each nonzero row r of x: cs lists
+    its nonzero residues c at (t, sa) by index sa*n + t, and get(E)
+    gives the entries E[sa*n + t] they multiply, in the same order and
+    perhaps followed by more that the dot product never reaches;
+    signed[1] holds the same with -c mod p."""
 
-    __slots__ = ("kernel", "signed", "live")
+    __slots__ = ("signed", "live")
 
     def __init__(self, kernel: _Residues, op: _Operand):
         n, p = kernel.n, kernel.p
-        self.kernel, self.live, self.signed = kernel, op.live, ([], [])
+        self.live, self.signed = op.live, ([], [])
         for r in range(n):
-            vec = [0] * (kernel.size + 1)
-            for t, terms in enumerate(op.flat[r * n : r * n + n]):
-                for sa, c in terms.items():
-                    vec[sa * n + t] = c % p
-            live = [j for j, c in enumerate(vec) if c]
-            if live:
-                # a row with zeros multiplies only its terms, picked from E
-                get = itemgetter(*live, kernel.size) if len(live) < kernel.size else None
-                for signed, v in zip(self.signed, (vec, [-c % p for c in vec])):
-                    signed.append((r, v, get(v) if get else v, get))
-
-
-def _residue_transition(xs: List[_Residue], layer: dict, k: int) -> dict:
-    """_dp_transition on residue states: E = products(h(T)) once per
-    popped state, then one multiply-add per (coefficient, E entry) of
-    each x_i it is pushed by."""
-    kernel = xs[0].kernel
-    n = kernel.n
-    spread = ((1 << (n * n)) - 1) // ((1 << n) - 1)
-    factors = [(1 << i, x.live, x.signed) for i, x in enumerate(xs)]
-    nxt: dict = {}
-    while layer:
-        mask, prev = layer.popitem()
-        rows = 0
-        for t, H in enumerate(prev):
-            if H:
-                rows |= 1 << t
-        rows *= spread
-        E = None
-        for bit, live, signed in factors:
-            if mask & bit or not live & rows:
-                continue
-            if E is None:
-                pick, E = kernel.products(prev)
-            acc = nxt.get(mask | bit)
-            if acc is None:
-                acc = nxt[mask | bit] = [0] * n
-            signed = signed[(mask & (bit - 1)).bit_count() & 1]
-            if pick is None:
-                for r, _, cs, get in signed:
-                    acc[r] += sum(map(mul, cs, get(E) if get else E))
-            else:
-                for r, vec, _, _ in signed:
-                    acc[r] += sum(map(mul, pick(vec), E))
-    return kernel.clean(nxt)
+            row = sorted((sa * n + t, c % p) for t, terms in enumerate(op.flat[r * n : r * n + n])
+                         for sa, c in terms.items() if c % p)
+            if row:
+                js, cs = zip(*row)
+                if js[-1] - js[0] == len(js) - 1:  # a run of indices
+                    # map stops at the end of cs, so a run from 0 reads E
+                    # itself; a slice keeps one index from giving a scalar
+                    get = iter if js[0] == 0 else itemgetter(slice(js[0], js[-1] + 1))
+                else:
+                    get = itemgetter(*js)
+                self.signed[0].append((r, cs, get))
+                self.signed[1].append((r, [-c % p for c in cs], get))
 
 
 def _kernel(mats: Sequence[GrMatrix], k: int):
@@ -532,10 +529,10 @@ def standard_dp(
     xs = kernel.xs
     layer = {0: kernel.identity()}
     for _ in range(k // 2):
-        layer = _dp_transition(xs, layer, k)
+        layer = _dp_transition(kernel, xs, layer, k)
     left = layer
     if k & 1:
-        layer = _dp_transition(xs, dict(left), k)
+        layer = _dp_transition(kernel, xs, dict(left), k)
     return kernel.value(kernel.join(left, layer, k))
 
 
@@ -566,9 +563,9 @@ def capelli_dp(
     for s in range(1, k + 1):
         if not layer:
             break  # every later layer is empty too
-        layer = kernel.premultiply(yops[k - s + 1], layer)
-        layer = _dp_transition(xops, layer, k)
-    layer = kernel.premultiply(yops[0], layer)
+        layer = _premultiply(kernel, yops[k - s + 1], layer)
+        layer = _dp_transition(kernel, xops, layer, k)
+    layer = _premultiply(kernel, yops[0], layer)
     return kernel.value(layer.get((1 << k) - 1))
 
 

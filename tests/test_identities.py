@@ -524,8 +524,8 @@ def _exact_layers(monkeypatch, evaluate, *args, kind=None):
         kernel.value = spy_value
         return kernel
 
-    def spy_transition(xs, layer, k):
-        out = transition(xs, layer, k)
+    def spy_transition(kernel, xs, layer, k):
+        out = transition(kernel, xs, layer, k)
         layers.append({mask: copy.copy(state) for mask, state in out.items()})
         return out
 
@@ -626,9 +626,11 @@ def _dense(rng, n, m, ring):
 
 def _agreement_tuples(rng, ring):
     """(label, xs, ys) over ring: dense, --sparsity 1 and mixed atom +
-    dense tuples at n <= 3, m <= 4 and odd and even k, with a zero matrix
-    or a repeated argument put into some of the dense ones."""
-    shapes = ((1, 4, 7), (2, 2, 8), (2, 3, 5), (3, 0, 6), (3, 1, 7), (3, 2, 6), (2, 4, 4), (3, 4, 3))
+    dense tuples at n <= 3, m <= 4 and odd and even k, k = 0 and k = 1
+    among them, with a zero matrix or a repeated argument put into some
+    of the dense ones."""
+    shapes = ((1, 4, 7), (2, 2, 8), (2, 3, 5), (3, 0, 6), (3, 1, 7), (3, 2, 6), (2, 4, 4), (3, 4, 3),
+              (3, 2, 0), (2, 3, 1))
     for n, m, k in shapes:
         pool = atoms(n, m, ring)
         draws = {
@@ -647,14 +649,17 @@ def _agreement_tuples(rng, ring):
 
 
 def _agrees_with_zz(xs, ys):
-    """Both DPs on the residue kernel against the signed kernel over ZZ on
-    the same integer lifts, reduced mod p; returns the values' nonzero
-    count."""
-    ring = xs[0].ring
+    """Both DPs against the signed kernel over ZZ on the same integer
+    lifts, reduced mod p; returns the values' nonzero count.  At k = 0
+    only capelli_dp runs, since standard_dp refuses an empty tuple."""
+    ring = ys[0].ring
     zx, zy = [_over_zz(A) for A in xs], [_over_zz(A) for A in ys]
-    std, cap = standard_dp(xs), capelli_dp(xs, ys)
-    assert std == _mod(standard_dp(zx), ring)
+    cap = capelli_dp(xs, ys)
     assert cap == _mod(capelli_dp(zx, zy), ring)
+    if not xs:
+        return not cap.is_zero()
+    std = standard_dp(xs)
+    assert std == _mod(standard_dp(zx), ring)
     return (not std.is_zero()) + (not cap.is_zero())
 
 
