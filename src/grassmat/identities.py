@@ -35,17 +35,22 @@ For the Capelli form, whose prefixes and suffixes carry different y's,
 every layer is built, and the layer at size s premultiplies the fixed
 y_{k-s+1} into each live state before the transition.
 
-Two kernels run the DP, picked per call by _kernel, under one driver.
-standard_dp and capelli_dp hold the meet in the middle, the join order,
-the Capelli premultiply order and the refusals; _dp_transition is the
-one layer loop and _premultiply the one premultiply.  Both see a state
-only through five kernel methods: empty() is a zero state to push into;
+Two kernels run the DP, picked per call by _kernel, under one driver
+that owns every loop, sign and settle.  standard_dp and capelli_dp hold
+the meet in the middle, the Capelli premultiply order and the refusals,
+and both stop at the first empty layer, since every later one is empty
+too; _dp_transition is the one layer loop, _premultiply the one
+premultiply and _join the one join, with its shuffle sign and its
+settles.  A kernel is only a state format, seen through its methods:
+identity() and empty() are the states of the unit and of zero;
 rows(state) is the bitmask of its nonzero rows t, so a push that no
 column of x_i can reach is skipped; source(state) is what a push reads,
 built once per popped state however many x_i it is pushed by;
-push(acc, x, source, neg) adds (-1)^neg x h into acc; and clean(layer)
-settles a layer after its pushes and drops its dead states.  Each
-kernel keeps its own join and value, which really differ.
+push(acc, x, source, neg) adds (-1)^neg x h into acc; clean(layer)
+settles a layer, or the join's sum, and drops its dead states;
+pair(acc, h, h_comp, neg) adds (-1)^neg h h_comp into acc, the product
+of one live pair of the join; and value(state) is the GrMatrix of a
+settled state, zero for None.
 
 Packed states (_Packed, the signed kernel).  Over the integers and the
 rationals, and over Z/p unless the residue kernel is picked, the DP
@@ -56,19 +61,19 @@ entries is dead.  The source of a state is the state itself, and push
 come as their gmatrix._Operand, each lifted on first use and then kept
 on its matrix (gmatrix._lift), with the digit width W of the `gmatrix`
 width lemma for k alternating factors: N = k for s_k and N = 2k + 1 for
-d_k.  An operand is a table, filled lazily, from a state key
-(t << m) | sb to the signed terms its column t sends into each row r,
-[((r << m) | u, +-ca)], built with grassmann.signed_products, so the DP
-shares one sign rule with the products.  The rows an x_i or a y fills
-serve every later call on the same matrix, so the calls of a campaign
-on one atom pool tabulate each atom once; only the join's left-state
-tables are built per call: the join decodes each left state into an
-operand and pushes the right state through it.  Only the final state,
-and in the join each left state, is decoded; gmatrix._wrap_state keeps
-the final one as the lifted operand of the value it returns, lowered
-over the product of the factors' denominators only when the value's
-rows are first read, so a judge that only asks whether the value is
-zero lowers nothing.
+d_k, so a settle only drops the entries that cancel to 0.  An operand
+is a table, filled lazily, from a state key (t << m) | sb to the signed
+terms its column t sends into each row r, [((r << m) | u, +-ca)], built
+with grassmann.signed_products, so the DP shares one sign rule with the
+products.  The rows an x_i or a y fills serve every later call on the
+same matrix, so the calls of a campaign on one atom pool tabulate each
+atom once; only the join's left-state tables are built per call: a pair
+decodes its left state into an operand and pushes the right state
+through it.  Only the final state, and in the join each left state, is
+decoded; gmatrix._wrap_state keeps the final one as the lifted operand
+of the value it returns, lowered over the product of the factors'
+denominators only when the value's rows are first read, so a judge that
+only asks whether the value is zero lowers nothing.
 
 The residue kernel over Z/p (_Residues).  A state h(S) is n ints, one
 per row t; the residue of entry (t, j) at the monomial v_u is the digit
@@ -87,20 +92,20 @@ its nonzero residues c at (t, u) and get picks the E[u*n + t] they
 multiply.  That is one small-int multiply-add per term of x_i for all n
 columns at once, where the signed kernel does one per term pair.  clean
 reduces each new state digit by digit (reduce: Barrett reduction on
-every other digit at once, then one conditional subtract).  The join
-dots each row of a left state, as its full vector of n * 2^m digits,
-with the full E of its right state, and reduces every k pairs.
+every other digit at once, then one conditional subtract).  A pair
+dots each row of its left state, as its full vector of n * 2^m digits,
+with the full E of its right state.
 The width: W = bits(max(k, 1) * n * p^2) + m.  Before a reduction, a
 digit of a pushed state is a sum over at most k pushes (one per i in
 S), n rows t and at most 2^m splits u of its mask, of c * e with
 c <= p - 1 and e <= p, so it is at most k * n * 2^m * (p - 1) * p; a
 premultiplied state takes one push, which is why k counts as at least
 1 (capelli_dp at k = 0 premultiplies y_0 and nothing else).  The join
-adds C(k, floor(k/2)) pair products, each of the same form with
-n * 2^m terms, so it reduces its accumulator after every k pairs: a
-digit there is at most (p - 1) + k * n * 2^m * (p - 1) * p.  Both are
-below max(k, 1) * n * 2^m * p^2 < 2^W, so no digit carries into the
-next before it is reduced.
+adds up to C(k, floor(k/2)) pair products, each of the same form with
+n * 2^m terms, so the driver's _join settles its sum through clean
+after every k pairs: a digit there is at most (p - 1) + k * n * 2^m *
+(p - 1) * p.  Both are below max(k, 1) * n * 2^m * p^2 < 2^W, so
+no digit carries into the next before it is reduced.
 
 The kernel is picked by the operands: _Residues over Z/p when every
 factor has more than (n + 1) * 2^(m-1) terms, else _Packed.  The
@@ -270,6 +275,30 @@ def _premultiply(kernel, y, layer: dict) -> dict:
     return kernel.clean(layer)
 
 
+def _join(kernel, left: dict, right: dict, k: int):
+    """s_k = sum over S in left of (-1)^shuffle(S) h(S) h(S^c), S^c in
+    right, as a settled state, or None when it is zero.
+
+    shuffle(S) counts the pairs a in S, b outside S with a > b: the
+    inversions of the word that lists S, then S^c, each increasing.
+    That is the sign of v_S v_{S^c}, (-1)^popcount(S^c & G(S)) with G
+    the sign mask of the grassmann docstring.  The sum is settled by
+    kernel.clean after every k live pairs, which the residue width
+    allows for, and once at the end.
+    """
+    full, pair, clean = (1 << k) - 1, kernel.pair, kernel.clean
+    acc, pairs = kernel.empty(), 0
+    for mask, state in left.items():
+        comp = right.get(full ^ mask)
+        if comp is None:
+            continue
+        pair(acc, state, comp, ((full ^ mask) & _sign_mask(mask)).bit_count() & 1)
+        pairs += 1
+        if pairs % k == 0:
+            acc = clean({0: acc}).get(0) or kernel.empty()
+    return clean({0: acc}).get(0)
+
+
 # ----- the signed kernel, on the packed format of gmatrix -----
 # A state is one dict over the nonzero rows of h(S): key (t << m) | mask,
 # value P = sum_c d_c << (W*c), row t's n column digits at that mask.
@@ -319,23 +348,10 @@ class _Packed:
                 out[mask] = state
         return out
 
-    def join(self, left: dict, right: dict, k: int) -> dict:
-        """s_k = sum over S in left of (-1)^shuffle(S) h(S) h(S^c), S^c in right.
-
-        shuffle(S) counts the pairs a in S, b outside S with a > b: the
-        inversions of the word that lists S, then S^c, each increasing.
-        That is the sign of v_S v_{S^c}, (-1)^popcount(S^c & G(S)) with G
-        the sign mask of the grassmann docstring.
-        """
-        n, m, width = self.n, self.m, self.width
-        full = (1 << k) - 1
-        acc: dict = {}
-        for mask, state in left.items():
-            comp = right.get(full ^ mask)
-            if comp is not None:
-                odd = ((full ^ mask) & _sign_mask(mask)).bit_count() & 1
-                _mul_state_into(acc, _Operand(_unpack(state, n, m, width), n, m), comp, odd)
-        return acc
+    def pair(self, acc: dict, h: dict, h_comp: dict, neg: int) -> None:
+        """acc += (-1)^neg * h * h_comp, through h decoded into an operand."""
+        n, m = self.n, self.m
+        _mul_state_into(acc, _Operand(_unpack(h, n, m, self.width), n, m), h_comp, neg)
 
     def value(self, state: Optional[dict]) -> GrMatrix:
         return _wrap_state(state, self.n, self.m, self.ring, self.width, self.den)
@@ -436,30 +452,16 @@ class _Residues:
         low = (1 << w) - 1
         return [H >> (w * j) & low for j in range(self.size)]
 
-    def join(self, left: dict, right: dict, k: int) -> Optional[list]:
-        """_Packed.join's sum on residue states: each row of h(S), as its
-        full digit vector, dotted with the source of h(S^c).  The
-        accumulator is reduced after every k pairs, which W allows for."""
-        full, p, reduce = (1 << k) - 1, self.p, self.reduce
-        acc = [0] * self.n
-        pairs = 0
-        for mask, state in left.items():
-            comp = right.get(full ^ mask)
-            if comp is None:
-                continue
-            odd = ((full ^ mask) & _sign_mask(mask)).bit_count() & 1
-            E = self.source(comp)
-            for r, H in enumerate(state):
-                if H:
-                    vec = self.digits(H)
-                    if odd:
-                        vec = [-c % p for c in vec]
-                    acc[r] += sum(map(mul, vec, E))
-            pairs += 1
-            if pairs % k == 0:
-                acc = [reduce(H) for H in acc]
-        acc = [reduce(H) for H in acc]
-        return acc if any(acc) else None
+    def pair(self, acc: list, h: list, h_comp: list, neg: int) -> None:
+        """acc += (-1)^neg * h * h_comp: each row of h, as its full digit
+        vector, dotted with the source of h_comp."""
+        p, E = self.p, self.source(h_comp)
+        for r, H in enumerate(h):
+            if H:
+                vec = self.digits(H)
+                if neg:
+                    vec = [-c % p for c in vec]
+                acc[r] += sum(map(mul, vec, E))
 
     def value(self, state: Optional[list]) -> GrMatrix:
         n, m, ring = self.n, self.m, self.ring
@@ -476,8 +478,7 @@ class _Residue:
 
     signed[0] holds (r, cs, get) for each nonzero row r of x: cs lists
     its nonzero residues c at (t, sa) by index sa*n + t, and get(E)
-    gives the entries E[sa*n + t] they multiply, in the same order and
-    perhaps followed by more that the dot product never reaches;
+    gives the entries E[sa*n + t] they multiply, in the same order;
     signed[1] holds the same with -c mod p."""
 
     __slots__ = ("signed", "live")
@@ -490,12 +491,8 @@ class _Residue:
                          for sa, c in terms.items() if c % p)
             if row:
                 js, cs = zip(*row)
-                if js[-1] - js[0] == len(js) - 1:  # a run of indices
-                    # map stops at the end of cs, so a run from 0 reads E
-                    # itself; a slice keeps one index from giving a scalar
-                    get = iter if js[0] == 0 else itemgetter(slice(js[0], js[-1] + 1))
-                else:
-                    get = itemgetter(*js)
+                # a slice keeps one index from giving a scalar
+                get = itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1))
                 self.signed[0].append((r, cs, get))
                 self.signed[1].append((r, [-c % p for c in cs], get))
 
@@ -518,8 +515,9 @@ def standard_dp(
 
     The suffix layers h(T) = s_|T|(x_T) are built only up to size
     ceil(k/2); when k is odd a copy of layer floor(k/2) is kept beside
-    it, so the two are live together at the peak.  The kernel's join
-    then sums h(S) h(S^c) over the live pairs with |S| = floor(k/2).
+    it, so the two are live together at the peak.  _join then sums
+    h(S) h(S^c) over the live pairs with |S| = floor(k/2).  The walk
+    stops at the first empty layer, whose join is zero.
     """
     k = len(mats)
     if k > max_k:
@@ -527,13 +525,13 @@ def standard_dp(
     _check_matrix_family(mats, "standard_dp")
     kernel = _kernel(mats, k)
     xs = kernel.xs
-    layer = {0: kernel.identity()}
+    left = {0: kernel.identity()}
     for _ in range(k // 2):
-        layer = _dp_transition(kernel, xs, layer, k)
-    left = layer
-    if k & 1:
-        layer = _dp_transition(kernel, xs, dict(left), k)
-    return kernel.value(kernel.join(left, layer, k))
+        if not left:
+            break  # every later layer is empty too
+        left = _dp_transition(kernel, xs, left, k)
+    right = _dp_transition(kernel, xs, dict(left), k) if k & 1 and left else left
+    return kernel.value(_join(kernel, left, right, k))
 
 
 def capelli_dp(

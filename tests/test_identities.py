@@ -366,6 +366,35 @@ def test_standard_dp_join_matches_full_layers():
     assert nonzero == set(range(1, 12))
 
 
+def test_dp_walks_stop_at_the_first_empty_layer(monkeypatch):
+    # Both DPs stop their layer walk at the first empty layer, since every
+    # later one is empty too: no _dp_transition call receives an empty
+    # layer, and on random atom tuples, where many walks empty out early,
+    # each value still equals the full-layer oracle (with y_i = I for the
+    # Capelli form) and, at k <= 8, the naive one.
+    z7 = PrimeField(7)
+    transition = identities._dp_transition
+    calls = []
+
+    def spy_transition(kernel, xs, layer, k):
+        calls.append(len(layer))
+        return transition(kernel, xs, layer, k)
+
+    monkeypatch.setattr(identities, "_dp_transition", spy_transition)
+    rng = random.Random(28)
+    for n, m, k in ((2, 4, 10), (6, 2, 8), (3, 2, 12)):
+        pool = atoms(n, m, z7)
+        ones = [GrMatrix.identity(n, m, z7)] * (k + 1)
+        for _ in range(200):
+            xs = [rng.choice(pool) for _ in range(k)]
+            want = full_layer_standard_dp(xs)
+            if k <= 8:
+                assert want == standard_naive(xs)
+            assert standard_dp(xs) == want
+            assert capelli_dp(xs, ones) == want
+    assert len(calls) > 1000 and min(calls) > 0
+
+
 # ------------------------------------------------------------ packed integer DP
 
 WIDE_RINGS = (ZZ, QQ, PrimeField(2), PrimeField(7), PrimeField(1000003))
@@ -723,43 +752,49 @@ def _aligned_residues(rng, n, m, ring, k):
 
 def test_residue_digits_stay_below_the_width(monkeypatch):
     # Every int the residue kernel reduces, pushes, premultiplied states
-    # and the join's accumulator, fits its n*2^m digits of W bits, and the
-    # values match the integer kernel.  On these aligned inputs the
-    # largest digit comes within a factor 16 of 2^W, and on most of them
-    # the join's whole sum of C(k, k/2) pair products passes 2^W in some
-    # digit, so the join must reduce its accumulator as it goes, as it
-    # does every k pairs.
+    # and the join's sum at each of its settles, fits its n*2^m digits of
+    # W bits, and the values match the integer kernel.  On these aligned
+    # inputs the largest digit comes within a factor 16 of 2^W, and on
+    # most of them the join's whole sum of C(k, k/2) pair products passes
+    # 2^W in some digit, so the driver's join must settle its sum as it
+    # goes, as it does every k pairs.
     rng = random.Random(43)
-    reduce, join = identities._Residues.reduce, identities._Residues.join
+    reduce, clean, join = identities._Residues.reduce, identities._Residues.clean, identities._join
     seen = {}
 
     def spy_reduce(self, H):
         assert 0 <= H < 1 << (self.width * self.size)
         seen["top"] = max([seen.get("top", 0)] + self.digits(H))
-        out = reduce(self, H)
-        if "join" in seen:
-            seen["join"].append((H, out))
+        return reduce(self, H)
+
+    def spy_clean(self, layer):
+        out = clean(self, layer)
+        if "settles" in seen:
+            seen["settles"].append((list(layer[0]), list(out.get(0, [0] * self.n))))
         return out
 
-    def spy_join(self, left, right, k):
-        seen["join"] = []
-        out = join(self, left, right, k)
-        n, calls = self.n, seen.pop("join")
-        # undo the reductions: the raw sum of every pair product, per digit
-        total = [[0] * self.size for _ in range(n)]
-        before = [0] * n
-        for c, (H, out_c) in enumerate(calls):
-            r = c % n
-            for j, (d, e) in enumerate(zip(self.digits(H), self.digits(before[r]))):
-                total[r][j] += d - e
-            before[r] = out_c
+    def spy_join(kernel, left, right, k):
+        if not isinstance(kernel, identities._Residues):  # the reference over ZZ
+            return join(kernel, left, right, k)
+        seen["settles"] = []
+        out = join(kernel, left, right, k)
+        settles = seen.pop("settles")
+        # undo the settles: the raw sum of every pair product, per digit
+        total = [[0] * kernel.size for _ in range(kernel.n)]
+        before = [0] * kernel.n
+        for raw, settled in settles:
+            for r, row in enumerate(total):
+                for j, (d, e) in enumerate(zip(kernel.digits(raw[r]), kernel.digits(before[r]))):
+                    row[j] += d - e
+            before = settled
         seen["join_top"] = max(max(row) for row in total)
-        seen["width"] = self.width
+        seen["width"] = kernel.width
         return out
 
     _force_kernel(monkeypatch, identities._Residues)
     monkeypatch.setattr(identities._Residues, "reduce", spy_reduce)
-    monkeypatch.setattr(identities._Residues, "join", spy_join)
+    monkeypatch.setattr(identities._Residues, "clean", spy_clean)
+    monkeypatch.setattr(identities, "_join", spy_join)
     passed = 0
     for p in RESIDUE_PRIMES:
         ring = PrimeField(p)
