@@ -426,13 +426,16 @@ class _Operand(dict):
     sends into every row r, [((r << m) | u, ±ca)] over the terms of
     column t, from grassmann.signed_products; each row is filled on
     first lookup and kept as long as the operand, so an operand is
-    falsy until its first lookup: test it against None.
+    falsy until its first lookup: test it against None.  unit is the
+    record identities._unit builds for the DPs' unit kernel, kept here
+    for the same reason: None until it is first asked for.
     """
 
-    __slots__ = ("flat", "n", "m", "live", "den", "bits")
+    __slots__ = ("flat", "n", "m", "live", "den", "bits", "unit")
 
     def __init__(self, flat: list, n: int, m: int, den: int = 1, bits: int = 0):
         self.flat, self.n, self.m, self.den, self.bits = flat, n, m, den, bits
+        self.unit = None
         live = 0
         for j, terms in enumerate(flat):
             if terms:

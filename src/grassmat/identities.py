@@ -21,9 +21,11 @@ in the last |S| slots, built from h(S minus {i}) by placing x_i first
 among them, which costs sign (-1)^|{j in S : j < i}|.  A layer keeps
 only its live (nonzero) states.  Each layer is built by pushing every
 live state of the previous one into its supersets, consuming the
-previous layer as it goes, and skipping a push when no column of x_i
-meets a row of the state; it is cleaned once at its end.  So the work
-scales with the live states, few on sparse inputs such as atom tuples.
+previous layer as it goes, through only the x_i some column of which
+meets a row of the state (one list of them per rows bitmask, built on
+first need within the layer); it is cleaned once at its end.  So the
+work scales with the live states, few on sparse inputs such as atom
+tuples.
 
 h(S) is s_|S| on the x's of S in increasing order, so prefixes and
 suffixes are the same family and s_k meets in the middle: the standard
@@ -35,28 +37,31 @@ For the Capelli form, whose prefixes and suffixes carry different y's,
 every layer is built, and the layer at size s premultiplies the fixed
 y_{k-s+1} into each live state before the transition.
 
-Two kernels run the DP, picked per call by _kernel, under one driver
+Three kernels run the DP, picked per call by _kernel, under one driver
 that owns every loop, sign and settle.  standard_dp and capelli_dp hold
 the meet in the middle, the Capelli premultiply order and the refusals,
 and both stop at the first empty layer, since every later one is empty
 too; _dp_transition is the one layer loop, _premultiply the one
 premultiply and _join the one join, with its shuffle sign and its
 settles.  A kernel is only a state format, seen through its methods:
-identity() and empty() are the states of the unit and of zero;
-rows(state) is the bitmask of its nonzero rows t, so a push that no
-column of x_i can reach is skipped; source(state) is what a push reads,
+identity() and empty() are the states of the unit and of zero, and
+the walks start from identity() cleaned, so a kernel whose identity()
+is zero stops them before their first layer; rows(state) is the
+bitmask of its nonzero rows t, so a push that no column of x_i can
+reach is skipped; source(state) is what a push reads,
 built once per popped state however many x_i it is pushed by;
 push(acc, x, source, neg) adds (-1)^neg x h into acc; clean(layer)
 settles a layer, or the join's sum, and drops its dead states;
 pair(acc, h, h_comp, neg) adds (-1)^neg h h_comp into acc, the product
-of one live pair of the join; and value(state) is the GrMatrix of a
-settled state, zero for None.
+of one live pair of the join; settles says whether the join must
+settle its sum every k pairs (only the residue width needs it; the
+others settle once, at the end); and value(state) is the GrMatrix of
+a settled state, zero for None.
 
-Packed states (_Packed, the signed kernel).  Over the integers and the
-rationals, and over Z/p unless the residue kernel is picked, the DP
-runs on the packed format of `gmatrix`: a state is one packed matrix,
-and an entry whose int is 0 is dropped by clean, so a state with no
-entries is dead.  The source of a state is the state itself, and push
+Packed states (_Packed, the signed kernel).  Over every ring, unless
+the unit or the residue kernel is picked, the DP runs on the packed
+format of `gmatrix`: a state is one packed matrix, and an entry whose
+int is 0 is dropped by clean, so a state with no entries is dead.  The source of a state is the state itself, and push
 (_mul_state_into) does one multiply-add per term pair.  The factors
 come as their gmatrix._Operand, each lifted on first use and then kept
 on its matrix (gmatrix._lift), with the digit width W of the `gmatrix`
@@ -107,8 +112,44 @@ after every k pairs: a digit there is at most (p - 1) + k * n * 2^m *
 (p - 1) * p.  Both are below max(k, 1) * n * 2^m * p^2 < 2^W, so
 no digit carries into the next before it is reduced.
 
-The kernel is picked by the operands: _Residues over Z/p when every
-factor has more than (n + 1) * 2^(m-1) terms, else _Packed.  The
+The unit kernel (_Units), when every factor is one term c e_rs v_u:
+the x's of standard_dp, the x's and y's of capelli_dp.  A product of
+such factors is (prod c) (the product of their units) (the product of
+their monomials in the same order), so h(S) = M(S) v_U with M(S) an
+integer n x n matrix and U the union of the masks of S, one mask for
+all the words of h(S).  A state is n + 1 ints: the rows of M(S) as the
+signed digits of `gmatrix`, row t's column j at bit W*j, then U.  The
+width is the one _lift gives for the signed kernel: a unit tuple is a
+case of the `gmatrix` width lemma, and M(S) holds exactly the digits
+of h(S) at v_U.  The source of a state is the state itself.  A push is
+one multiply-add, acc[r] +-= c H_s: x h = c e_rs v_u M v_U has row r
+equal to c times row s of M, at v_u v_U = (-1)^popcount(U & G(u))
+v_(u+U) by the mask/shift lemma above, so the sign is neg ^
+popcount(U & G(u)).  A pair is an n x n integer product, row r of M
+decoded into its digits d_t and acc[r] += sum of d_t H'_t, signed by
+v_U v_U' = (-1)^popcount(U' & G(U)).  clean drops the states whose rows
+are all 0, and value hands {(t << m) | U: H_t} to gmatrix._wrap_state,
+so over the rationals and Z/p the value comes out as on the signed
+kernel.  Each factor's record (r, s, u, c, G(u)) is built once, by
+_unit, and kept on its operand, so a pool atom pays for it once.
+The zero test: the unit kernel's identity() is zero, and both walks
+stop before their first layer, when two factors' masks meet or when
+the edges r -> s of all the factors (the 2k + 1 x's and y's of d_k)
+admit no trail that uses each edge once.  Proof: every word of s_k and
+of d_k is a product of all the factors, in some order.  Its monomial
+part is a product of all their masks, zero when two masks share a
+generator (v_g v_g = 0).  Its unit part e_r1s1 ... e_rNsN is nonzero
+only when s_j = r_(j+1) for every j, that is when the word lists the
+edges along a trail that uses each once; so with no such trail every
+word is zero.  Such a trail exists exactly when the edges are weakly
+connected and out-degree minus in-degree is +-1 at two vertices or at
+none and 0 everywhere else (Euler), which _has_trail checks.
+
+The kernel is picked by the operands: _Units when every factor has one
+term, else _Residues over Z/p when every factor has more than
+(n + 1) * 2^(m-1) terms, else _Packed.  A one-term factor never passes
+the residue threshold, so the unit kernel takes no call from the
+residue kernel.  The
 residue kernel's cost does not shrink with the states' terms: each
 popped state builds n * 2^m products and each push spends a
 multiply-add per term of x_i, while the signed kernel's cost follows
@@ -142,7 +183,7 @@ from .errors import (
     GroupTooLargeError,
     LengthMismatchError,
 )
-from .gmatrix import GrMatrix, _bits, _lift, _Operand, _unpack, _wrap_state
+from .gmatrix import GrMatrix, _bits, _digits, _lift, _Operand, _unpack, _wrap_state
 from .grassmann import GrassmannElem, _sign_mask
 from .ring import ZMOD
 
@@ -244,19 +285,25 @@ def _dp_transition(kernel, xs: list, layer: dict, k: int) -> dict:
     Consumes layer: each live h(T) is popped and pushed into every
     superset S = T + {i}, adding (-1)^|{j in T : j < i}| x_i h(T) to
     h(S) from the kernel's source of h(T), built once per popped state.
-    A push is skipped when no column of x_i meets a row of h(T).
+    A state is pushed only through the x_i some column of which meets a
+    row of h(T): one list of them per rows bitmask, built on first need.
     """
     n = kernel.n
     spread = ((1 << (n * n)) - 1) // ((1 << n) - 1)  # bit t -> bits r*n + t
     empty, rows_of, source, push = kernel.empty, kernel.rows, kernel.source, kernel.push
     factors = [(1 << i, xs[i].live, xs[i]) for i in range(k)]
+    reach: dict = {}  # rows bitmask -> the (bit, x_i) that meet those rows
     nxt: dict = {}
     while layer:
         mask, prev = layer.popitem()
-        rows = rows_of(prev) * spread  # the entries (r, t) that meet a row t of prev
+        rows = rows_of(prev)
+        meet = reach.get(rows)
+        if meet is None:
+            spread_rows = rows * spread  # the entries (r, t) that meet a row t of prev
+            meet = reach[rows] = [(bit, x) for bit, live, x in factors if live & spread_rows]
         src = None
-        for bit, live, x in factors:
-            if mask & bit or not live & rows:
+        for bit, x in meet:
+            if mask & bit:
                 continue
             if src is None:
                 src = source(prev)
@@ -283,10 +330,12 @@ def _join(kernel, left: dict, right: dict, k: int):
     inversions of the word that lists S, then S^c, each increasing.
     That is the sign of v_S v_{S^c}, (-1)^popcount(S^c & G(S)) with G
     the sign mask of the grassmann docstring.  The sum is settled by
-    kernel.clean after every k live pairs, which the residue width
-    allows for, and once at the end.
+    kernel.clean once at the end and, on a kernel whose width only
+    allows for k pair products (kernel.settles, the residue kernel),
+    after every k live pairs as well.
     """
     full, pair, clean = (1 << k) - 1, kernel.pair, kernel.clean
+    every = k if kernel.settles else 0
     acc, pairs = kernel.empty(), 0
     for mask, state in left.items():
         comp = right.get(full ^ mask)
@@ -294,8 +343,8 @@ def _join(kernel, left: dict, right: dict, k: int):
             continue
         pair(acc, state, comp, ((full ^ mask) & _sign_mask(mask)).bit_count() & 1)
         pairs += 1
-        if pairs % k == 0:
-            acc = clean({0: acc}).get(0) or kernel.empty()
+        if pairs == every:
+            acc, pairs = clean({0: acc}).get(0) or kernel.empty(), 0
     return clean({0: acc}).get(0)
 
 
@@ -320,7 +369,7 @@ class _Packed:
     width W of the gmatrix width lemma and the product of the factors'
     denominators.  A push reads the popped state itself."""
 
-    empty, push = dict, staticmethod(_mul_state_into)
+    empty, push, settles = dict, staticmethod(_mul_state_into), False
 
     def __init__(self, mats: Sequence[GrMatrix], k: int):
         first = mats[0]
@@ -368,6 +417,8 @@ class _Residues:
     that turn a row of a state into its product by v_sa (source): pos and
     neg select the digits it keeps and negates, pad puts p on each digit
     of neg, shift moves the row up to its masks and both is pos | neg."""
+
+    settles = True  # the join's sum must be reduced every k pairs
 
     def __init__(self, packed: _Packed, k: int):
         n, m, ring = self.n, self.m, self.ring = packed.n, packed.m, packed.ring
@@ -497,11 +548,128 @@ class _Residue:
                 self.signed[1].append((r, [-c % p for c in cs], get))
 
 
+# ----- the unit kernel, for factors of one term each (see the module docstring) -----
+# A state is a list of n + 1 ints: row t of the integer matrix M(S) with
+# h(S) = M(S) v_U, as the signed digits of gmatrix at width W, then U.
+
+
+def _unit(op: _Operand) -> tuple:
+    """op's unit record (r, s, u, c, G(u)) when its one term is c e_rs v_u
+    (c an integer numerator), else (); built once and kept on op."""
+    record = op.unit
+    if record is None:
+        record, live = (), op.live
+        if live and not live & (live - 1):
+            j = live.bit_length() - 1
+            terms = op.flat[j]
+            if len(terms) == 1:
+                ((u, c),) = terms.items()
+                record = (*divmod(j, op.n), u, c, _sign_mask(u))
+        op.unit = record
+    return record
+
+
+def _has_trail(edges: Sequence[Tuple[int, int]], n: int) -> bool:
+    """Whether the directed edges r -> s admit a trail that uses each of
+    them once: they are weakly connected, and out-degree minus in-degree
+    is +-1 at exactly two vertices or at none, and 0 elsewhere."""
+    balance, adjacent, touched = [0] * n, [0] * n, 0
+    for r, s in edges:
+        balance[r] += 1
+        balance[s] -= 1
+        adjacent[r] |= 1 << s
+        adjacent[s] |= 1 << r
+        touched |= 1 << r | 1 << s
+    odd = [b for b in balance if b]
+    if len(odd) not in (0, 2) or any(b * b != 1 for b in odd):
+        return False
+    reached, frontier = 0, touched & -touched
+    while frontier:
+        reached |= frontier
+        step = 0
+        for v in range(n):
+            if frontier >> v & 1:
+                step |= adjacent[v]
+        frontier = step & ~reached
+    return reached == touched
+
+
+class _Units:
+    """The unit kernel of one DP call: every factor is one term c e_rs v_u
+    (its _unit record on xs, the factors' operands), with the signed
+    kernel's width W and denominator.  zero is set when the zero test
+    finds every word of the polynomial zero; identity() is then zero."""
+
+    settles = False
+
+    def __init__(self, packed: _Packed):
+        self.n, self.m, self.ring = packed.n, packed.m, packed.ring
+        self.xs, self.width, self.den = packed.xs, packed.width, packed.den
+        union = meet = 0
+        for op in self.xs:
+            u = op.unit[2]
+            meet |= union & u
+            union |= u
+        self.zero = bool(meet) or not _has_trail([op.unit[:2] for op in self.xs], self.n)
+
+    def identity(self) -> list:
+        if self.zero:
+            return self.empty()
+        return [1 << (self.width * t) for t in range(self.n)] + [0]
+
+    def empty(self) -> list:
+        return [0] * (self.n + 1)
+
+    def rows(self, state: list) -> int:
+        rows = 0
+        for t in range(self.n):
+            if state[t]:
+                rows |= 1 << t
+        return rows
+
+    def source(self, state: list) -> list:
+        return state
+
+    @staticmethod
+    def push(acc: list, x: _Operand, h: list, neg: int) -> None:
+        """acc += (-1)^neg * x * h: row r gains +-c times row s of h, and
+        v_u v_U = (-1)^popcount(U & G(u)) v_(u+U) signs it."""
+        r, s, u, c, g = x.unit
+        U = h[-1]
+        if neg ^ (U & g).bit_count() & 1:
+            c = -c
+        acc[r] += c * h[s]
+        acc[-1] = U | u
+
+    def clean(self, layer: dict) -> dict:
+        """The states with a nonzero row."""
+        return {mask: state for mask, state in layer.items() if any(state[:-1])}
+
+    def pair(self, acc: list, h: list, h_comp: list, neg: int) -> None:
+        """acc += (-1)^neg * h * h_comp: M M' at v_U v_U', each row of M
+        decoded into its digits and dotted with the rows of M'."""
+        U, V, width = h[-1], h_comp[-1], self.width
+        neg ^= (V & _sign_mask(U)).bit_count() & 1
+        for r in range(self.n):
+            if h[r]:
+                P = sum(d * H for d, H in zip(_digits(h[r], width), h_comp) if d)
+                acc[r] += -P if neg else P
+        acc[-1] = U | V
+
+    def value(self, state: Optional[list]) -> GrMatrix:
+        n, m = self.n, self.m
+        packed = state and {(t << m) | state[-1]: H for t, H in enumerate(state[:-1]) if H}
+        return _wrap_state(packed, n, m, self.ring, self.width, self.den)
+
+
 def _kernel(mats: Sequence[GrMatrix], k: int):
-    """The kernel for a DP on mats with k alternating factors: _Residues
-    over Z/p when every factor has more than (n + 1) * 2^(m-1) terms,
-    else _Packed (see the module docstring)."""
+    """The kernel for a DP on mats with k alternating factors: _Units when
+    every factor has one term, _Residues over Z/p when every factor has
+    more than (n + 1) * 2^(m-1) terms, else _Packed (see the module
+    docstring)."""
     packed = _Packed(mats, k)
+    if all(map(_unit, packed.xs)):
+        return _Units(packed)
     least = (packed.n + 1) << packed.m  # twice (n + 1) * 2^(m-1)
     if packed.ring.kind == ZMOD and all(2 * sum(map(len, op.flat)) > least for op in packed.xs):
         return _Residues(packed, k)
@@ -525,7 +693,7 @@ def standard_dp(
     _check_matrix_family(mats, "standard_dp")
     kernel = _kernel(mats, k)
     xs = kernel.xs
-    left = {0: kernel.identity()}
+    left = kernel.clean({0: kernel.identity()})
     for _ in range(k // 2):
         if not left:
             break  # every later layer is empty too
@@ -557,7 +725,7 @@ def capelli_dp(
     _check_matrix_family(mats, "capelli_dp")
     kernel = _kernel(mats, k)
     xops, yops = kernel.xs[:k], kernel.xs[k:]
-    layer = {0: kernel.identity()}
+    layer = kernel.clean({0: kernel.identity()})
     for s in range(1, k + 1):
         if not layer:
             break  # every later layer is empty too

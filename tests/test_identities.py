@@ -5,7 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -807,6 +807,184 @@ def test_residue_digits_stay_below_the_width(monkeypatch):
             assert seen["top"] << 4 >= 1 << width
             passed += seen["join_top"] >= 1 << width
     assert passed >= 6
+
+
+def test_join_settles_once_on_the_signed_and_unit_kernels(monkeypatch):
+    # Only the residue width needs the join's sum settled every k pairs;
+    # the signed and unit kernels settle it once, at the end.
+    rng = random.Random(44)
+    settles = []
+    join = identities._join
+
+    def spy_join(kernel, left, right, k):
+        clean = kernel.clean
+
+        def spy_clean(layer):
+            settles.append(type(kernel))
+            return clean(layer)
+
+        kernel.clean = spy_clean
+        return join(kernel, left, right, k)
+
+    monkeypatch.setattr(identities, "_join", spy_join)
+    dense = [_random_matrix(rng, 2, 2, ZZ) for _ in range(10)]
+    standard_dp(dense)
+    standard_dp(_w_family(3, 2, ZZ))
+    assert settles == [identities._Packed, identities._Units]
+
+
+# ------------------------------------------------------------ unit kernel
+
+
+def _w_family(n, m, ring):
+    """W(n, m), D then U: D has every unit of rows 1 and 2 and e_r1, e_r2
+    for r >= 3 except e_n2; U has 2w - 1 copies of e11 and one e_n2, the
+    i-th times v_i, w = m // 2."""
+    w = m // 2
+    units = [(r, s) for r in (1, 2) for s in range(1, n + 1)]
+    units += [(r, s) for r in range(3, n + 1) for s in (1, 2) if (r, s) != (n, 2)]
+    gens = [0] * len(units) + list(range(1, 2 * w + 1))
+    units += [(1, 1)] * (2 * w - 1) + [(n, 2)]
+    return [_atom(n, m, ring, r, s, g) for (r, s), g in zip(units, gens)]
+
+
+def _unit_tuple(rng, n, m, ring, k, meet):
+    """k one-term factors c e_rs v_u: distinct masks unless meet, edges
+    that admit a trail on every other draw, coefficients of any sign."""
+    edges, r = [], rng.randrange(n)
+    for _ in range(k):
+        s = rng.randrange(n)
+        edges.append((r, s))
+        r = s if rng.random() < 0.5 else rng.randrange(n)
+    rng.shuffle(edges)
+    masks = [rng.randrange(1 << m) for _ in range(k)] if meet else []
+    if not meet:
+        free = list(range(m))
+        rng.shuffle(free)
+        for _ in range(k):
+            take = [free.pop() for _ in range(rng.randint(0, min(2, len(free)))) if rng.random() < 0.4]
+            masks.append(sum(1 << g for g in take))
+    mats = []
+    for (r, s), u in zip(edges, masks):
+        c = Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3))) if ring == QQ \
+            else ring.coerce(rng.choice((1, -1, 2, -3, 5, 2**40 + 1)))
+        if not c:
+            c = ring.one
+        e = GrassmannElem.basis(u, m, ring).scale(c)
+        mats.append(GrMatrix.unit(n, m, ring, r + 1, s + 1).scale(e))
+    return mats
+
+
+UNIT_RINGS = (ZZ, QQ, PrimeField(7), PrimeField(3))
+
+
+def test_unit_kernel_agrees_with_the_signed_kernel_and_naive(monkeypatch):
+    # Random unit tuples at n <= 3, m <= 4, k <= 8 run on _Units and on
+    # _Packed forced; both DPs agree with each other and with the naive
+    # k! sums, with meeting masks, trail-free edge sets and n = 1 among
+    # them, and d_0 on one unit.  At n = 1 every word of distinct masks
+    # survives, so there k stops at 6, where the naive sums stay cheap.
+    rng = random.Random(29)
+    picked = set()
+    kernel_of = identities._kernel
+
+    def spy_kernel(mats, k):
+        kernel = kernel_of(mats, k)
+        picked.add(type(kernel))
+        return kernel
+
+    counts = {"nonzero": 0, "zeroed": 0, "meet": 0, "no trail": 0}
+    for j in range(600):
+        ring = UNIT_RINGS[j % len(UNIT_RINGS)]
+        n, m = 1 + j % 3, rng.randint(0, 4)
+        k = rng.randint(1, 6 if n == 1 else 8)
+        xs = _unit_tuple(rng, n, m, ring, k, meet=j % 4 == 0)
+        ys = _unit_tuple(rng, n, m, ring, k + 1, meet=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_kernel", spy_kernel)
+            picked.clear()
+            std, cap = standard_dp(xs), capelli_dp(xs, ys)
+            assert picked == {identities._Units}
+        units = identities._kernel(xs, k)
+        counts["zeroed"] += units.zero
+        counts["meet"] += j % 4 == 0 and units.zero
+        counts["no trail"] += not identities._has_trail([op.unit[:2] for op in units.xs], n)
+        with monkeypatch.context() as patch:
+            _force_kernel(patch, identities._Packed)
+            assert std == standard_dp(xs)
+            assert cap == capelli_dp(xs, ys)
+        if units.zero:
+            assert std.is_zero()
+        assert std == standard_naive(xs)
+        assert cap == capelli_naive(xs, ys)
+        _assert_canonical(std, n, m, ring)
+        _assert_canonical(cap, n, m, ring)
+        counts["nonzero"] += (not std.is_zero()) + (not cap.is_zero())
+    for ring in UNIT_RINGS:
+        y = _unit_tuple(rng, 2, 2, ring, 1, meet=False)
+        assert capelli_dp([], y) == capelli_naive([], y) == y[0]
+    assert counts["nonzero"] > 150 and counts["zeroed"] > 150
+    assert counts["meet"] > 80 and counts["no trail"] > 80
+
+
+def test_unit_kernel_is_picked_exactly_when_every_factor_has_one_term():
+    z7 = PrimeField(7)
+    pick = lambda mats: type(identities._kernel(mats, len(mats)))
+    for ring in (ZZ, QQ, z7):
+        pool = atoms(2, 2, ring)
+        assert pick(pool[:5]) is identities._Units
+        two = pool[0] + pool[5]  # two terms in two entries
+        both = pool[0] + pool[1]  # two terms in one entry
+        for other in (two, both, GrMatrix.zero(2, 2, ring), GrMatrix.identity(2, 2, ring)):
+            assert pick(pool[:3] + [other]) is identities._Packed
+    # n = 1: the identity is one term, and so is every atom
+    assert pick([GrMatrix.identity(1, 2, z7)] * 2 + atoms(1, 2, z7)) is identities._Units
+    # the capelli_dp factors are x's and y's alike
+    assert pick(atoms(2, 1, ZZ)[:3] + [GrMatrix.identity(2, 1, ZZ)]) is identities._Packed
+
+
+def test_unit_zero_test_is_sound_on_every_small_atom_tuple():
+    # Every k-subset of atoms(2, 2) with k <= 4: the zero test never
+    # zeroes a tuple whose value is nonzero, and the value is the naive one.
+    pool = atoms(2, 2, ZZ)
+    tuples = zeroed = nonzero = 0
+    for k in range(1, 5):
+        for xs in combinations(pool, k):
+            xs = list(xs)
+            value = standard_naive(xs)
+            assert standard_dp(xs) == value
+            if identities._kernel(xs, k).zero:
+                zeroed += 1
+                assert value.is_zero()
+            nonzero += not value.is_zero()
+            tuples += 1
+    assert tuples == 2516
+    assert zeroed > 2000 and nonzero > 150
+
+
+def test_trail_test_matches_brute_force():
+    # _has_trail against a search over every order of the edges, on every
+    # multiset of at most 4 edges on 3 vertices, disconnected ones included
+    edges = [(r, s) for r in range(3) for s in range(3)]
+    found = 0
+    for k in range(1, 5):
+        for chosen in combinations_with_replacement(edges, k):
+            want = any(all(a[1] == b[0] for a, b in zip(order, order[1:])) for order in permutations(chosen))
+            assert identities._has_trail(chosen, 3) == want, chosen
+            found += want
+    assert found > 100
+    assert not identities._has_trail([(0, 0), (1, 1)], 2)
+
+
+def test_w_family_at_3_2_gives_the_closed_form():
+    # W(3, 2) in D-then-U order: s_9 = diag(16, 4, 4) v1 v2, on every ring
+    for ring in (ZZ, QQ, PrimeField(7)):
+        xs = _w_family(3, 2, ring)
+        assert len(xs) == 9
+        assert type(identities._kernel(xs, 9)) is identities._Units
+        v12 = GrassmannElem.basis(3, 2, ring)
+        want = GrMatrix.diag([v12.scale(ring.coerce(c)) for c in (16, 4, 4)])
+        assert standard_dp(xs) == want
 
 
 # ------------------------------------------------------------ per-matrix operands
