@@ -20,8 +20,9 @@ entries' term dicts), and keeps the result, an _Operand, on the
 matrix (a product or a sum is born with its operand; see below).  The operand
 belongs to the matrix and lives as long as it does, so a matrix that
 is a factor of many products or DP calls (an atom of a campaign's
-pool, the A of a Horner chain) is lifted and scanned once, and the
-product tables the DPs fill on it serve every later call.  A packed
+pool, the A of a Horner chain) is lifted and scanned once; what a DP
+kernel builds from it for one call, such as a product table, stays
+with that call in `identities`.  A packed
 matrix is one dict: its value P = sum over j of d_j << (W*j) under the
 key (i << m) | u holds coefficients of the Grassmann monomial u as
 signed digits, |d_j| < 2^(W-1), digit j for entry i*n + j in row-major
@@ -128,7 +129,7 @@ from math import factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ContextMismatchError, IndexOutOfRangeError, MixedRingsError
-from .grassmann import GrassmannElem, _check_rank, mul_into, signed_products
+from .grassmann import GrassmannElem, _check_rank, mul_into
 from .ring import RAT, ZMOD, Ring, parse_ring
 
 
@@ -412,23 +413,19 @@ class GrMatrix:
 # ----- packed matrices (see the module docstring) -----
 
 
-class _Operand(dict):
-    """A lifted factor: an x_i or a y of the DPs, a factor of a product,
-    or a left state of the standard DP's join; also the value of a
-    product, a sum, a scaled matrix or a DP until its rows are read.
+class _Operand:
+    """A lifted matrix: a factor of a product or an x_i or a y of the
+    DPs, and the value of a product, a sum, a scaled matrix or a DP
+    until its rows are read.
 
     flat is its row-major list of n*n term dicts with integer
     coefficients ({} for a zero entry), den the denominator it was
     lifted over and bits the bit count of its largest |coefficient|
     (the c_i of the width lemma; after a sum, a bound on it),
-    and bit r*n + t of live is set when entry (r, t) is nonzero.  As a
-    dict it maps a state key (t << m) | sb to what that state entry
-    sends into every row r, [((r << m) | u, ±ca)] over the terms of
-    column t, from grassmann.signed_products; each row is filled on
-    first lookup and kept as long as the operand, so an operand is
-    falsy until its first lookup: test it against None.  unit is the
-    record identities._unit builds for the DPs' unit kernel, kept here
-    for the same reason: None until it is first asked for.
+    and bit r*n + t of live is set when entry (r, t) is nonzero.  unit
+    is the record identities._unit builds for the DPs' unit kernel, None
+    until it is first asked for and then kept as long as the operand, so
+    a matrix that is a factor of many DP calls builds it once.
     """
 
     __slots__ = ("flat", "n", "m", "live", "den", "bits", "unit")
@@ -442,18 +439,6 @@ class _Operand(dict):
                 live |= 1 << j
         self.live = live
 
-    def __missing__(self, key: int) -> list:
-        m = self.m
-        sb = key & ((1 << m) - 1)
-        row = []
-        for r, terms in enumerate(self.flat[key >> m :: self.n]):
-            if terms:
-                rm = r << m
-                for u, ca in signed_products(terms, sb):
-                    row.append((rm | u, ca))
-        self[key] = row
-        return row
-
 
 def _operand(A: GrMatrix) -> _Operand:
     """A's operand: on first call, A lifted by Ring.lift_terms into a new
@@ -461,7 +446,7 @@ def _operand(A: GrMatrix) -> _Operand:
 
     Over the integers and Z/p, flat holds A's own term dicts."""
     op = A._op
-    if op is None:  # an _Operand is a dict, falsy while its table is empty
+    if op is None:
         ring = A.ring
         flat, den = ring.lift_terms([e.terms for row in A.rows for e in row])
         op = A._op = _Operand(flat, A.n, A.m, den, _bits(flat, ring))

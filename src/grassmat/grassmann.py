@@ -19,7 +19,9 @@ inv(S, T) = sum over t in T of |{s in S : s > t}|, which is
 popcount(T & G(S)) mod 2, so v_S v_T = (-1)^popcount(T & G(S)) v_(S|T).
 G(S) is the suffix parity of S >> 1, six shift-xors for a 62-bit mask;
 one G per left mask serves every right mask: _SIGN_CACHE maps each
-left mask seen to its G.
+left mask mul_into has seen to its G, the only state this module
+keeps (the DPs of `identities` sign their own product tables with
+_sign_mask).
 
 The lookup bound.  Every mask of b that is disjoint from a left mask
 S is a submask of free = span(b) & ~S, where span(b) is the OR of b's
@@ -45,7 +47,7 @@ from .ring import Ring
 
 MAX_RANK = 62
 
-# G(sa) for each left mask sa that mul_into or signed_products has seen
+# G(sa) for each left mask sa that mul_into has seen
 _SIGN_CACHE: dict = {}
 
 
@@ -61,22 +63,6 @@ def _sign_mask(s: int) -> int:
     g ^= g >> 16
     g ^= g >> 32
     return g
-
-
-def signed_products(ta: dict, sb: int) -> list:
-    """[(sa | sb, ±ca)] over the masks sa of ta disjoint from sb.
-
-    These are the terms of a * v_sb, one coefficient short, so a kernel
-    that holds the operand a fixed can tabulate them once per mask sb.
-    """
-    out = []
-    for sa, ca in ta.items():
-        if not sa & sb:
-            g = _SIGN_CACHE.get(sa)
-            if g is None:
-                g = _SIGN_CACHE[sa] = _sign_mask(sa)
-            out.append((sa | sb, -ca if (sb & g).bit_count() & 1 else ca))
-    return out
 
 
 def mul_into(acc: dict, ta: dict, tb: dict) -> None:

@@ -61,24 +61,27 @@ a settled state, zero for None.
 Packed states (_Packed, the signed kernel).  Over every ring, unless
 the unit or the residue kernel is picked, the DP runs on the packed
 format of `gmatrix`: a state is one packed matrix, and an entry whose
-int is 0 is dropped by clean, so a state with no entries is dead.  The source of a state is the state itself, and push
-(_mul_state_into) does one multiply-add per term pair.  The factors
-come as their gmatrix._Operand, each lifted on first use and then kept
-on its matrix (gmatrix._lift), with the digit width W of the `gmatrix`
-width lemma for k alternating factors: N = k for s_k and N = 2k + 1 for
-d_k, so a settle only drops the entries that cancel to 0.  An operand
-is a table, filled lazily, from a state key (t << m) | sb to the signed
-terms its column t sends into each row r, [((r << m) | u, +-ca)], built
-with grassmann.signed_products, so the DP shares one sign rule with the
-products.  The rows an x_i or a y fills serve every later call on the
-same matrix, so the calls of a campaign on one atom pool tabulate each
-atom once; only the join's left-state tables are built per call: a pair
-decodes its left state into an operand and pushes the right state
-through it.  Only the final state, and in the join each left state, is
-decoded; gmatrix._wrap_state keeps the final one as the lifted operand
-of the value it returns, lowered over the product of the factors'
-denominators only when the value's rows are first read, so a judge that
-only asks whether the value is zero lowers nothing.
+int is 0 is dropped by clean, so a state with no entries is dead.  The
+source of a state is the state itself, and push (_mul_state_into) does
+one multiply-add per term pair.  The factors come as their
+gmatrix._Operand, each lifted on first use and then kept on its matrix
+(gmatrix._lift), with the digit width W of the `gmatrix` width lemma
+for k alternating factors: N = k for s_k and N = 2k + 1 for d_k, so a
+settle only drops the entries that cancel to 0.  Each factor's product
+table (_Table) belongs to the call: a dict, filled on first lookup,
+from a state key (t << m) | sb to the signed terms its column t sends
+into each row r, [((r << m) | u, +-ca)].  They are signed by the sign
+mask of `grassmann`, so the DP shares one sign rule with the products,
+with one G per row: v_sa v_sb = (-1)^(|sa| |sb|) v_sb v_sa by
+supercommutation, so the sign of v_sa v_sb is (-1)^(popcount(sa &
+G(sb)) + |sa| |sb|), and popcount(sa) - popcount(sa & G) =
+popcount(sa & ~G) folds the |sb| odd case into the complement of G.
+A pair of the join decodes its left state into a table and pushes the
+right state through it.  Only the final state, and in the join each left
+state, is decoded; gmatrix._wrap_state keeps the final one as the
+lifted operand of the value it returns, lowered over the product of
+the factors' denominators only when the value's rows are first read,
+so a judge that only asks whether the value is zero lowers nothing.
 
 The residue kernel over Z/p (_Residues).  A state h(S) is n ints, one
 per row t; the residue of entry (t, j) at the monomial v_u is the digit
@@ -99,7 +102,10 @@ columns at once, where the signed kernel does one per term pair.  clean
 reduces each new state digit by digit (reduce: Barrett reduction on
 every other digit at once, then one conditional subtract).  A pair
 dots each row of its left state, as its full vector of n * 2^m digits,
-with the full E of its right state.
+with the full E of its right state.  value hands the n digits of each
+row at each mask to gmatrix._wrap_state as a row of the packed format,
+as the other kernels do: a residue below p < 2^(W-1) is a valid signed
+digit.
 The width: W = bits(max(k, 1) * n * p^2) + m.  Before a reduction, a
 digit of a pushed state is a sum over at most k pushes (one per i in
 S), n rows t and at most 2^m splits u of its mask, of c * e with
@@ -145,23 +151,25 @@ word is zero.  Such a trail exists exactly when the edges are weakly
 connected and out-degree minus in-degree is +-1 at two vertices or at
 none and 0 everywhere else (Euler), which _has_trail checks.
 
-The kernel is picked by the operands: _Units when every factor has one
-term, else _Residues over Z/p when every factor has more than
-(n + 1) * 2^(m-1) terms, else _Packed.  A one-term factor never passes
-the residue threshold, so the unit kernel takes no call from the
-residue kernel.  The
-residue kernel's cost does not shrink with the states' terms: each
-popped state builds n * 2^m products and each push spends a
-multiply-add per term of x_i, while the signed kernel's cost follows
-the term pairs.  On random tuples over Z/7 (2-vCPU VM, Python 3.11.7)
-the residue kernel is 2-6x faster on dense factors (about even at
-n = 2, m = 2 once s_k vanishes); it is up to 10x slower on atoms and on
-factors with one term per entry at m >= 3, up to 1.5x slower at n = 1,
-and 0.8-1.5x, depending on the draw, on one term per entry at n = 3,
-m = 2.  The threshold keeps the first three on the signed kernel and
-lets the campaigns' default draws (two monomials per entry) at n = 3,
-m = 2 through; one term per entry passes it at m = 2 from n = 3 on
-(2.2x faster at n = 6).  Its states stay residues, so a state that is
+_kernel lifts the factors once (gmatrix._lift) and picks the kernel
+from their operands: _Units when every factor has one term, else
+_Residues over Z/p when every factor has more than (n + 1) * 2^(m-1)
+terms, else _Packed.  Each kernel is built from that lift and keeps
+its own factor records; only _Packed builds product tables, so a unit
+call that stops before its first layer builds none.  A one-term
+factor never passes the residue threshold, so atoms reach the unit
+kernel whatever the ring.  The residue kernel's cost does not shrink
+with the states' terms: each popped state builds n * 2^m products and
+each push spends a multiply-add per term of x_i, while the signed
+kernel's cost follows the term pairs.  On random tuples over Z/7
+(2-vCPU VM, Python 3.11.7) the residue kernel is 2-6x faster on dense
+factors (about even at n = 2, m = 2 once s_k vanishes); it is up to
+10x slower on factors with one term per entry at m >= 3, up to 1.5x
+slower at n = 1, and 0.8-1.5x, depending on the draw, on one term per
+entry at n = 3, m = 2.  The threshold keeps the first two on the
+signed kernel and lets the campaigns' default draws (two monomials per
+entry) at n = 3, m = 2 through; one term per entry passes it at m = 2
+from n = 3 on (2.2x faster at n = 6).  Its states stay residues, so a state that is
 nonzero over the integers but 0 mod p is dropped where the signed
 kernel keeps it, and the value is the same.
 
@@ -183,7 +191,7 @@ from .errors import (
     GroupTooLargeError,
     LengthMismatchError,
 )
-from .gmatrix import GrMatrix, _bits, _digits, _lift, _Operand, _unpack, _wrap_state
+from .gmatrix import GrMatrix, _digits, _lift, _unpack, _wrap_state
 from .grassmann import GrassmannElem, _sign_mask
 from .ring import ZMOD
 
@@ -353,7 +361,36 @@ def _join(kernel, left: dict, right: dict, k: int):
 # value P = sum_c d_c << (W*c), row t's n column digits at that mask.
 
 
-def _mul_state_into(acc: dict, x: _Operand, state: dict, neg: int) -> None:
+class _Table(dict):
+    """A factor's product table for one DP call: a state key (t << m) | sb
+    maps to what that state entry sends into every row r of the product,
+    [((r << m) | sa | sb, +-ca)] over the terms ca v_sa of entry (r, t)
+    disjoint from sb, signed as v_sa v_sb; each row is filled on first
+    lookup.  live is the factor's, as on its operand."""
+
+    __slots__ = ("flat", "n", "m", "live")
+
+    def __init__(self, flat: list, n: int, m: int, live: int = 0):
+        self.flat, self.n, self.m, self.live = flat, n, m, live
+
+    def __missing__(self, key: int) -> list:
+        m = self.m
+        sb = key & ((1 << m) - 1)
+        # v_sa v_sb = (-1)^(|sa| |sb|) v_sb v_sa, so the sign's parity is
+        # popcount(sa & G(sb)) + |sa| |sb|, which is popcount(sa & g)
+        g = _sign_mask(sb)
+        if sb.bit_count() & 1:
+            g = ~g
+        row = self[key] = []
+        for r, terms in enumerate(self.flat[key >> m :: self.n]):
+            rb = (r << m) | sb
+            for sa, ca in terms.items():
+                if not sa & sb:
+                    row.append((rb | sa, -ca if (sa & g).bit_count() & 1 else ca))
+        return row
+
+
+def _mul_state_into(acc: dict, x: _Table, state: dict, neg: int) -> None:
     """acc += (-1)^neg * x * state: one multiply-add per term pair, for
     all n columns at once."""
     get = acc.get
@@ -365,16 +402,15 @@ def _mul_state_into(acc: dict, x: _Operand, state: dict, neg: int) -> None:
 
 
 class _Packed:
-    """The signed kernel of one DP call: the factors' operands (xs), the
-    width W of the gmatrix width lemma and the product of the factors'
-    denominators.  A push reads the popped state itself."""
+    """The signed kernel of one DP call: the factors' product tables
+    (xs), the width W of the gmatrix width lemma and the product of the
+    factors' denominators.  A push reads the popped state itself."""
 
     empty, push, settles = dict, staticmethod(_mul_state_into), False
 
-    def __init__(self, mats: Sequence[GrMatrix], k: int):
-        first = mats[0]
-        self.n, self.m, self.ring = first.n, first.m, first.ring
-        self.xs, self.width, self.den = _lift(mats, k)
+    def __init__(self, ring, ops: list, width: int, den: int):
+        self.n, self.m, self.ring, self.width, self.den = ops[0].n, ops[0].m, ring, width, den
+        self.xs = [_Table(op.flat, op.n, op.m, op.live) for op in ops]
 
     def identity(self) -> dict:
         return {t << self.m: 1 << (self.width * t) for t in range(self.n)}
@@ -398,9 +434,9 @@ class _Packed:
         return out
 
     def pair(self, acc: dict, h: dict, h_comp: dict, neg: int) -> None:
-        """acc += (-1)^neg * h * h_comp, through h decoded into an operand."""
+        """acc += (-1)^neg * h * h_comp, through h decoded into a table."""
         n, m = self.n, self.m
-        _mul_state_into(acc, _Operand(_unpack(h, n, m, self.width), n, m), h_comp, neg)
+        _mul_state_into(acc, _Table(_unpack(h, n, m, self.width), n, m), h_comp, neg)
 
     def value(self, state: Optional[dict]) -> GrMatrix:
         return _wrap_state(state, self.n, self.m, self.ring, self.width, self.den)
@@ -420,8 +456,9 @@ class _Residues:
 
     settles = True  # the join's sum must be reduced every k pairs
 
-    def __init__(self, packed: _Packed, k: int):
-        n, m, ring = self.n, self.m, self.ring = packed.n, packed.m, packed.ring
+    def __init__(self, ring, ops: list, k: int):
+        n, m = self.n, self.m = ops[0].n, ops[0].m
+        self.ring = ring
         p = self.p = ring.characteristic
         self.size = n << m  # digits in a row
         # a premultiplied state takes one push, even at k = 0
@@ -441,7 +478,7 @@ class _Residues:
         # every other digit, for reduce
         self.ones = ones = sum(1 << (2 * w * j) for j in range(((n << m) + 1) // 2))
         self.even, self.fence, self.magic = ones * digit, ones * (digit + 1 - p), (digit + 1) // p
-        self.xs = [_Residue(self, op) for op in packed.xs]
+        self.xs = [_Residue(self, op) for op in ops]
 
     def identity(self) -> list:
         return [1 << (self.width * t) for t in range(self.n)]
@@ -515,13 +552,12 @@ class _Residues:
                 acc[r] += sum(map(mul, vec, E))
 
     def value(self, state: Optional[list]) -> GrMatrix:
-        n, m, ring = self.n, self.m, self.ring
-        flat: list = [{} for _ in range(n * n)]
-        for r, H in enumerate(state or ()):
-            for j, d in enumerate(self.digits(H)):
-                if d:
-                    flat[r * n + j % n][j // n] = d
-        return GrMatrix._make(n, m, ring, None, _Operand(flat, n, m, 1, _bits(flat, ring)))
+        """The n digits of each row at each mask, as a packed row."""
+        n, m, w = self.n, self.m, self.width
+        block = (1 << (w * n)) - 1
+        packed = {(t << m) | u: H >> (w * n * u) & block
+                  for t, H in enumerate(state or ()) for u in range(1 << m)}
+        return _wrap_state(packed, n, m, self.ring, w, 1)
 
 
 class _Residue:
@@ -534,7 +570,7 @@ class _Residue:
 
     __slots__ = ("signed", "live")
 
-    def __init__(self, kernel: _Residues, op: _Operand):
+    def __init__(self, kernel: _Residues, op):
         n, p = kernel.n, kernel.p
         self.live, self.signed = op.live, ([], [])
         for r in range(n):
@@ -553,7 +589,7 @@ class _Residue:
 # h(S) = M(S) v_U, as the signed digits of gmatrix at width W, then U.
 
 
-def _unit(op: _Operand) -> tuple:
+def _unit(op) -> tuple:
     """op's unit record (r, s, u, c, G(u)) when its one term is c e_rs v_u
     (c an integer numerator), else (); built once and kept on op."""
     record = op.unit
@@ -602,9 +638,9 @@ class _Units:
 
     settles = False
 
-    def __init__(self, packed: _Packed):
-        self.n, self.m, self.ring = packed.n, packed.m, packed.ring
-        self.xs, self.width, self.den = packed.xs, packed.width, packed.den
+    def __init__(self, ring, ops: list, width: int, den: int):
+        self.n, self.m, self.ring, self.width, self.den = ops[0].n, ops[0].m, ring, width, den
+        self.xs = ops
         union = meet = 0
         for op in self.xs:
             u = op.unit[2]
@@ -631,7 +667,7 @@ class _Units:
         return state
 
     @staticmethod
-    def push(acc: list, x: _Operand, h: list, neg: int) -> None:
+    def push(acc: list, x, h: list, neg: int) -> None:
         """acc += (-1)^neg * x * h: row r gains +-c times row s of h, and
         v_u v_U = (-1)^popcount(U & G(u)) v_(u+U) signs it."""
         r, s, u, c, g = x.unit
@@ -667,13 +703,14 @@ def _kernel(mats: Sequence[GrMatrix], k: int):
     every factor has one term, _Residues over Z/p when every factor has
     more than (n + 1) * 2^(m-1) terms, else _Packed (see the module
     docstring)."""
-    packed = _Packed(mats, k)
-    if all(map(_unit, packed.xs)):
-        return _Units(packed)
-    least = (packed.n + 1) << packed.m  # twice (n + 1) * 2^(m-1)
-    if packed.ring.kind == ZMOD and all(2 * sum(map(len, op.flat)) > least for op in packed.xs):
-        return _Residues(packed, k)
-    return packed
+    ops, width, den = _lift(mats, k)
+    first = mats[0]
+    if all(map(_unit, ops)):
+        return _Units(first.ring, ops, width, den)
+    least = (first.n + 1) << first.m  # twice (n + 1) * 2^(m-1)
+    if first.ring.kind == ZMOD and all(2 * sum(map(len, op.flat)) > least for op in ops):
+        return _Residues(first.ring, ops, k)
+    return _Packed(first.ring, ops, width, den)
 
 
 def standard_dp(

@@ -38,40 +38,38 @@ RAT = "rat"
 ZMOD = "zmod"
 
 
-# Miller-Rabin with these bases decides every n below _MR_EXACT exactly
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first thirteen primes decides every n below
+# _MR_EXACT exactly: _MR_EXACT is psi_13, the least strong pseudoprime to
+# all of them (Sorenson and Webster, 2015).  The first twelve alone are
+# exact only below psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test: trial division by the bases of _MR_BASES,
-    then Miller-Rabin to those bases below _MR_EXACT (exact there), and
-    trial division above it."""
+    """Exact primality test below _MR_EXACT: trial division by the bases
+    of _MR_BASES, then Miller-Rabin to those bases, which is exact there.
+    A larger n has no exact test here and raises ValueError at once."""
+    if n >= _MR_EXACT:
+        raise ValueError(f"primality is decided only below {_MR_EXACT}, got {n}")
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n < _MR_EXACT:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in _MR_BASES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    d = 41
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

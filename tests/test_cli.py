@@ -697,6 +697,18 @@ def _replay_exit(tmp_path, capsys, reproducer):
     return code, err
 
 
+def test_modulus_past_the_exact_prime_test_usage_error(tmp_path, capsys):
+    # a modulus at or above ring._MR_EXACT has no exact primality test, so
+    # it exits 64 at once, on the command line and in a replayed matrix
+    big = "zmod:10000000000000000000000013"
+    code, _, err = run(capsys, ["ch-verify", "-n", "1", "-m", "0", "--ring", big, "--trials", "1"])
+    assert code == EXIT_USAGE and "only below" in err
+    matrix = GrMatrix.unit(1, 0, PrimeField(7), 1, 1).to_json()
+    reproducer = {"target": "Theorem1", "check": "power_zero", "exponent": 1, "matrix": {**matrix, "ring": big}}
+    code, err = _replay_exit(tmp_path, capsys, reproducer)
+    assert code == EXIT_USAGE and "only below" in err
+
+
 def test_replay_without_target_usage_error(tmp_path, capsys):
     mats = matrices_to_json(standard_witness(1, 2, QQ))
     code, err = _replay_exit(tmp_path, capsys, {"check": "standard_zero", "mats": mats})

@@ -517,8 +517,11 @@ def _force_kernel(monkeypatch, kind):
     identities._Packed or identities._Residues; other rings keep _Packed."""
 
     def kernel(mats, k):
-        packed = identities._Packed(mats, k)
-        return packed if kind is identities._Packed or packed.ring.kind != "zmod" else kind(packed, k)
+        ops, width, den = gmatrix._lift(mats, k)
+        ring = mats[0].ring
+        if kind is identities._Residues and ring.kind == "zmod":
+            return kind(ring, ops, k)
+        return identities._Packed(ring, ops, width, den)
 
     monkeypatch.setattr(identities, "_kernel", kernel)
 
@@ -1053,7 +1056,7 @@ def test_cached_operand_equals_a_fresh_lift(ring):
     rng = random.Random(32)
     for n, m in ((1, 2), (2, 3), (3, 2)):
         A = _draw(rng, n, m, ring)
-        standard_dp([A, _draw(rng, n, m, ring)])  # fills A's table rows
+        standard_dp([A, _draw(rng, n, m, ring)])  # lifts A and keeps its operand
         op = A._op
         assert op is not None and gmatrix._lift([A], 1)[0][0] is op
         flat, den = ring.lift_terms([e.terms for row in _fresh(A).rows for e in row])
@@ -1065,6 +1068,44 @@ def test_cached_operand_equals_a_fresh_lift(ring):
         assert op.bits == c.bit_length()
         (fresh,), width, fresh_den = gmatrix._lift([_fresh(A)], 1)
         assert (fresh.flat, fresh.den, fresh.bits, fresh.live) == (op.flat, op.den, op.bits, op.live)
+
+
+def test_only_the_signed_kernel_builds_product_tables(monkeypatch):
+    # The unit and residue kernels read their own factor records, so a
+    # call on either builds no product table; the signed kernel builds one
+    # per factor and one per live pair of its join, each for that call
+    # only, and no operand is left holding table state.
+    rng = random.Random(36)
+    z7 = PrimeField(7)
+    unit = _w_family(3, 2, ZZ)
+    dense = [_dense(rng, 3, 2, z7) for _ in range(7)]
+    sparse = [_draw(rng, 2, 2, ring, terms=1) for ring in (ZZ, QQ, z7) for _ in range(5)]
+    pick = lambda mats: type(identities._kernel(mats, len(mats)))
+    assert pick(unit) is identities._Units and pick(dense) is identities._Residues
+    assert {pick(sparse[i : i + 5]) for i in (0, 5, 10)} == {identities._Packed}
+    built = []
+
+    class SpyTable(identities._Table):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(identities, "_Table", SpyTable)
+    standard_dp(unit)
+    capelli_dp(unit[:4], unit[4:9])
+    standard_dp(dense[:6])
+    capelli_dp(dense[:3], dense[3:7])
+    assert built == []
+    for i in (0, 5, 10):
+        standard_dp(sparse[i : i + 4])  # join pairs of 2 and 2
+        capelli_dp(sparse[i : i + 2], sparse[i + 2 : i + 5])
+    assert len(built) >= 3 * (4 + 5)
+    for A in unit + dense + sparse:
+        op = A._op
+        assert type(op) is gmatrix._Operand and not hasattr(op, "__dict__")
+        assert not any(isinstance(getattr(op, name), dict) for name in gmatrix._Operand.__slots__)
 
 
 @pytest.mark.parametrize("ring", _OPERAND_RINGS, ids=lambda r: r.name)

@@ -29,7 +29,8 @@ from oracles import (
 
 from grassmat import gmatrix
 from grassmat.gmatrix import GrMatrix, _digits
-from grassmat.grassmann import GrassmannElem, _sign_mask, mul_into, signed_products
+from grassmat.grassmann import GrassmannElem, _sign_mask, mul_into
+from grassmat.identities import _Table
 from grassmat.poly import Poly
 from grassmat.ring import QQ, ZMOD, ZZ, PrimeField
 
@@ -176,8 +177,10 @@ def test_sign_mask_matches_inversion_count():
     for sa, sb in pairs:
         sign = -1 if (sb & _sign_mask(sa)).bit_count() & 1 else 1
         assert sign == _mul_sign(sa, sb), (sa, sb)
+    # the signed DP's product table rows share the rule: at n = 1, m = 62
+    # the row of state key sb is the one term of 5 v_sa v_sb
     for sa, sb in pairs[:: 7]:
-        assert signed_products({sa: 5}, sb) == [(sa | sb, 5 * _mul_sign(sa, sb))]
+        assert _Table([{sa: 5}], 1, 62)[sb] == [(sa | sb, 5 * _mul_sign(sa, sb))]
 
 
 class _CountingGets(dict):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from grassmat.ring import QQ, ZZ, PrimeField, is_prime, parse_ring
+from grassmat.gmatrix import GrMatrix
+from grassmat.ring import _MR_BASES, _MR_EXACT, QQ, ZZ, PrimeField, is_prime, parse_ring
 
 
 # ---------------------------------------------------------------- axioms
@@ -158,6 +159,41 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-2, 32):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_miller_rabin():
+    # 1373653 = 829 * 1657 is a strong pseudoprime to bases 2 and 3,
+    # 3215031751 to 2, 3, 5 and 7, and 341550071728321 to 2 through 17:
+    # each reaches the squaring loop and then the composite verdict
+    for n in (65537, 2**61 - 1, 2**64 - 59):
+        assert is_prime(n)
+    assert 829 * 1657 == 1373653
+    for n in (1373653, 3215031751, 341550071728321, 65537 * (2**61 - 1)):
+        assert not is_prime(n)
+    # psi_12, a strong pseudoprime to every prime base up to 37 with no
+    # factor among them: only the base 41 finds it composite
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert all(pow(a, psi_12 - 1, psi_12) == 1 for a in _MR_BASES[:-1])
+    assert not is_prime(psi_12)
+
+
+BIG_RING = "zmod:10000000000000000000000013"
+
+
+def test_modulus_past_the_exact_test_is_refused():
+    # Miller-Rabin to the bases of _MR_BASES is exact only below _MR_EXACT;
+    # a larger modulus is refused before any test, where trial division
+    # up to its square root would not end
+    for n in (_MR_EXACT, 10**25 + 13, 2**127 - 1):
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="only below"):
+            PrimeField(n)
+    with pytest.raises(ValueError, match="only below"):
+        parse_ring(BIG_RING)
+    with pytest.raises(ValueError, match="only below"):
+        GrMatrix.from_json({"n": 1, "m": 0, "ring": BIG_RING, "entries": [[[[0, "1"]]]]})
 
 
 def test_ring_equality_and_hash():
