@@ -54,18 +54,18 @@ denominator by c's, and __neg__ is scale_coeff(-1); scale(g), a left
 multiplication of every entry by the Grassmann element g, is the
 product diag(g, ..., g) * A.  So a Horner step of Poly.at_matrix and a
 squaring of __pow__ hand the next product its factor without lowering
-and lifting it again, the naive word sums of `identities` add every
-word on its operand and lower their total once, and a judge that only
-asks whether a power is zero never lowers it.
+and lifting it again, and a judge that only asks whether a power is
+zero never lowers it.
 
 A product A*B packs column t of the lifted A across its rows at
-stride n*W, {sa: sum over i of a_it[sa] << (n*W*i)}, and row t of the
-lifted B at stride W, {sb: sum over j of b_tj[sb] << (W*j)}.  A term
-pair of the two multiplies every a_it by every b_tj at once, and
-a_it b_tj lands on digit n*i + j, so grassmann.mul_into(acc, packed
-column t, packed row t) over t = 0..n-1 leaves in acc[u] all n^2
-entries of the product at u: n kernel calls instead of up to n^2, on
-the same W, since each digit is still one entry.  On a 4x4 rat
+stride n*W, {sa: sum over i of a_it[sa] << (n*W*i)} (_columns), and
+row t of the lifted B at stride W, {sb: sum over j of b_tj[sb] <<
+(W*j)} (_pack).  A term pair of the two multiplies every a_it by every
+b_tj at once, and a_it b_tj lands on digit n*i + j, so
+grassmann.mul_into(acc, packed column t, packed row t) over t = 0..n-1
+leaves in acc[u] all n^2 entries of the product at u: n kernel calls
+instead of up to n^2, on the same W, since each digit is still one
+entry.  On a 4x4 rat
 product at m = 6 with dense entries this takes one product from about
 6.4 ms with packed rows alone to about 3.5 ms, and a 3x3 product over
 Z/7 at m = 2 from 76 us to 65 us (2-vCPU VM, Python 3.11.7); a product
@@ -252,24 +252,13 @@ class GrMatrix:
         self._check_other(other)
         n, m, ring = self.n, self.m, self.ring
         (oa, ob), width, den = _lift((self, other), 1)
-        fa, fb = oa.flat, ob.flat
-        stride = n * width
+        fb = ob.flat
         acc: dict = {}
-        for t in range(n):
-            col: dict = {}
-            for i, ta in enumerate(fa[t::n]):
-                shift = stride * i
-                for sa, c in ta.items():
-                    col[sa] = col.get(sa, 0) + (c << shift)
-            if not col:
-                continue
-            row: dict = {}
-            for j, tb in enumerate(fb[t * n : t * n + n]):
-                shift = width * j
-                for sb, c in tb.items():
-                    row[sb] = row.get(sb, 0) + (c << shift)
-            if row:
-                mul_into(acc, col, row)
+        for t, col in enumerate(_columns(oa, width)):
+            if col:
+                row = _pack(fb[t * n : t * n + n], width)
+                if row:
+                    mul_into(acc, col, row)
         return _wrap_state(acc, n, m, ring, width, den)
 
     def __pow__(self, k: int) -> "GrMatrix":
@@ -519,6 +508,25 @@ def _sum(A: GrMatrix, B: GrMatrix, sign: int) -> GrMatrix:
     # |v*sa| < 2^bits * sa <= 2^(bits + bit_length(sa - 1)) on A's terms
     bits = max(oa.bits + (sa - 1).bit_length(), top.bit_length())
     return GrMatrix._make(n, m, ring, None, _Operand(flat, n, m, den, bits))
+
+
+def _pack(entries: Sequence[dict], stride: int) -> dict:
+    """The term dicts of entries packed at stride: {u: sum over i of
+    entries[i][u] << (stride*i)}."""
+    out: dict = {}
+    for i, terms in enumerate(entries):
+        shift = stride * i
+        for u, c in terms.items():
+            out[u] = out.get(u, 0) + (c << shift)
+    return out
+
+
+def _columns(op: _Operand, width: int) -> list:
+    """op's n columns, each packed across its rows at stride n*width, the
+    left operand of a product (see the module docstring); {} for a zero
+    column."""
+    n, flat = op.n, op.flat
+    return [_pack(flat[t::n], n * width) for t in range(n)]
 
 
 def _digits(P: int, width: int) -> list:

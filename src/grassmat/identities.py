@@ -11,10 +11,27 @@ Substituting every y_i = I recovers s_k.
 
 Both have a subset dynamic program and a naive oracle, capped at
 k <= DEFAULT_NAIVE_K.  The naive evaluators and young_alternating_sum
-share one depth-first word enumerator: words with a common prefix share
-its products, a zero prefix ends its whole subtree, and each word is
-added to the total on its lifted operand (gmatrix._sum), so the total
-is lowered once, when its rows are read.
+share one depth-first word enumerator (_alternating_sum), which builds
+each word right to left: words with a common suffix share its products,
+and a zero suffix ends its whole subtree.  It runs on the packed format
+of `gmatrix`, with one lift and one decode per call: gmatrix._lift lifts
+every factor once, at the width the DPs use for the same factors, and
+gmatrix._columns packs each factor's columns once, as a product packs
+its left operand.  A suffix is n row dicts {mask: packed row}, as a
+product packs its right operand, so placing factor f in front of it is
+one grassmann.mul_into per nonzero column t of f into row t of the
+suffix, and gmatrix._digits at width n*W splits the result back into
+rows.  The word's sign is carried by the suffix as it grows (f's
+negated columns when it adds an odd number of inversions), and the
+leftmost factor of each word is pushed straight into one packed total,
+which gmatrix._wrap_state decodes once; d_k premultiplies y_0 into
+that total once, at the end.  The width lemma bounds the total, and
+each suffix, a product of a subset of the factors: a Young subgroup's
+signed sum is a determinant with the entries outside its classes' blocks
+set to 0, still in the cube the lemma maximises over.  Its only product
+is mul_into, so the oracle shares no code with the DP kernels it
+cross-checks, and bare GrassmannElem operands of young_alternating_sum
+run as 1x1 matrices.
 
 The DP runs over suffixes: h(S) is the signed sum over arrangements of S
 in the last |S| slots, built from h(S minus {i}) by placing x_i first
@@ -191,8 +208,8 @@ from .errors import (
     GroupTooLargeError,
     LengthMismatchError,
 )
-from .gmatrix import GrMatrix, _digits, _lift, _unpack, _wrap_state
-from .grassmann import GrassmannElem, _sign_mask
+from .gmatrix import GrMatrix, _columns, _digits, _lift, _unpack, _wrap_state
+from .grassmann import GrassmannElem, _sign_mask, mul_into
 from .ring import ZMOD
 
 DEFAULT_NAIVE_K = 8
@@ -204,7 +221,7 @@ Operand = Union[GrMatrix, GrassmannElem]
 
 
 def perm_sign(p: Sequence[int]) -> int:
-    """Sign by inversion count; fine at the k <= 8 oracle scale."""
+    """Sign by inversion count, quadratic in the length of p."""
     inv = 0
     for a in range(len(p)):
         pa = p[a]
@@ -228,33 +245,67 @@ def _check_matrix_family(mats: Sequence[GrMatrix], what: str) -> None:
             first._check_other(A)
 
 
-def _alternating_sum(factors: Sequence, allowed: Sequence, zero, ys: Optional[Sequence] = None):
-    """Sum of perm_sign(w) f_w[0] ... f_w[k-1] over the words w of distinct
+def _alternating_sum(
+    factors: Sequence[GrMatrix], allowed: Sequence, ys: Sequence[GrMatrix] = ()
+) -> GrMatrix:
+    """Sum of sign(w) f_w[0] ... f_w[k-1] over the words w of distinct
     sources with w[p] in allowed[p], read y_0 f_w[0] y_1 ... f_w[k-1] y_k
-    with ys, built depth first from a stack of (word, product) pairs.
+    with ys, on packed rows (see the module docstring).
 
-    One perm_sign of the whole word suffices for a Young subgroup: each
-    element is a product of permutations of the disjoint classes, so its
-    sign is the product of the signs of its restrictions to the classes.
+    A suffix, the product of the factors at positions p..k-1 and the y's
+    after them, is signed as it grows: placing source i left of the
+    sources already placed adds one inversion per placed source below i,
+    so the product takes f_i's negated columns when that count is odd.
+    One sign per word suffices for a Young subgroup: each element is a
+    product of permutations of the disjoint classes, so its sign is the
+    product of the signs of its restrictions to the classes.
     """
-    k = len(allowed)
-    total = zero
-    stack = [((), ys[0] if ys else None)]
-    while stack:
-        word, w = stack.pop()
-        d = len(word)
-        if d == k:
-            total = total + w if perm_sign(word) > 0 else total - w
-            continue
-        for src in allowed[d]:
-            if src in word:
+    k, mats = len(allowed), list(factors) + list(ys)
+    n, m, ring = mats[0].n, mats[0].m, mats[0].ring
+    ops, width, den = _lift(mats, k)
+    columns = [_columns(op, width) for op in ops]
+    signed = [(cols, [{u: -P for u, P in col.items()} for col in cols]) for cols in columns[:k]]
+    ycols = columns[k:]
+    stride = n * width
+
+    def times(acc: dict, cols: list, rows: list) -> dict:
+        for col, row in zip(cols, rows):
+            if col and row:
+                mul_into(acc, col, row)
+        return acc
+
+    def split(acc: dict) -> list:
+        rows: list = [{} for _ in range(n)]
+        for u, P in acc.items():
+            for r, R in enumerate(_digits(P, stride)):
+                if R:
+                    rows[r][u] = R
+        return rows
+
+    total: dict = {}
+
+    def extend(rows: list, p: int, used: int) -> None:
+        """Push into total every word whose positions p+1..k-1 are the
+        suffix rows, before y_(p+1) is premultiplied."""
+        if ys:
+            rows = split(times({}, ycols[p + 1], rows))
+        for src in allowed[p]:
+            if used >> src & 1:
                 continue
-            v = factors[src] if w is None else w * factors[src]
-            if ys:
-                v = v * ys[d + 1]
-            if not v.is_zero():
-                stack.append((word + (src,), v))
-    return total
+            cols = signed[src][(used & ((1 << src) - 1)).bit_count() & 1]
+            if not p:
+                times(total, cols, rows)
+                continue
+            suffix = split(times({}, cols, rows))
+            if any(suffix):
+                extend(suffix, p - 1, used | 1 << src)
+
+    identity = [{0: 1 << (width * t)} for t in range(n)]
+    if k:
+        extend(identity, k - 1, 0)
+    if ys:
+        total = times({}, ycols[0], split(total) if k else identity)
+    return _wrap_state(total, n, m, ring, width, den)
 
 
 def standard_naive(mats: Sequence[GrMatrix], max_k: int = DEFAULT_NAIVE_K) -> GrMatrix:
@@ -263,8 +314,7 @@ def standard_naive(mats: Sequence[GrMatrix], max_k: int = DEFAULT_NAIVE_K) -> Gr
     if k > max_k:
         raise DegreeTooLargeError(f"naive evaluation capped at k <= {max_k}, got {k}")
     _check_matrix_family(mats, "standard_naive")
-    first = mats[0]
-    return _alternating_sum(mats, [range(k)] * k, GrMatrix.zero(first.n, first.m, first.ring))
+    return _alternating_sum(mats, [range(k)] * k)
 
 
 def capelli_naive(
@@ -279,8 +329,7 @@ def capelli_naive(
     if k > max_k:
         raise DegreeTooLargeError(f"naive evaluation capped at k <= {max_k}, got {k}")
     _check_matrix_family(list(xs) + list(ys), "capelli_naive")
-    first = ys[0]
-    return _alternating_sum(xs, [range(k)] * k, GrMatrix.zero(first.n, first.m, first.ring), ys)
+    return _alternating_sum(xs, [range(k)] * k, ys)
 
 
 # ----- the driver: one layer loop and one premultiply for both kernels -----
@@ -361,12 +410,30 @@ def _join(kernel, left: dict, right: dict, k: int):
 # value P = sum_c d_c << (W*c), row t's n column digits at that mask.
 
 
+def _table_row(flat: list, n: int, m: int, key: int) -> list:
+    """Row key = (t << m) | sb of the product table of the factor whose
+    row-major term dicts are flat: [((r << m) | sa | sb, +-ca)] over the
+    terms ca v_sa of entry (r, t) disjoint from sb, signed as v_sa v_sb."""
+    sb = key & ((1 << m) - 1)
+    # v_sa v_sb = (-1)^(|sa| |sb|) v_sb v_sa, so the sign's parity is
+    # popcount(sa & G(sb)) + |sa| |sb|, which is popcount(sa & g)
+    g = _sign_mask(sb)
+    if sb.bit_count() & 1:
+        g = ~g
+    row = []
+    for r, terms in enumerate(flat[key >> m :: n]):
+        rb = (r << m) | sb
+        for sa, ca in terms.items():
+            if not sa & sb:
+                row.append((rb | sa, -ca if (sa & g).bit_count() & 1 else ca))
+    return row
+
+
 class _Table(dict):
     """A factor's product table for one DP call: a state key (t << m) | sb
-    maps to what that state entry sends into every row r of the product,
-    [((r << m) | sa | sb, +-ca)] over the terms ca v_sa of entry (r, t)
-    disjoint from sb, signed as v_sa v_sb; each row is filled on first
-    lookup.  live is the factor's, as on its operand."""
+    maps to what that state entry sends into every row r of the product
+    (_table_row); each row is built on first lookup and kept.  live is
+    the factor's, as on its operand."""
 
     __slots__ = ("flat", "n", "m", "live")
 
@@ -374,19 +441,7 @@ class _Table(dict):
         self.flat, self.n, self.m, self.live = flat, n, m, live
 
     def __missing__(self, key: int) -> list:
-        m = self.m
-        sb = key & ((1 << m) - 1)
-        # v_sa v_sb = (-1)^(|sa| |sb|) v_sb v_sa, so the sign's parity is
-        # popcount(sa & G(sb)) + |sa| |sb|, which is popcount(sa & g)
-        g = _sign_mask(sb)
-        if sb.bit_count() & 1:
-            g = ~g
-        row = self[key] = []
-        for r, terms in enumerate(self.flat[key >> m :: self.n]):
-            rb = (r << m) | sb
-            for sa, ca in terms.items():
-                if not sa & sb:
-                    row.append((rb | sa, -ca if (sa & g).bit_count() & 1 else ca))
+        row = self[key] = _table_row(self.flat, self.n, self.m, key)
         return row
 
 
@@ -434,9 +489,16 @@ class _Packed:
         return out
 
     def pair(self, acc: dict, h: dict, h_comp: dict, neg: int) -> None:
-        """acc += (-1)^neg * h * h_comp, through h decoded into a table."""
+        """acc += (-1)^neg * h * h_comp, with h decoded: each key of h_comp
+        reads its row of h's product table once, so the rows are built as
+        they are read (_table_row) and none is kept."""
         n, m = self.n, self.m
-        _mul_state_into(acc, _Table(_unpack(h, n, m, self.width), n, m), h_comp, neg)
+        flat, get = _unpack(h, n, m, self.width), acc.get
+        for key, P in h_comp.items():
+            if neg:
+                P = -P
+            for u, ca in _table_row(flat, n, m, key):
+                acc[u] = get(u, 0) + ca * P
 
     def value(self, state: Optional[dict]) -> GrMatrix:
         return _wrap_state(state, self.n, self.m, self.ring, self.width, self.den)
@@ -869,14 +931,15 @@ def young_alternating_sum(
     if order > max_order:
         raise GroupTooLargeError(f"subgroup order {order} exceeds cap {max_order}")
     first = elems[0]
+    allowed = [[s - 1 for s in c] for p in range(1, spec.k + 1) for c in spec.classes if p in c]
     if isinstance(first, GrMatrix):
         _check_matrix_family(elems, "young_alternating_sum")
-        zero = GrMatrix.zero(first.n, first.m, first.ring)
-    elif isinstance(first, GrassmannElem):
-        for e in elems[1:]:
-            first._check_other(e)
-        zero = GrassmannElem.zero(first.m, first.ring)
-    else:
+        return _alternating_sum(elems, allowed)
+    if not isinstance(first, GrassmannElem):
         raise TypeError("operands must be GrMatrix or GrassmannElem")
-    allowed = [[s - 1 for s in c] for p in range(1, spec.k + 1) for c in spec.classes if p in c]
-    return _alternating_sum(elems, allowed, zero)
+    for e in elems[1:]:
+        first._check_other(e)
+    # a bare element runs as the 1x1 matrix of its one entry
+    m, ring = first.m, first.ring
+    mats = [GrMatrix._make(1, m, ring, ((e,),)) for e in elems]
+    return _alternating_sum(mats, allowed).rows[0][0]

@@ -1073,8 +1073,8 @@ def test_cached_operand_equals_a_fresh_lift(ring):
 def test_only_the_signed_kernel_builds_product_tables(monkeypatch):
     # The unit and residue kernels read their own factor records, so a
     # call on either builds no product table; the signed kernel builds one
-    # per factor and one per live pair of its join, each for that call
-    # only, and no operand is left holding table state.
+    # per factor, for that call only, and none for the pairs of its join,
+    # which stream their rows, and no operand is left holding table state.
     rng = random.Random(36)
     z7 = PrimeField(7)
     unit = _w_family(3, 2, ZZ)
@@ -1101,7 +1101,7 @@ def test_only_the_signed_kernel_builds_product_tables(monkeypatch):
     for i in (0, 5, 10):
         standard_dp(sparse[i : i + 4])  # join pairs of 2 and 2
         capelli_dp(sparse[i : i + 2], sparse[i + 2 : i + 5])
-    assert len(built) >= 3 * (4 + 5)
+    assert len(built) == 3 * (4 + 5)
     for A in unit + dense + sparse:
         op = A._op
         assert type(op) is gmatrix._Operand and not hasattr(op, "__dict__")
@@ -1333,7 +1333,7 @@ def test_young_matches_brute_force_symmetric_group():
 
 # ------------------------------------------------------------ one word enumerator
 
-ENUM_RINGS = (ZZ, QQ, PrimeField(5))
+ENUM_RINGS = (ZZ, QQ, PrimeField(5), PrimeField(2))
 
 
 def _enumerator_tuples(seed):
@@ -1361,6 +1361,17 @@ def test_naive_enumerator_matches_word_loop():
         assert cap == capelli_by_words(xs, ys)
         nonzero += (not std.is_zero()) + (not cap.is_zero())
     assert nonzero > 40
+
+
+def test_naive_enumerator_decodes_at_the_width_limit():
+    # The aligned tuples reach 2^(W-2) at the width lemma's least W, so a
+    # suffix row split or a total decoded one bit short would show here;
+    # test_dp_digits_stay_below_half_the_width takes standard_naive on
+    # them as its reference.
+    for ring in (ZZ, QQ):
+        for xs, ys in _aligned_tuples(ring):
+            assert standard_naive(xs) == standard_by_words(xs) != GrMatrix.zero(3, xs[0].m, ring)
+            assert capelli_naive(xs, ys) == capelli_by_words(xs, ys) != GrMatrix.zero(3, xs[0].m, ring)
 
 
 def test_young_enumerator_matches_word_loop():
@@ -1397,10 +1408,14 @@ def test_young_enumerator_matches_word_loop():
     assert nonzero > 20
 
 
-def test_standard_naive_shares_prefix_products(monkeypatch):
-    # Every entry has a positive degree-0 part, so no prefix is zero and
-    # each prefix of length d >= 2 costs one product: the sum over d of
-    # 5!/(5 - d)! is 320, where multiplying out each word costs 5! * 4.
+def test_standard_naive_shares_suffix_products(monkeypatch):
+    # Every entry has a positive degree-0 part, so no suffix is zero.  A
+    # suffix of length d is one product of its leftmost factor with the
+    # suffix of length d - 1 (the identity at d = 1), shared by every
+    # word that ends in it: the sum over d of 5!/(5 - d)! is 325 products,
+    # where multiplying out each word costs 5! * 5.  Each product is one
+    # mul_into per nonzero column of its factor, 2 at n = 2, and none is
+    # a GrMatrix product.
     rng = random.Random(33)
     one = GrassmannElem.one(2, ZZ)
     mats = [
@@ -1408,10 +1423,12 @@ def test_standard_naive_shares_prefix_products(monkeypatch):
                   for _ in range(2)])
         for _ in range(5)
     ]
-    calls = []
-    mul = GrMatrix.__mul__
-    monkeypatch.setattr(GrMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    calls, products = [], []
+    mul_into, mul = identities.mul_into, GrMatrix.__mul__
+    monkeypatch.setattr(identities, "mul_into", lambda *a: calls.append(1) or mul_into(*a))
+    monkeypatch.setattr(GrMatrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     value = standard_naive(mats)
-    assert len(calls) == sum(math.perm(5, d) for d in range(2, 6)) == 320
+    assert len(calls) == 2 * sum(math.perm(5, d) for d in range(1, 6)) == 650
+    assert not products
     monkeypatch.undo()
     assert value == standard_by_words(mats) != GrMatrix.zero(2, 2, ZZ)
